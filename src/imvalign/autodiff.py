@@ -37,6 +37,7 @@ __all__ = [
     "transpose",
     "matmul",
     "softmax",
+    "gaussian_logits",
 ]
 
 class NonFiniteError(FloatingPointError):
@@ -83,7 +84,7 @@ class Tape:
         return v
 
     def record(self, name: str, out_data: np.ndarray, backward) -> "Value":
-        if self.check_finite and not np.all(np.isfinite(out_data)):
+        if self.check_finite and not np.isfinite(out_data).all():
             raise NonFiniteError(name, len(self.nodes))
         out = Value(out_data, self)
         self.nodes.append(_Node(name, out, backward))
@@ -206,6 +207,8 @@ def _data(x) -> np.ndarray:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -456,15 +459,52 @@ def matmul(a, b):
 
 
 def softmax(x, axis: int):
-    """Stable softmax along ``axis``.
+    """Stable softmax along ``axis``, recorded as one tape node.
 
     The per-slice max is subtracted as a constant before exponentiation;
     softmax is shift-invariant, so the gradient is unaffected while the
-    exponentials stay bounded.
+    exponentials stay bounded. The backward pass evaluates
+    ``(g/s + sum(-g*y/s)) * z`` in the order an exp/sum/div chain of
+    primitives would, so its gradients equal that chain's bit for bit.
     """
-    m = np.max(_data(x), axis=axis, keepdims=True)
-    z = exp(_sub(x, m) if isinstance(x, Value) else _data(x) - m)
-    return _div(z, asum(z, axis=axis, keepdims=True))
+    xd = _data(x)
+    z = np.exp(xd - np.max(xd, axis=axis, keepdims=True))
+    s = np.sum(z, axis=axis, keepdims=True)
+    y = z / s
+    if not isinstance(x, Value):
+        return y
+
+    def backward(g):
+        _accumulate(x, (g / s + np.sum(-g * y / s, axis=axis, keepdims=True)) * z)
+
+    return x.tape.record("softmax", y, backward)
+
+
+def gaussian_logits(rows, cols, sigma2: float):
+    """Gaussian kernel logits -(rows_i - cols_j)^2 / sigma2, one tape node.
+
+    ``rows`` and ``cols`` are 1-D; the result has shape (len(rows),
+    len(cols)). Either operand may be traced; the backward pass evaluates
+    in the order a reshape/sub/mul/mul chain of primitives would, so its
+    gradients equal that chain's bit for bit.
+    """
+    rd, cd = _data(rows), _data(cols)
+    scale = -1.0 / sigma2
+    diff = rd.reshape(-1, 1) - cd
+    out_data = diff * diff * scale
+    if not isinstance(rows, Value) and not isinstance(cols, Value):
+        return out_data
+    tape = _tape_of(rows, cols)
+
+    def backward(g):
+        half = g * scale * diff
+        gd = half + half
+        if isinstance(rows, Value):
+            _accumulate(rows, np.sum(gd, axis=1))
+        if isinstance(cols, Value):
+            _accumulate(cols, np.sum(-gd, axis=0))
+
+    return tape.record("gaussian_logits", out_data, backward)
 
 
 # -- driver and gradient checking ---------------------------------------

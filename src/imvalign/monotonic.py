@@ -122,20 +122,13 @@ def hma_transform(imv: Imv) -> Imv:
     return Imv(pi_star, imv.t1)
 
 
-def _gaussian_logits(centers, grid: np.ndarray, sigma2: float):
-    """-(grid_i - centers_j)^2 / sigma2 as a (len(grid), len(centers)) block."""
-    col = grid.reshape(-1, 1)
-    diff = col - centers
-    return diff * diff * (-1.0 / sigma2)
-
-
 def align_from_imv(imv: Imv, kernel: KernelConfig = KernelConfig()):
     """Alignment matrix whose column j is a Gaussian bump centered on pi_j.
 
     Columns are normalized over the input axis, so the result is a valid
     alignment regardless of where the centers fall.
     """
-    logits = _gaussian_logits(imv.pi, index_vector(imv.t1), kernel.sigma2)
+    logits = ad.gaussian_logits(index_vector(imv.t1), imv.pi, kernel.sigma2)
     return ad.softmax(logits, axis=0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Value
 from .core import AlignmentError, Imv, index_vector
-from .monotonic import KernelConfig, _gaussian_logits
+from .monotonic import KernelConfig
 
 __all__ = [
     "AlignedPositions",
@@ -73,7 +73,7 @@ class ApLossConfig:
 def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
     """Row-normalized Gaussian density (t1, t2): how much of token i's
     alignment mass falls on each output step."""
-    logits = _gaussian_logits(imv.pi, index_vector(imv.t1), kernel.sigma2)
+    logits = ad.gaussian_logits(index_vector(imv.t1), imv.pi, kernel.sigma2)
     return ad.softmax(logits, axis=1)
 
 
@@ -116,10 +116,7 @@ def align_from_positions(
     whose aligned positions fall near output step j."""
     if t2 < 1:
         raise AlignmentError(f"t2 must be >= 1, got {t2}")
-    e = positions.e
-    col = ad.reshape(e, (-1, 1))
-    diff = col - index_vector(t2)
-    logits = diff * diff * (-1.0 / kernel.sigma2)
+    logits = ad.gaussian_logits(positions.e, index_vector(t2), kernel.sigma2)
     return ad.softmax(logits, axis=0)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from . import autodiff as ad
 from .attention import scaled_dot_alignment
@@ -303,17 +302,30 @@ def _sequence_forward(
 def alignment_accuracy(alpha: np.ndarray, e_star: np.ndarray) -> float:
     """Fraction of tokens whose attended span midpoint lands within one
     frame of the true token centre."""
-    t1 = alpha.shape[0]
+    t1, t2 = alpha.shape
     owner = np.argmax(alpha, axis=0)
-    hits = 0
-    for i in range(t1):
-        span = np.flatnonzero(owner == i)
-        if span.size == 0:
-            continue
-        midpoint = (span[0] + span[-1]) / 2.0
-        if abs(midpoint - e_star[i]) <= 1.0:
-            hits += 1
-    return hits / t1
+    # first and last column of every token; a token owning none keeps -1
+    cols = np.arange(t2)
+    first = np.full(t1, t2)
+    last = np.full(t1, -1)
+    np.minimum.at(first, owner, cols)
+    np.maximum.at(last, owner, cols)
+    owned = last >= 0
+    midpoint = (first[owned] + last[owned]) / 2.0
+    return np.count_nonzero(np.abs(midpoint - e_star[owned]) <= 1.0) / t1
+
+
+def _rank_correlation(owner: np.ndarray) -> float:
+    """Spearman correlation between ``owner`` and its index: Pearson
+    correlation of average ranks (tied values share the mean of their
+    ranks). ``owner`` holds non-negative integers, not all equal."""
+    n = owner.shape[0]
+    counts = np.bincount(owner)
+    # value v takes ranks below+1 .. below+count, averaging cumsum - (count-1)/2
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[owner]
+    x = ranks - (n + 1) / 2.0
+    y = np.arange(n) - (n - 1) / 2.0
+    return float(x @ y / np.sqrt((x @ x) * (y @ y)))
 
 
 def diagonality_score(alpha: np.ndarray) -> float:
@@ -323,10 +335,7 @@ def diagonality_score(alpha: np.ndarray) -> float:
     owner = np.argmax(alpha, axis=0)
     if np.all(owner == owner[0]) or alpha.shape[1] < 2:
         return 0.0
-    rho = stats.spearmanr(owner, np.arange(alpha.shape[1])).statistic
-    if not np.isfinite(rho):
-        return 0.0
-    return sharpness * float(rho)
+    return sharpness * _rank_correlation(owner)
 
 
 class _Sgd:

@@ -190,3 +190,19 @@ def test_cli_roundtrip_imv_reconstruct_imv(tmp_path):
 def test_usage_error_exit_code():
     assert main(["imv"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; a fresh interpreter importing the
+    # CLI must not pull it in
+    import os
+    import subprocess
+    import sys
+
+    import imvalign
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imvalign.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import imvalign.cli; import sys; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from imvalign.toy import (
     ToyTask,
     TrainConfig,
     UntrainedModelError,
+    _rank_correlation,
     _sequence_forward,
     alignment_accuracy,
     diagonality_score,
@@ -153,6 +154,66 @@ def test_metric_helpers():
     # an alignment stuck on one token scores zero diagonality
     stuck = np.tile([[0.9], [0.1]], (1, 4))
     assert diagonality_score(stuck) == 0.0
+    # two output steps, along and against the diagonal; one output step
+    assert diagonality_score(np.array([[0.9, 0.2], [0.1, 0.8]])) == pytest.approx(0.85, abs=1e-15)
+    assert diagonality_score(np.array([[0.2, 0.9], [0.8, 0.1]])) == pytest.approx(-0.85, abs=1e-15)
+    assert diagonality_score(np.array([[0.3], [0.7]])) == 0.0
+
+
+def _loop_alignment_accuracy(alpha, e_star):
+    """Per-token reference for the vectorised alignment_accuracy."""
+    t1 = alpha.shape[0]
+    owner = np.argmax(alpha, axis=0)
+    hits = 0
+    for i in range(t1):
+        span = np.flatnonzero(owner == i)
+        if span.size == 0:
+            continue
+        midpoint = (span[0] + span[-1]) / 2.0
+        if abs(midpoint - e_star[i]) <= 1.0:
+            hits += 1
+    return hits / t1
+
+
+def test_alignment_accuracy_matches_per_token_loop():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        t1 = int(rng.integers(1, 9))
+        durations = rng.integers(1, 5, size=t1)
+        t2 = int(durations.sum())
+        e_star = positions_from_durations(durations)
+        # a noisy diagonal (most tokens hit) or pure noise (few do)
+        alpha = rng.random((t1, t2)) ** 4
+        if rng.random() < 0.5:
+            alpha[np.repeat(np.arange(t1), durations), np.arange(t2)] += rng.random(t2)
+        assert alignment_accuracy(alpha, e_star) == _loop_alignment_accuracy(alpha, e_star)
+
+
+def _owner_cases(rng):
+    yield np.array([0, 1])
+    yield np.array([1, 0])
+    yield np.array([0, 0, 1])
+    yield np.array([2, 2, 0, 0, 1, 1])
+    for _ in range(200):
+        t1 = int(rng.integers(2, 8))
+        t2 = int(rng.integers(2, 30))
+        owner = rng.integers(0, t1, size=t2)  # ties whenever t2 > t1
+        if np.all(owner == owner[0]):
+            continue
+        yield owner
+
+
+def test_rank_correlation_matches_scipy_spearmanr():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(14)
+    for owner in _owner_cases(rng):
+        expected = stats.spearmanr(owner, np.arange(owner.size)).statistic
+        assert abs(_rank_correlation(owner) - expected) <= 1e-12
+        # diagonality is the column sharpness times the same correlation
+        alpha = rng.random((int(owner.max()) + 1, owner.size))
+        alpha[owner, np.arange(owner.size)] += 1.0
+        sharpness = alpha.max(axis=0).mean()
+        assert abs(diagonality_score(alpha) - sharpness * expected) <= 1e-12
 
 
 def test_infer_requires_training_and_tokens(trained):

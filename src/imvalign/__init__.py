@@ -53,6 +53,7 @@ from .positions import (
 )
 from .toy import (
     MODES,
+    SequenceForward,
     ToyBatch,
     ToyModel,
     ToyTask,
@@ -65,6 +66,7 @@ from .toy import (
     infer,
     make_batch,
     positions_from_durations,
+    sequence_forward,
     token_patterns,
     train,
 )

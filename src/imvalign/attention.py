@@ -10,22 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value
 from .core import AlignmentError
 
 __all__ = ["scaled_dot_alignment"]
 
 
-def scaled_dot_alignment(queries, keys, printed_sign: bool = False):
+def scaled_dot_alignment(queries, keys):
     """Alignment matrix (t1, t2) from queries (t2, d) and keys (t1, d).
 
     Logits are the dot products scaled by d**-0.5, normalized over the
-    input axis. ``printed_sign=True`` negates the logits (an inverted
-    similarity variant); the default keeps the conventional sign where
-    similar vectors attract attention.
+    input axis, so similar vectors attract attention.
     """
-    q_data = queries.data if isinstance(queries, Value) else np.asarray(queries)
-    k_data = keys.data if isinstance(keys, Value) else np.asarray(keys)
+    q_data = ad.data(queries)
+    k_data = ad.data(keys)
     if q_data.ndim != 2 or k_data.ndim != 2:
         raise AlignmentError("queries and keys must be 2-D (length, dim)")
     if q_data.shape[1] != k_data.shape[1]:
@@ -36,7 +33,5 @@ def scaled_dot_alignment(queries, keys, printed_sign: bool = False):
     if not (np.all(np.isfinite(q_data)) and np.all(np.isfinite(k_data))):
         raise AlignmentError("encoded sequences must be finite")
     scale = float(q_data.shape[1]) ** -0.5
-    if printed_sign:
-        scale = -scale
     logits = ad.matmul(keys, ad.transpose(queries)) * scale
     return ad.softmax(logits, axis=0)

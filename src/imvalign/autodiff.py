@@ -26,7 +26,6 @@ __all__ = [
     "log",
     "tanh",
     "relu",
-    "clamp",
     "absolute",
     "asum",
     "amean",
@@ -38,6 +37,7 @@ __all__ = [
     "matmul",
     "softmax",
     "gaussian_logits",
+    "data",
 ]
 
 class NonFiniteError(FloatingPointError):
@@ -70,11 +70,10 @@ class Tape:
     One tape serves one computation and is not shared across threads.
     """
 
-    def __init__(self, check_finite: bool = True):
+    def __init__(self):
         self.nodes: list[_Node] = []
-        self.check_finite = check_finite
         self._variables: list[Value] = []
-        # Sign/region snapshots of every relu/clamp/abs input, used by
+        # Sign snapshots of every relu/abs input, used by
         # gradcheck to detect kink crossings between perturbed evaluations.
         self.kink_signatures: list[np.ndarray] = []
 
@@ -84,7 +83,7 @@ class Tape:
         return v
 
     def record(self, name: str, out_data: np.ndarray, backward) -> "Value":
-        if self.check_finite and not np.isfinite(out_data).all():
+        if not np.isfinite(out_data).all():
             raise NonFiniteError(name, len(self.nodes))
         out = Value(out_data, self)
         self.nodes.append(_Node(name, out, backward))
@@ -199,7 +198,8 @@ def _tape_of(*args) -> Tape:
     return tape
 
 
-def _data(x) -> np.ndarray:
+def data(x) -> np.ndarray:
+    """The float64 array behind ``x``: a Value's data, or ``x`` as an array."""
     if isinstance(x, Value):
         return x.data
     return np.asarray(x, dtype=np.float64)
@@ -223,9 +223,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _add(a, b):
     if not isinstance(a, Value) and not isinstance(b, Value):
-        return _data(a) + _data(b)
+        return data(a) + data(b)
     tape = _tape_of(a, b)
-    ad, bd = _data(a), _data(b)
+    ad, bd = data(a), data(b)
     out = tape.record(
         "add",
         ad + bd,
@@ -239,9 +239,9 @@ def _add(a, b):
 
 def _sub(a, b):
     if not isinstance(a, Value) and not isinstance(b, Value):
-        return _data(a) - _data(b)
+        return data(a) - data(b)
     tape = _tape_of(a, b)
-    ad, bd = _data(a), _data(b)
+    ad, bd = data(a), data(b)
     return tape.record(
         "sub",
         ad - bd,
@@ -254,9 +254,9 @@ def _sub(a, b):
 
 def _mul(a, b):
     if not isinstance(a, Value) and not isinstance(b, Value):
-        return _data(a) * _data(b)
+        return data(a) * data(b)
     tape = _tape_of(a, b)
-    ad, bd = _data(a), _data(b)
+    ad, bd = data(a), data(b)
     return tape.record(
         "mul",
         ad * bd,
@@ -269,9 +269,9 @@ def _mul(a, b):
 
 def _div(a, b):
     if not isinstance(a, Value) and not isinstance(b, Value):
-        return _data(a) / _data(b)
+        return data(a) / data(b)
     tape = _tape_of(a, b)
-    ad, bd = _data(a), _data(b)
+    ad, bd = data(a), data(b)
     out_data = ad / bd
     return tape.record(
         "div",
@@ -288,21 +288,21 @@ def _div(a, b):
 
 def exp(x):
     if not isinstance(x, Value):
-        return np.exp(_data(x))
+        return np.exp(data(x))
     out_data = np.exp(x.data)
     return x.tape.record("exp", out_data, lambda g: _accumulate(x, g * out_data))
 
 
 def log(x):
     if not isinstance(x, Value):
-        return np.log(_data(x))
+        return np.log(data(x))
     xd = x.data
     return x.tape.record("log", np.log(xd), lambda g: _accumulate(x, g / xd))
 
 
 def tanh(x):
     if not isinstance(x, Value):
-        return np.tanh(_data(x))
+        return np.tanh(data(x))
     out_data = np.tanh(x.data)
     return x.tape.record(
         "tanh", out_data, lambda g: _accumulate(x, g * (1.0 - out_data * out_data))
@@ -312,7 +312,7 @@ def tanh(x):
 def relu(x):
     """max(x, 0); subgradient at exactly 0 is taken as 0."""
     if not isinstance(x, Value):
-        return np.maximum(_data(x), 0.0)
+        return np.maximum(data(x), 0.0)
     mask = x.data > 0.0
     x.tape.kink_signatures.append(mask)
     return x.tape.record(
@@ -320,22 +320,10 @@ def relu(x):
     )
 
 
-def clamp(x, lo: float, hi: float):
-    """Clip to [lo, hi]; subgradient at either boundary is taken as 0."""
-    if not isinstance(x, Value):
-        return np.clip(_data(x), lo, hi)
-    interior = (x.data > lo) & (x.data < hi)
-    region = np.where(x.data <= lo, -1, np.where(x.data >= hi, 1, 0))
-    x.tape.kink_signatures.append(region)
-    return x.tape.record(
-        "clamp", np.clip(x.data, lo, hi), lambda g: _accumulate(x, g * interior)
-    )
-
-
 def absolute(x):
     """|x|; subgradient at 0 is taken as 0 (sign convention)."""
     if not isinstance(x, Value):
-        return np.abs(_data(x))
+        return np.abs(data(x))
     sign = np.sign(x.data)
     x.tape.kink_signatures.append(sign)
     return x.tape.record("abs", np.abs(x.data), lambda g: _accumulate(x, g * sign))
@@ -346,7 +334,7 @@ def absolute(x):
 
 def asum(x, axis=None, keepdims: bool = False):
     if not isinstance(x, Value):
-        return np.sum(_data(x), axis=axis, keepdims=keepdims)
+        return np.sum(data(x), axis=axis, keepdims=keepdims)
     xd = x.data
     out_data = np.sum(xd, axis=axis, keepdims=keepdims)
 
@@ -359,7 +347,7 @@ def asum(x, axis=None, keepdims: bool = False):
 
 
 def amean(x):
-    n = _data(x).size
+    n = data(x).size
     return asum(x) / float(n)
 
 
@@ -370,7 +358,7 @@ def cumsum(x):
     gradient, which is exact.
     """
     if not isinstance(x, Value):
-        return np.cumsum(_data(x))
+        return np.cumsum(data(x))
     return x.tape.record(
         "cumsum",
         np.cumsum(x.data),
@@ -379,7 +367,7 @@ def cumsum(x):
 
 
 def concat(parts: Sequence, axis: int = 0):
-    datas = [_data(p) for p in parts]
+    datas = [data(p) for p in parts]
     if not any(isinstance(p, Value) for p in parts):
         return np.concatenate(datas, axis=axis)
     tape = _tape_of(*parts)
@@ -397,7 +385,7 @@ def take_rows(x, indices):
     """Row gather ``x[indices]`` (embedding lookup); indices are constants."""
     idx = np.asarray(indices, dtype=np.intp)
     if not isinstance(x, Value):
-        return _data(x)[idx]
+        return data(x)[idx]
 
     def backward(g):
         gx = np.zeros_like(x.data)
@@ -418,7 +406,7 @@ def _getitem(x: Value, key):
 
 def reshape(x, shape):
     if not isinstance(x, Value):
-        return _data(x).reshape(shape)
+        return data(x).reshape(shape)
     orig = x.data.shape
     return x.tape.record(
         "reshape", x.data.reshape(shape), lambda g: _accumulate(x, g.reshape(orig))
@@ -427,16 +415,16 @@ def reshape(x, shape):
 
 def transpose(x):
     if not isinstance(x, Value):
-        return _data(x).T
+        return data(x).T
     return x.tape.record("transpose", x.data.T, lambda g: _accumulate(x, g.T))
 
 
 def matmul(a, b):
     """Matrix product for operands of rank 1 or 2 (numpy ``@`` semantics)."""
     if not isinstance(a, Value) and not isinstance(b, Value):
-        return _data(a) @ _data(b)
+        return data(a) @ data(b)
     tape = _tape_of(a, b)
-    ad, bd = _data(a), _data(b)
+    ad, bd = data(a), data(b)
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ValueError("matmul supports rank-1 and rank-2 operands only")
     out_data = ad @ bd
@@ -467,7 +455,7 @@ def softmax(x, axis: int):
     ``(g/s + sum(-g*y/s)) * z`` in the order an exp/sum/div chain of
     primitives would, so its gradients equal that chain's bit for bit.
     """
-    xd = _data(x)
+    xd = data(x)
     z = np.exp(xd - np.max(xd, axis=axis, keepdims=True))
     s = np.sum(z, axis=axis, keepdims=True)
     y = z / s
@@ -488,7 +476,7 @@ def gaussian_logits(rows, cols, sigma2: float):
     in the order a reshape/sub/mul/mul chain of primitives would, so its
     gradients equal that chain's bit for bit.
     """
-    rd, cd = _data(rows), _data(cols)
+    rd, cd = data(rows), data(cols)
     scale = -1.0 / sigma2
     diff = rd.reshape(-1, 1) - cd
     out_data = diff * diff * scale
@@ -518,26 +506,26 @@ def _scalar_objective(outputs):
     """Sum of all outputs, the scalar differentiated by forward_backward."""
     total = None
     for o in outputs:
-        s = asum(o) if isinstance(o, Value) else float(np.sum(_data(o)))
+        s = asum(o) if isinstance(o, Value) else float(np.sum(data(o)))
         total = s if total is None else total + s
     return total
 
 
-def forward_backward(f, inputs: Sequence[np.ndarray], check_finite: bool = True):
+def forward_backward(f, inputs: Sequence[np.ndarray]):
     """Run ``f`` on a fresh tape and return (outputs, gradients).
 
     Gradients are of the sum of all outputs with respect to each input,
     matching input shapes.  Raises :class:`NonFiniteError` if any traced
     intermediate is NaN or infinite.
     """
-    tape = Tape(check_finite=check_finite)
+    tape = Tape()
     variables = [tape.variable(x) for x in inputs]
     raw_out = f(*variables)
     outputs = _as_output_list(raw_out)
     objective = _scalar_objective(outputs)
     if isinstance(objective, Value):
         tape.backward(objective, 1.0)
-    out_data = [_data(o) for o in outputs]
+    out_data = [data(o) for o in outputs]
     grads = [
         v.grad if v.grad is not None else np.zeros_like(v.data) for v in variables
     ]
@@ -569,13 +557,12 @@ class GradCheckReport:
         return line
 
 
-def _traced_objective(f, arrays, check_finite=True):
-    tape = Tape(check_finite=check_finite)
+def _traced_objective(f, arrays):
+    tape = Tape()
     variables = [tape.variable(x) for x in arrays]
     outputs = _as_output_list(f(*variables))
     objective = _scalar_objective(outputs)
-    value = float(_data(objective)) if isinstance(objective, Value) else float(objective)
-    return value, tape.kink_signatures
+    return float(data(objective)), tape.kink_signatures
 
 
 def _signatures_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
@@ -593,7 +580,7 @@ def gradcheck(
 
     The numeric estimate for an element is (f(x+h)-f(x-h))/2h on the
     sum-of-outputs scalar; relative error uses a max(|a|,|b|,1e-8)
-    denominator.  Elements whose perturbation crosses a relu/clamp/abs
+    denominator.  Elements whose perturbation crosses a relu/abs
     kink (detected by comparing sign snapshots of the two evaluations)
     are excluded rather than failed.  Raises
     :class:`NonDeterministicError` if two evaluations at the base point

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import scaled_dot_alignment
-from .core import Imv, compute_imv
+from .core import Imv
 from .monotonic import (
     DegenerateImvError,
     KernelConfig,
@@ -24,7 +24,7 @@ from .monotonic import (
     sma_loss,
 )
 from .positions import AlignedPositions, ApLossConfig, align_from_positions, ap_loss, density_matrix, extract_positions
-from .toy import ToyModel, ToyTask, TrainConfig, _PARAM_SHAPES, _sequence_forward, make_batch
+from .toy import ToyModel, ToyTask, TrainConfig, make_batch, sequence_forward
 
 __all__ = ["CHECKABLE_OPS", "run_check", "run_suite"]
 
@@ -125,7 +125,6 @@ def _check_toy_forward(rng):
     probe would measure a different function than the one the analytic
     gradient differentiates.
     """
-    names = list(_PARAM_SHAPES)
     while True:
         seed = int(rng.integers(1, 2**31))
         task = ToyTask(
@@ -144,25 +143,18 @@ def _check_toy_forward(rng):
         kernel = KernelConfig(sigma2=cfg.sigma2)
         # base-point targets, identical to what the trainer would detach;
         # redraw if this instance starts in the degenerate reversed state
-        base_alpha = scaled_dot_alignment(
-            batch.frames @ model.params["frame_proj"],
-            model.params["embed"][batch.token_ids],
-        )
         try:
-            base_positions = extract_positions(
-                hma_transform(compute_imv(base_alpha)), kernel
-            )
+            base = sequence_forward(model.params, batch, cfg, kernel)
         except DegenerateImvError:
             continue
         break
-    frozen_targets = np.maximum(base_positions.deltas, 0.0)
+    frozen_targets = np.maximum(base.positions.deltas, 0.0)
+    names = list(model.params)
 
     def f(*param_values):
         params = dict(zip(names, param_values))
-        recon, ap, _, _ = _sequence_forward(
-            params, batch, cfg, kernel, ap_targets=frozen_targets
-        )
-        return recon + cfg.ap_weight * ap
+        out = sequence_forward(params, batch, cfg, kernel, ap_targets=frozen_targets)
+        return out.recon + cfg.ap_weight * out.ap
 
     return f, [model.params[name] for name in names]
 

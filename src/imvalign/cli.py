@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
-from .attention import scaled_dot_alignment
 from .autodiff import NonFiniteError
 from .checks import CHECKABLE_OPS, run_check
 from .core import (
@@ -33,10 +32,10 @@ from .monotonic import (
     hma_transform,
     sma_loss,
 )
-from .positions import align_from_positions, extract_positions
-from .toy import ToyTask, TrainConfig, TrainDivergenceError, make_batch, train
+from .positions import extract_positions
+from .toy import ToyTask, TrainConfig, TrainDivergenceError, make_batch, sequence_forward, train
 
-__all__ = ["main", "RunConfig", "load_run_config", "ConfigError"]
+__all__ = ["main", "load_run_config", "ConfigError"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,70 +47,25 @@ class ConfigError(ValueError):
     """A run-configuration document is malformed."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """JSON-backed settings for the toy trainer command.
+# train-toy defaults that differ from the library's
+_TRAIN_TOY_DEFAULTS = {
+    "seed": 1,
+    "steps": 1200,
+    "pool_size": 32,
+    "optimizer": "adam",
+    "report_path": "toy_report.jsonl",
+}
 
-    Unknown keys are rejected; absent keys take these defaults.
+
+def load_run_config(path) -> tuple[ToyTask, TrainConfig, str]:
+    """Read a flat JSON run configuration for the toy trainer command.
+
+    Keys are the fields of :class:`ToyTask` (its ``seed`` spelled
+    ``task_seed``), the fields of :class:`TrainConfig`, and
+    ``heatmap_path``. Unknown keys are rejected; absent keys take the
+    library defaults, except those in ``_TRAIN_TOY_DEFAULTS``. Returns
+    (task, trainer settings, heatmap path).
     """
-
-    mode: str = "HMA"
-    sigma2: float = 0.25
-    sma_weights: tuple = (1.0, 1.0, 1.0, 1.0)
-    epsilon: float = 1e-6
-    seed: int = 1
-    steps: int = 1200
-    lr: float = 1e-2
-    batch_size: int = 8
-    pool_size: int = 32
-    optimizer: str = "adam"
-    ap_weight: float = 1.0
-    accuracy_threshold: float = 0.9
-    report_path: str = "toy_report.jsonl"
-    heatmap_path: str = "toy_alignment.pgm"
-    vocab: int = 6
-    embed_dim: int = 16
-    frame_dim: int = 8
-    dmin: int = 1
-    dmax: int = 4
-    noise_sigma: float = 0.1
-    t1_min: int = 4
-    t1_max: int = 8
-    task_seed: int = 0
-
-    def task(self) -> ToyTask:
-        return ToyTask(
-            vocab=self.vocab,
-            embed_dim=self.embed_dim,
-            frame_dim=self.frame_dim,
-            dmin=self.dmin,
-            dmax=self.dmax,
-            noise_sigma=self.noise_sigma,
-            t1_min=self.t1_min,
-            t1_max=self.t1_max,
-            seed=self.task_seed,
-        )
-
-    def train_config(self) -> TrainConfig:
-        w = self.sma_weights
-        return TrainConfig(
-            mode=self.mode,
-            steps=self.steps,
-            lr=self.lr,
-            batch_size=self.batch_size,
-            pool_size=self.pool_size,
-            sma_weights=SmaWeights(*w),
-            ap_weight=self.ap_weight,
-            sigma2=self.sigma2,
-            epsilon=self.epsilon,
-            seed=self.seed,
-            optimizer=self.optimizer,
-            accuracy_threshold=self.accuracy_threshold,
-            report_path=self.report_path,
-        )
-
-
-def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -119,22 +73,23 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON must be an object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - known
+    task_keys = {"task_seed" if f.name == "seed" else f.name for f in fields(ToyTask)}
+    train_keys = {f.name for f in fields(TrainConfig)}
+    unknown = set(raw) - task_keys - train_keys - {"heatmap_path"}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    if "sma_weights" in raw:
-        w = raw["sma_weights"]
-        if not isinstance(w, (list, tuple)) or len(w) != 4:
-            raise ConfigError(f"{path}: sma_weights must be a list of 4 numbers")
-        raw["sma_weights"] = tuple(float(x) for x in w)
+    heatmap_path = raw.pop("heatmap_path", "toy_alignment.pgm")
+    task_args = {"seed" if k == "task_seed" else k: raw.pop(k) for k in set(raw) & task_keys}
+    train_args = {**_TRAIN_TOY_DEFAULTS, **raw}
     try:
-        cfg = RunConfig(**raw)
-        cfg.train_config()
-        cfg.task()
+        if "sma_weights" in raw:
+            w = raw["sma_weights"]
+            if not isinstance(w, (list, tuple)) or len(w) != 4:
+                raise ValueError("sma_weights must be a list of 4 numbers")
+            train_args["sma_weights"] = SmaWeights(*(float(x) for x in w))
+        return ToyTask(**task_args), TrainConfig(**train_args), heatmap_path
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return cfg
 
 
 def _read_imv(args) -> Imv:
@@ -216,9 +171,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    cfg = load_run_config(args.config)
-    task = cfg.task()
-    model, report = train(task, cfg.train_config())
+    task, cfg, heatmap_path = load_run_config(args.config)
+    model, report = train(task, cfg)
     print(
         f"mode={cfg.mode} steps={cfg.steps}: "
         f"final loss {report.final_loss:.4f}, accuracy {report.final_accuracy:.3f}, "
@@ -227,15 +181,9 @@ def cmd_train_toy(args) -> int:
     )
     # final alignment of the first pool sequence, for eyeballing convergence
     batch = make_batch(task, 0)
-    p = model.params
-    alpha = scaled_dot_alignment(batch.frames @ p["frame_proj"], p["embed"][batch.token_ids])
-    imv = compute_imv(alpha)
-    if cfg.mode == "HMA":
-        imv = hma_transform(imv)
-    pos = extract_positions(imv, KernelConfig(sigma2=cfg.sigma2))
-    final_alpha = align_from_positions(pos, batch.t2, KernelConfig(sigma2=cfg.sigma2))
-    write_pgm(cfg.heatmap_path, final_alpha)
-    print(f"report: {cfg.report_path}; heatmap: {cfg.heatmap_path}")
+    final = sequence_forward(model.params, batch, cfg, KernelConfig(sigma2=cfg.sigma2))
+    write_pgm(heatmap_path, final.alpha_recon)
+    print(f"report: {cfg.report_path}; heatmap: {heatmap_path}")
     return EXIT_OK
 
 

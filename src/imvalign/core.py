@@ -16,7 +16,6 @@ from itertools import combinations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value
 
 __all__ = [
     "AlignmentError",
@@ -54,7 +53,7 @@ class Imv:
     explicitly via :func:`validate_imv`.
     """
 
-    pi: "np.ndarray | Value"
+    pi: "np.ndarray | ad.Value"
     t1: int
 
     def __post_init__(self):
@@ -63,7 +62,7 @@ class Imv:
 
     @property
     def values(self) -> np.ndarray:
-        return self.pi.data if isinstance(self.pi, Value) else self.pi
+        return ad.data(self.pi)
 
     @property
     def t2(self) -> int:
@@ -105,7 +104,7 @@ def check_alignment(alpha, tol: float = COLUMN_SUM_TOL) -> None:
     Silent fixes would mask upstream bugs, so a column sum off by more
     than ``tol`` is an error.
     """
-    data = alpha.data if isinstance(alpha, Value) else np.asarray(alpha, dtype=np.float64)
+    data = ad.data(alpha)
     if data.ndim != 2:
         raise AlignmentError(f"alignment must be 2-D, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
@@ -122,9 +121,8 @@ def check_alignment(alpha, tol: float = COLUMN_SUM_TOL) -> None:
 def compute_imv(alpha, tol: float = COLUMN_SUM_TOL) -> Imv:
     """Expected input position per output step: pi_j = sum_i alpha[i,j]*i."""
     check_alignment(alpha, tol=tol)
-    t1 = (alpha.data if isinstance(alpha, Value) else np.asarray(alpha)).shape[0]
-    p = index_vector(t1)
-    pi = ad.matmul(p, alpha) if isinstance(alpha, Value) else p @ np.asarray(alpha, dtype=np.float64)
+    t1 = ad.data(alpha).shape[0]
+    pi = ad.matmul(index_vector(t1), alpha)
     return Imv(pi, t1)
 
 
@@ -152,8 +150,8 @@ def validate_imv(imv: Imv, tol: float = 1e-6) -> ImvValidationReport:
 
 def context_map(alpha, h):
     """Map per-token features (T1, D) to per-step context vectors (T2, D)."""
-    alpha_data = alpha.data if isinstance(alpha, Value) else np.asarray(alpha)
-    h_data = h.data if isinstance(h, Value) else np.asarray(h)
+    alpha_data = ad.data(alpha)
+    h_data = ad.data(h)
     if alpha_data.shape[0] != h_data.shape[0]:
         raise AlignmentError(
             f"alignment has {alpha_data.shape[0]} tokens but features have "

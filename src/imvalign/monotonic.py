@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value
 from .core import AlignmentError, Imv, check_alignment, index_vector
 
 __all__ = [
@@ -115,7 +114,7 @@ def hma_transform(imv: Imv) -> Imv:
     raw = imv.pi
     d = ad.relu(raw[1:] - raw[:-1])
     pi = ad.concat([np.zeros(1), ad.cumsum(d)])
-    end_value = float(pi.data[-1] if isinstance(pi, Value) else pi[-1])
+    end_value = float(ad.data(pi)[-1])
     if end_value <= DEGENERATE_EPS:
         raise DegenerateImvError("degenerate IMV: no forward motion")
     pi_star = pi * float(imv.t1 - 1) / pi[-1]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Value
 from .core import AlignmentError, Imv, index_vector
 from .monotonic import KernelConfig
 
@@ -40,11 +39,11 @@ class AlignedPositions:
     cumulative sum.
     """
 
-    e: "np.ndarray | Value"
+    e: "np.ndarray | ad.Value"
 
     @property
     def values(self) -> np.ndarray:
-        return self.e.data if isinstance(self.e, Value) else self.e
+        return ad.data(self.e)
 
     @property
     def t1(self) -> int:
@@ -93,12 +92,8 @@ def ap_loss(pred_delta, target_delta, cfg: ApLossConfig = ApLossConfig()):
     The log scale makes small increments count as much as large ones.
     Inputs must be non-negative; lengths must match.
     """
-    pred_data = pred_delta.data if isinstance(pred_delta, Value) else np.asarray(
-        pred_delta, dtype=np.float64
-    )
-    target_data = target_delta.data if isinstance(target_delta, Value) else np.asarray(
-        target_delta, dtype=np.float64
-    )
+    pred_data = ad.data(pred_delta)
+    target_data = ad.data(target_delta)
     if pred_data.shape != target_data.shape:
         raise AlignmentError(
             f"delta shapes differ: {pred_data.shape} vs {target_data.shape}"

@@ -29,11 +29,13 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "ToyModel",
+    "SequenceForward",
     "TrainDivergenceError",
     "UntrainedModelError",
     "token_patterns",
     "positions_from_durations",
     "make_batch",
+    "sequence_forward",
     "train",
     "infer",
     "alignment_accuracy",
@@ -231,9 +233,6 @@ class TrainReport:
                 fh.write(json.dumps(record) + "\n")
 
 
-_PARAM_SHAPES = ("embed", "frame_proj", "decoder", "decoder_bias", "pred_w1", "pred_b1", "pred_w2", "pred_b2")
-
-
 class ToyModel:
     """Parameter container: embeddings, frame projection, linear decoder,
     and the two-layer increment predictor."""
@@ -256,20 +255,50 @@ class ToyModel:
         self.trained = False
 
     def variables(self, tape: ad.Tape) -> dict[str, ad.Value]:
-        return {name: tape.variable(self.params[name]) for name in _PARAM_SHAPES}
+        return {name: tape.variable(value) for name, value in self.params.items()}
 
 
-def _sequence_forward(
+@dataclass(frozen=True)
+class SequenceForward:
+    """Outputs of :func:`sequence_forward`: the loss terms (``sma`` is
+    None outside SMA mode), the aligned positions and the reconstructed
+    alignment, each traced when the parameters are."""
+
+    recon: "np.ndarray | ad.Value"
+    ap: "np.ndarray | ad.Value"
+    sma: "Optional[np.ndarray | ad.Value]"
+    positions: AlignedPositions
+    alpha_recon: "np.ndarray | ad.Value"
+
+
+def _predict_deltas(params, emb):
+    """Increment predictor: positive position increments per token."""
+    hidden = ad.tanh(ad.matmul(emb, params["pred_w1"]) + params["pred_b1"])
+    raw = ad.matmul(hidden, params["pred_w2"]) + params["pred_b2"]
+    return ad.exp(raw)
+
+
+def _decode(params, emb, positions: AlignedPositions, t2: int, kernel: KernelConfig):
+    """Alignment reconstructed from aligned positions, and the frames the
+    linear decoder predicts from it."""
+    alpha = align_from_positions(positions, t2, kernel)
+    ctx = context_map(alpha, emb)
+    return alpha, ad.matmul(ctx, params["decoder"]) + params["decoder_bias"]
+
+
+def sequence_forward(
     params,
     batch: ToyBatch,
     cfg: TrainConfig,
     kernel: KernelConfig,
     ap_targets: Optional[np.ndarray] = None,
-):
-    """Loss terms and the reconstructed alignment for one sequence.
+) -> SequenceForward:
+    """The toy model's forward pass over one sequence.
 
-    ``ap_targets`` overrides the increment-predictor targets; by default
-    they are recomputed (detached) from the current alignment.
+    ``params`` is either ``model.params`` (plain arrays, untraced) or the
+    traced values from :meth:`ToyModel.variables`; both evaluate the same
+    arithmetic. ``ap_targets`` overrides the increment-predictor targets;
+    by default they are recomputed (detached) from the current alignment.
     """
     emb = ad.take_rows(params["embed"], batch.token_ids)
     queries = ad.matmul(batch.frames, params["frame_proj"])
@@ -277,9 +306,7 @@ def _sequence_forward(
     imv = compute_imv(alpha)
     imv_mono = hma_transform(imv) if cfg.mode == "HMA" else imv
     positions = extract_positions(imv_mono, kernel)
-    alpha_recon = align_from_positions(positions, batch.t2, kernel)
-    ctx = context_map(alpha_recon, emb)
-    pred = ad.matmul(ctx, params["decoder"]) + params["decoder_bias"]
+    alpha_recon, pred = _decode(params, emb, positions, batch.t2, kernel)
     err = pred - batch.frames
     recon = ad.amean(err * err)
 
@@ -287,16 +314,14 @@ def _sequence_forward(
     # targets are detached and rectified so the log-scale loss sees
     # non-negative increments even under a non-monotone mode
     if ap_targets is None:
-        target_deltas = np.maximum(AlignedPositions(positions.values).deltas, 0.0)
+        target_deltas = np.maximum(positions.deltas, 0.0)
     else:
         target_deltas = ap_targets
-    hidden = ad.tanh(ad.matmul(emb, params["pred_w1"]) + params["pred_b1"])
-    raw = ad.matmul(hidden, params["pred_w2"]) + params["pred_b2"]
-    predicted_deltas = ad.exp(raw)
+    predicted_deltas = _predict_deltas(params, emb)
     ap = ap_loss(predicted_deltas, target_deltas, ApLossConfig(epsilon=cfg.epsilon))
 
     sma = sma_loss(imv, cfg.sma_weights) if cfg.mode == "SMA" else None
-    return recon, ap, sma, alpha_recon
+    return SequenceForward(recon, ap, sma, positions, alpha_recon)
 
 
 def alignment_accuracy(alpha: np.ndarray, e_star: np.ndarray) -> float:
@@ -381,19 +406,19 @@ def _evaluate_step(model, batches, cfg, kernel, tape):
     acc_sum = diag_sum = 0.0
     for batch in batches:
         try:
-            recon, ap, sma, alpha_recon = _sequence_forward(params, batch, cfg, kernel)
+            out = sequence_forward(params, batch, cfg, kernel)
         except DegenerateImvError:
             continue
         n += 1
-        seq_loss = recon + cfg.ap_weight * ap
-        if sma is not None:
-            seq_loss = seq_loss + sma
-            sma_sum += float(sma.data)
+        seq_loss = out.recon + cfg.ap_weight * out.ap
+        if out.sma is not None:
+            seq_loss = seq_loss + out.sma
+            sma_sum += float(out.sma.data)
         total = seq_loss if total is None else total + seq_loss
-        recon_sum += float(recon.data)
-        ap_sum += float(ap.data)
-        acc_sum += alignment_accuracy(alpha_recon.data, batch.e_star)
-        diag_sum += diagonality_score(alpha_recon.data)
+        recon_sum += float(out.recon.data)
+        ap_sum += float(out.ap.data)
+        acc_sum += alignment_accuracy(out.alpha_recon.data, batch.e_star)
+        diag_sum += diagonality_score(out.alpha_recon.data)
     if total is None:
         raise DegenerateImvError("every sequence in the batch has a degenerate IMV")
     metrics = {
@@ -489,12 +514,9 @@ def infer(
     ids = np.asarray(token_ids, dtype=np.intp)
     if ids.size == 0:
         raise AlignmentError("token sequence is empty")
-    p = model.params
-    emb = p["embed"][ids]
-    hidden = np.tanh(emb @ p["pred_w1"] + p["pred_b1"])
-    deltas = np.exp(hidden @ p["pred_w2"] + p["pred_b2"])
+    emb = model.params["embed"][ids]
+    deltas = _predict_deltas(model.params, emb)
     positions = scale_positions(AlignedPositions(np.cumsum(deltas)), rate)
     length = t2 if t2 is not None else infer_t2(positions)
-    alpha = align_from_positions(positions, length, KernelConfig(sigma2=sigma2))
-    ctx = context_map(alpha, emb)
-    return ctx @ p["decoder"] + p["decoder_bias"]
+    _, frames = _decode(model.params, emb, positions, length, KernelConfig(sigma2=sigma2))
+    return frames

@@ -32,14 +32,6 @@ def test_dimension_mismatch_rejected():
         scaled_dot_alignment(np.zeros((4, 5)), np.zeros((3, 6)))
 
 
-def test_printed_sign_inverts_similarity():
-    keys = np.eye(2)
-    queries = keys * 50.0
-    inverted = scaled_dot_alignment(queries, keys, printed_sign=True)
-    # with the negated exponent the matching key is repelled
-    assert np.allclose(inverted, 1.0 - np.eye(2), atol=1e-10)
-
-
 def test_uniform_logit_shift_leaves_alignment_unchanged():
     # construct keys whose projection onto u is identical, so adding t*u to
     # every query shifts each column's logits by one constant

@@ -58,12 +58,6 @@ def test_relu_subgradient_zero_at_kink():
     assert np.array_equal(grads[0], np.array([0.0, 0.0, 1.0]))
 
 
-def test_clamp_subgradient_zero_at_boundaries():
-    f = lambda x: ad.clamp(x, 0.0, 1.0)
-    _, grads = ad.forward_backward(f, [np.array([0.0, 1.0, 0.5, -2.0, 3.0])])
-    assert np.array_equal(grads[0], np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
-
-
 def test_nonfinite_intermediate_carries_node_index():
     def f(x):
         y = ad.log(x)  # node 0

@@ -206,3 +206,83 @@ def test_cli_import_does_not_load_scipy():
     code = "import imvalign.cli; import sys; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def _old_heatmap_alignment(model, task, mode, sigma2):
+    """The inline scaled-dot -> IMV -> HMA -> positions -> reconstruction
+    chain train-toy used for its heatmap; the reference for the shared
+    forward pass."""
+    from imvalign.attention import scaled_dot_alignment
+    from imvalign.core import compute_imv
+    from imvalign.monotonic import KernelConfig, hma_transform
+    from imvalign.positions import align_from_positions, extract_positions
+    from imvalign.toy import make_batch
+
+    batch = make_batch(task, 0)
+    p = model.params
+    alpha = scaled_dot_alignment(batch.frames @ p["frame_proj"], p["embed"][batch.token_ids])
+    imv = compute_imv(alpha)
+    if mode == "HMA":
+        imv = hma_transform(imv)
+    pos = extract_positions(imv, KernelConfig(sigma2=sigma2))
+    return align_from_positions(pos, batch.t2, KernelConfig(sigma2=sigma2))
+
+
+@pytest.mark.parametrize("mode", ["HMA", "SMA", "NM"])
+def test_train_toy_heatmap_equals_inline_chain(tmp_path, monkeypatch, mode):
+    import imvalign.cli as cli
+
+    captured = {}
+
+    def train(task, cfg):
+        model, report = cli_train(task, cfg)
+        captured.update(task=task, cfg=cfg, model=model)
+        return model, report
+
+    cli_train = cli.train
+    monkeypatch.setattr(cli, "train", train)
+    monkeypatch.setattr(cli, "write_pgm", lambda path, alpha: captured.update(alpha=alpha))
+    config = {"mode": mode, "steps": 20, "batch_size": 4, "pool_size": 8, "sigma2": 0.3,
+              "report_path": str(tmp_path / "report.jsonl")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["train-toy", "--config", str(path)]) == 0
+    expected = _old_heatmap_alignment(captured["model"], captured["task"], mode, 0.3)
+    assert np.array_equal(captured["alpha"], expected)
+
+
+def _load(tmp_path, config):
+    from imvalign.cli import load_run_config
+
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return load_run_config(str(path))
+
+
+def test_run_config_defaults(tmp_path):
+    from imvalign.toy import ToyTask, TrainConfig
+
+    task, cfg, heatmap_path = _load(tmp_path, {})
+    assert task == ToyTask()
+    assert cfg == TrainConfig(seed=1, steps=1200, pool_size=32, optimizer="adam",
+                              report_path="toy_report.jsonl")
+    assert heatmap_path == "toy_alignment.pgm"
+
+
+def test_run_config_routes_keys(tmp_path):
+    from imvalign.monotonic import SmaWeights
+
+    task, cfg, heatmap_path = _load(tmp_path, {
+        "task_seed": 7, "seed": 3, "vocab": 5, "lr": 0.05, "mode": "SMA",
+        "sma_weights": [0.5, 1, 2.0, 0], "heatmap_path": "h.pgm",
+    })
+    assert (task.seed, task.vocab) == (7, 5)
+    assert (cfg.seed, cfg.lr, cfg.mode, cfg.steps) == (3, 0.05, "SMA", 1200)
+    assert cfg.sma_weights == SmaWeights(0.5, 1.0, 2.0, 0.0)
+    assert heatmap_path == "h.pgm"
+
+
+def test_run_config_rejects_bad_sma_weights(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sma_weights": [1.0, 1.0, 1.0]}))
+    assert main(["train-toy", "--config", str(path)]) == 2

@@ -10,7 +10,7 @@ from imvalign.toy import (
     TrainConfig,
     UntrainedModelError,
     _rank_correlation,
-    _sequence_forward,
+    sequence_forward,
     alignment_accuracy,
     diagonality_score,
     infer,
@@ -102,7 +102,7 @@ def test_hma_feeds_normalized_complete_alignment():
     tape = ad.Tape()
     params = model.variables(tape)
     kernel = KernelConfig(sigma2=cfg.sigma2)
-    _, _, _, alpha_recon = _sequence_forward(params, batch, cfg, kernel)
+    alpha_recon = sequence_forward(params, batch, cfg, kernel).alpha_recon
     sums = alpha_recon.data.sum(axis=0)
     assert np.allclose(sums, 1.0, atol=1e-9)
     # the positions behind it derive from a complete transformed IMV
@@ -242,3 +242,45 @@ def test_infer_rate_scales_output_length(trained):
         for rate in (0.8, 1.2, 2.0):
             scaled = infer(model, batch.token_ids, rate=rate, sigma2=cfg.sigma2)
             assert abs(scaled.shape[0] - rate * base.shape[0]) <= 1.0 + 1e-9
+
+
+def _numpy_infer(model, token_ids, rate, sigma2):
+    """The predictor/decoder chain infer used to restate in numpy; the
+    reference for the shared forward steps."""
+    from imvalign.core import context_map
+    from imvalign.positions import AlignedPositions, align_from_positions, infer_t2, scale_positions
+
+    p = model.params
+    emb = p["embed"][np.asarray(token_ids, dtype=np.intp)]
+    hidden = np.tanh(emb @ p["pred_w1"] + p["pred_b1"])
+    deltas = np.exp(hidden @ p["pred_w2"] + p["pred_b2"])
+    positions = scale_positions(AlignedPositions(np.cumsum(deltas)), rate)
+    alpha = align_from_positions(positions, infer_t2(positions), KernelConfig(sigma2=sigma2))
+    return context_map(alpha, emb) @ p["decoder"] + p["decoder_bias"]
+
+
+def test_infer_equals_numpy_predictor_and_decoder(trained):
+    task, cfg, model, _ = trained
+    for seed in range(10):
+        ids = make_batch(task, 100 + seed).token_ids
+        for rate in (1.0, 1.2):
+            expected = _numpy_infer(model, ids, rate, cfg.sigma2)
+            assert np.array_equal(infer(model, ids, rate=rate, sigma2=cfg.sigma2), expected)
+
+
+@pytest.mark.parametrize("mode", ["HMA", "SMA", "NM"])
+def test_untraced_forward_equals_traced_data(mode):
+    task = ToyTask(seed=0)
+    cfg = TrainConfig(mode=mode, seed=1)
+    model = ToyModel(task, cfg.seed)
+    kernel = KernelConfig(sigma2=cfg.sigma2)
+    for seed in range(20):
+        batch = make_batch(task, seed)
+        plain = sequence_forward(model.params, batch, cfg, kernel)
+        traced = sequence_forward(model.variables(ad.Tape()), batch, cfg, kernel)
+        assert np.array_equal(plain.alpha_recon, traced.alpha_recon.data)
+        assert np.array_equal(plain.positions.values, traced.positions.values)
+        assert plain.recon == traced.recon.data and plain.ap == traced.ap.data
+        assert (plain.sma is None) == (mode != "SMA")
+        if mode == "SMA":
+            assert plain.sma == traced.sma.data

@@ -1,10 +1,13 @@
 """Tape-based reverse-mode differentiation over numpy arrays.
 
 Every alignment operation in this package is written against the small set
-of primitives below, so the same code runs on plain ``numpy`` arrays (fast
-path, no bookkeeping) and on :class:`Value` objects recorded on a
-:class:`Tape` (gradient path).  Gradients are validated against central
-finite differences by :func:`gradcheck`.
+of primitives below, so the same code runs on plain ``numpy`` arrays and on
+:class:`Value` objects recorded on a :class:`Tape`.  One dispatch rule
+covers every primitive: it computes its forward once from ``data(x)`` and
+hands the result to ``_record``, which returns it unchanged when no operand
+is a :class:`Value` and records it on the operands' tape otherwise, so
+both paths compute the same values.  Gradients are validated against
+central finite differences by :func:`gradcheck`.
 """
 
 from __future__ import annotations
@@ -185,24 +188,32 @@ def _accumulate(v, g: np.ndarray) -> None:
         v.grad = g if v.grad is None else v.grad + g
 
 
-def _tape_of(*args) -> Tape:
-    tape = None
-    for a in args:
-        if isinstance(a, Value):
-            if tape is None:
-                tape = a.tape
-            elif a.tape is not tape:
-                raise ValueError("cannot combine values from different tapes")
-    if tape is None:
-        raise TypeError("expected at least one Value operand")
-    return tape
-
-
 def data(x) -> np.ndarray:
     """The float64 array behind ``x``: a Value's data, or ``x`` as an array."""
     if isinstance(x, Value):
         return x.data
     return np.asarray(x, dtype=np.float64)
+
+
+def _record(name: str, out, backward, *operands, kink=None):
+    """Hand a primitive's forward result to the operands' tape.
+
+    Returns ``out`` unchanged when no operand is a :class:`Value`;
+    otherwise records it on the one tape the traced operands share, with
+    ``kink`` (if given) appended to the tape's kink signatures first.
+    """
+    tape = None
+    for x in operands:
+        if isinstance(x, Value):
+            if tape is None:
+                tape = x.tape
+            elif x.tape is not tape:
+                raise ValueError("cannot combine values from different tapes")
+    if tape is None:
+        return out
+    if kink is not None:
+        tape.kink_signatures.append(kink)
+    return tape.record(name, out, backward)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -222,128 +233,94 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _add(a, b):
-    if not isinstance(a, Value) and not isinstance(b, Value):
-        return data(a) + data(b)
-    tape = _tape_of(a, b)
     ad, bd = data(a), data(b)
-    out = tape.record(
-        "add",
-        ad + bd,
-        lambda g: (
-            _accumulate(a, _unbroadcast(g, ad.shape)),
-            _accumulate(b, _unbroadcast(g, bd.shape)),
-        ),
-    )
-    return out
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, ad.shape))
+        _accumulate(b, _unbroadcast(g, bd.shape))
+
+    return _record("add", ad + bd, backward, a, b)
 
 
 def _sub(a, b):
-    if not isinstance(a, Value) and not isinstance(b, Value):
-        return data(a) - data(b)
-    tape = _tape_of(a, b)
     ad, bd = data(a), data(b)
-    return tape.record(
-        "sub",
-        ad - bd,
-        lambda g: (
-            _accumulate(a, _unbroadcast(g, ad.shape)),
-            _accumulate(b, _unbroadcast(-g, bd.shape)),
-        ),
-    )
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, ad.shape))
+        _accumulate(b, _unbroadcast(-g, bd.shape))
+
+    return _record("sub", ad - bd, backward, a, b)
 
 
 def _mul(a, b):
-    if not isinstance(a, Value) and not isinstance(b, Value):
-        return data(a) * data(b)
-    tape = _tape_of(a, b)
     ad, bd = data(a), data(b)
-    return tape.record(
-        "mul",
-        ad * bd,
-        lambda g: (
-            _accumulate(a, _unbroadcast(g * bd, ad.shape)),
-            _accumulate(b, _unbroadcast(g * ad, bd.shape)),
-        ),
-    )
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g * bd, ad.shape))
+        _accumulate(b, _unbroadcast(g * ad, bd.shape))
+
+    return _record("mul", ad * bd, backward, a, b)
 
 
 def _div(a, b):
-    if not isinstance(a, Value) and not isinstance(b, Value):
-        return data(a) / data(b)
-    tape = _tape_of(a, b)
     ad, bd = data(a), data(b)
     out_data = ad / bd
-    return tape.record(
-        "div",
-        out_data,
-        lambda g: (
-            _accumulate(a, _unbroadcast(g / bd, ad.shape)),
-            _accumulate(b, _unbroadcast(-g * out_data / bd, bd.shape)),
-        ),
-    )
+
+    def backward(g):
+        _accumulate(a, _unbroadcast(g / bd, ad.shape))
+        _accumulate(b, _unbroadcast(-g * out_data / bd, bd.shape))
+
+    return _record("div", out_data, backward, a, b)
 
 
 # -- unary primitives ---------------------------------------------------
 
 
 def exp(x):
-    if not isinstance(x, Value):
-        return np.exp(data(x))
-    out_data = np.exp(x.data)
-    return x.tape.record("exp", out_data, lambda g: _accumulate(x, g * out_data))
+    out_data = np.exp(data(x))
+    return _record("exp", out_data, lambda g: _accumulate(x, g * out_data), x)
 
 
 def log(x):
-    if not isinstance(x, Value):
-        return np.log(data(x))
-    xd = x.data
-    return x.tape.record("log", np.log(xd), lambda g: _accumulate(x, g / xd))
+    xd = data(x)
+    return _record("log", np.log(xd), lambda g: _accumulate(x, g / xd), x)
 
 
 def tanh(x):
-    if not isinstance(x, Value):
-        return np.tanh(data(x))
-    out_data = np.tanh(x.data)
-    return x.tape.record(
-        "tanh", out_data, lambda g: _accumulate(x, g * (1.0 - out_data * out_data))
+    out_data = np.tanh(data(x))
+    return _record(
+        "tanh", out_data, lambda g: _accumulate(x, g * (1.0 - out_data * out_data)), x
     )
 
 
 def relu(x):
     """max(x, 0); subgradient at exactly 0 is taken as 0."""
-    if not isinstance(x, Value):
-        return np.maximum(data(x), 0.0)
-    mask = x.data > 0.0
-    x.tape.kink_signatures.append(mask)
-    return x.tape.record(
-        "relu", np.where(mask, x.data, 0.0), lambda g: _accumulate(x, g * mask)
+    xd = data(x)
+    mask = xd > 0.0
+    return _record(
+        "relu", np.maximum(xd, 0.0), lambda g: _accumulate(x, g * mask), x, kink=mask
     )
 
 
 def absolute(x):
     """|x|; subgradient at 0 is taken as 0 (sign convention)."""
-    if not isinstance(x, Value):
-        return np.abs(data(x))
-    sign = np.sign(x.data)
-    x.tape.kink_signatures.append(sign)
-    return x.tape.record("abs", np.abs(x.data), lambda g: _accumulate(x, g * sign))
+    xd = data(x)
+    sign = np.sign(xd)
+    return _record("abs", np.abs(xd), lambda g: _accumulate(x, g * sign), x, kink=sign)
 
 
 # -- reductions and structure -------------------------------------------
 
 
 def asum(x, axis=None, keepdims: bool = False):
-    if not isinstance(x, Value):
-        return np.sum(data(x), axis=axis, keepdims=keepdims)
-    xd = x.data
-    out_data = np.sum(xd, axis=axis, keepdims=keepdims)
+    xd = data(x)
 
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accumulate(x, np.broadcast_to(g, xd.shape).copy())
 
-    return x.tape.record("sum", out_data, backward)
+    return _record("sum", np.sum(xd, axis=axis, keepdims=keepdims), backward, x)
 
 
 def amean(x):
@@ -357,42 +334,36 @@ def cumsum(x):
     The backward pass is the reversed cumulative sum of the incoming
     gradient, which is exact.
     """
-    if not isinstance(x, Value):
-        return np.cumsum(data(x))
-    return x.tape.record(
+    return _record(
         "cumsum",
-        np.cumsum(x.data),
+        np.cumsum(data(x)),
         lambda g: _accumulate(x, np.cumsum(g[::-1])[::-1]),
+        x,
     )
 
 
 def concat(parts: Sequence, axis: int = 0):
     datas = [data(p) for p in parts]
-    if not any(isinstance(p, Value) for p in parts):
-        return np.concatenate(datas, axis=axis)
-    tape = _tape_of(*parts)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum(sizes)[:-1]
 
     def backward(g):
+        offsets = np.cumsum([d.shape[axis] for d in datas])[:-1]
         for p, piece in zip(parts, np.split(g, offsets, axis=axis)):
             _accumulate(p, piece)
 
-    return tape.record("concat", np.concatenate(datas, axis=axis), backward)
+    return _record("concat", np.concatenate(datas, axis=axis), backward, *parts)
 
 
 def take_rows(x, indices):
     """Row gather ``x[indices]`` (embedding lookup); indices are constants."""
+    xd = data(x)
     idx = np.asarray(indices, dtype=np.intp)
-    if not isinstance(x, Value):
-        return data(x)[idx]
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(xd)
         np.add.at(gx, idx, g)
         _accumulate(x, gx)
 
-    return x.tape.record("take_rows", x.data[idx], backward)
+    return _record("take_rows", xd[idx], backward, x)
 
 
 def _getitem(x: Value, key):
@@ -401,33 +372,25 @@ def _getitem(x: Value, key):
         gx[key] += g
         _accumulate(x, gx)
 
-    return x.tape.record("getitem", x.data[key], backward)
+    return _record("getitem", x.data[key], backward, x)
 
 
 def reshape(x, shape):
-    if not isinstance(x, Value):
-        return data(x).reshape(shape)
-    orig = x.data.shape
-    return x.tape.record(
-        "reshape", x.data.reshape(shape), lambda g: _accumulate(x, g.reshape(orig))
+    xd = data(x)
+    return _record(
+        "reshape", xd.reshape(shape), lambda g: _accumulate(x, g.reshape(xd.shape)), x
     )
 
 
 def transpose(x):
-    if not isinstance(x, Value):
-        return data(x).T
-    return x.tape.record("transpose", x.data.T, lambda g: _accumulate(x, g.T))
+    return _record("transpose", data(x).T, lambda g: _accumulate(x, g.T), x)
 
 
 def matmul(a, b):
     """Matrix product for operands of rank 1 or 2 (numpy ``@`` semantics)."""
-    if not isinstance(a, Value) and not isinstance(b, Value):
-        return data(a) @ data(b)
-    tape = _tape_of(a, b)
     ad, bd = data(a), data(b)
     if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
         raise ValueError("matmul supports rank-1 and rank-2 operands only")
-    out_data = ad @ bd
 
     def backward(g):
         if ad.ndim == 2 and bd.ndim == 2:
@@ -443,7 +406,7 @@ def matmul(a, b):
             _accumulate(a, g * bd)
             _accumulate(b, g * ad)
 
-    return tape.record("matmul", out_data, backward)
+    return _record("matmul", ad @ bd, backward, a, b)
 
 
 def softmax(x, axis: int):
@@ -459,13 +422,11 @@ def softmax(x, axis: int):
     z = np.exp(xd - np.max(xd, axis=axis, keepdims=True))
     s = np.sum(z, axis=axis, keepdims=True)
     y = z / s
-    if not isinstance(x, Value):
-        return y
 
     def backward(g):
         _accumulate(x, (g / s + np.sum(-g * y / s, axis=axis, keepdims=True)) * z)
 
-    return x.tape.record("softmax", y, backward)
+    return _record("softmax", y, backward, x)
 
 
 def gaussian_logits(rows, cols, sigma2: float):
@@ -479,10 +440,6 @@ def gaussian_logits(rows, cols, sigma2: float):
     rd, cd = data(rows), data(cols)
     scale = -1.0 / sigma2
     diff = rd.reshape(-1, 1) - cd
-    out_data = diff * diff * scale
-    if not isinstance(rows, Value) and not isinstance(cols, Value):
-        return out_data
-    tape = _tape_of(rows, cols)
 
     def backward(g):
         half = g * scale * diff
@@ -492,23 +449,26 @@ def gaussian_logits(rows, cols, sigma2: float):
         if isinstance(cols, Value):
             _accumulate(cols, np.sum(-gd, axis=0))
 
-    return tape.record("gaussian_logits", out_data, backward)
+    return _record("gaussian_logits", diff * diff * scale, backward, rows, cols)
 
 
 # -- driver and gradient checking ---------------------------------------
 
 
-def _as_output_list(out):
-    return list(out) if isinstance(out, (tuple, list)) else [out]
+def _trace(f, arrays):
+    """Run ``f`` on a fresh tape, one variable per array.
 
-
-def _scalar_objective(outputs):
-    """Sum of all outputs, the scalar differentiated by forward_backward."""
-    total = None
-    for o in outputs:
-        s = asum(o) if isinstance(o, Value) else float(np.sum(data(o)))
-        total = s if total is None else total + s
-    return total
+    Returns (tape, variables, output, objective): ``output`` is what ``f``
+    returned and ``objective`` is the sum of all its outputs, the scalar
+    that :func:`forward_backward` differentiates.
+    """
+    tape = Tape()
+    variables = [tape.variable(x) for x in arrays]
+    out = f(*variables)
+    objective = None
+    for o in out if isinstance(out, (tuple, list)) else [out]:
+        objective = asum(o) if objective is None else objective + asum(o)
+    return tape, variables, out, objective
 
 
 def forward_backward(f, inputs: Sequence[np.ndarray]):
@@ -518,20 +478,15 @@ def forward_backward(f, inputs: Sequence[np.ndarray]):
     matching input shapes.  Raises :class:`NonFiniteError` if any traced
     intermediate is NaN or infinite.
     """
-    tape = Tape()
-    variables = [tape.variable(x) for x in inputs]
-    raw_out = f(*variables)
-    outputs = _as_output_list(raw_out)
-    objective = _scalar_objective(outputs)
+    tape, variables, out, objective = _trace(f, inputs)
     if isinstance(objective, Value):
         tape.backward(objective, 1.0)
-    out_data = [data(o) for o in outputs]
     grads = [
         v.grad if v.grad is not None else np.zeros_like(v.data) for v in variables
     ]
-    if isinstance(raw_out, (tuple, list)):
-        return out_data, grads
-    return out_data[0], grads
+    if isinstance(out, (tuple, list)):
+        return [data(o) for o in out], grads
+    return data(out), grads
 
 
 @dataclass
@@ -558,10 +513,7 @@ class GradCheckReport:
 
 
 def _traced_objective(f, arrays):
-    tape = Tape()
-    variables = [tape.variable(x) for x in arrays]
-    outputs = _as_output_list(f(*variables))
-    objective = _scalar_objective(outputs)
+    tape, _, _, objective = _trace(f, arrays)
     return float(data(objective)), tape.kink_signatures
 
 

@@ -159,12 +159,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.op not in CHECKABLE_OPS:
-        print(
-            f"error: unknown op {args.op!r}; known: {', '.join(sorted(CHECKABLE_OPS))}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     report = run_check(args.op, seed=args.seed, h=args.h, tol=args.tol)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_NUMERIC
@@ -239,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a named operation")
-    p.add_argument("--op", required=True)
+    p.add_argument("--op", required=True, choices=sorted(CHECKABLE_OPS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)

@@ -140,6 +140,12 @@ class StreamingHmaState:
     pi: float = 0.0
 
 
+def _advance(pos: float, raw: float) -> float:
+    """The streaming clamp: move from ``pos`` toward the raw attended
+    position ``raw`` by at least 0 and at most 1."""
+    return pos + min(max(raw - pos, 0.0), 1.0)
+
+
 def streaming_hma_step(
     state: StreamingHmaState,
     alpha_col: np.ndarray,
@@ -158,9 +164,7 @@ def streaming_hma_step(
     if abs(col.sum() - 1.0) > 1e-3:
         raise AlignmentError(f"column sums to {col.sum():.6g}, expected 1")
     p = index_vector(state.t1)
-    raw = float(col @ p)
-    delta = float(np.clip(raw - state.pi, 0.0, 1.0))
-    new_pi = state.pi + delta
+    new_pi = _advance(state.pi, float(col @ p))
     logits = -((new_pi - p) ** 2) / kernel.sigma2
     logits -= logits.max()
     weights = np.exp(logits)
@@ -181,11 +185,9 @@ def streaming_hma_run(
     check_alignment(alpha)
     t1, t2 = alpha.shape
     p = index_vector(t1)
-    raw = p @ alpha
     pi_path = np.empty(t2)
     pos = 0.0
-    for j in range(t2):
-        pos += float(np.clip(raw[j] - pos, 0.0, 1.0))
-        pi_path[j] = pos
+    for j, raw in enumerate((p @ alpha).tolist()):
+        pos = pi_path[j] = _advance(pos, raw)
     reconstructed = align_from_imv(Imv(pi_path, t1), kernel)
     return pi_path, reconstructed

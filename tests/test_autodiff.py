@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imvalign import autodiff as ad
 
@@ -152,6 +155,12 @@ def test_values_from_different_tapes_rejected():
         _ = a + b
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shape and bytes: sign bits of zeros included."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_plain_numpy_dispatch_matches_traced():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(3, 5))
@@ -162,7 +171,156 @@ def test_plain_numpy_dispatch_matches_traced():
 
     plain = pipeline(x)
     traced, _ = ad.forward_backward(pipeline, [x])
-    assert np.isclose(plain, traced)
+    assert _same_bits(plain, traced)
+
+
+# Each case draws the inputs of one primitive; every operand may be traced
+# or a constant, so the property also covers the mixed operand paths.
+_floats = st.floats(-5.0, 5.0, allow_nan=False, width=64)
+_dims = st.integers(1, 5)
+
+
+def _array(draw, shape):
+    """Finite floats, with one NaN or infinity planted in about a quarter of
+    the draws."""
+    x = draw(hnp.arrays(np.float64, shape, elements=_floats))
+    if x.size and draw(st.integers(0, 3)) == 0:
+        spot = draw(st.integers(0, x.size - 1))
+        x.flat[spot] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return x
+
+
+def _matrix(draw):
+    return _array(draw, (draw(_dims), draw(_dims)))
+
+
+def _binary(op):
+    def case(draw):
+        m, n = draw(_dims), draw(_dims)
+        other = draw(st.sampled_from([(m, n), (1, n), (m, 1), (n,), ()]))
+        return op, [_array(draw, (m, n)), _array(draw, other)]
+
+    return case
+
+
+def _unary(op):
+    return lambda draw: (op, [_matrix(draw)])
+
+
+def _asum_case(draw):
+    axis = draw(st.sampled_from([None, 0, 1]))
+    keepdims = draw(st.booleans())
+    return lambda x: ad.asum(x, axis=axis, keepdims=keepdims), [_matrix(draw)]
+
+
+def _concat_case(draw):
+    axis, n = draw(st.integers(0, 1)), draw(_dims)
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = (draw(_dims), n) if axis == 0 else (n, draw(_dims))
+        parts.append(_array(draw, shape))
+    return lambda *p: ad.concat(p, axis=axis), parts
+
+
+def _take_rows_case(draw):
+    m = draw(_dims)
+    idx = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+    return lambda x: ad.take_rows(x, idx), [_array(draw, (m, draw(_dims)))]
+
+
+def _getitem_case(draw):
+    key = draw(st.sampled_from([-1, slice(1, None), (slice(None), 0), (slice(None, None, -1), 0)]))
+    return lambda x: x[key], [_matrix(draw)]
+
+
+def _reshape_case(draw):
+    m, n = draw(_dims), draw(_dims)
+    shape = draw(st.sampled_from([(m * n,), (n, m), (-1, 1)]))
+    return lambda x: ad.reshape(x, shape), [_array(draw, (m, n))]
+
+
+def _matmul_case(draw):
+    m, k, n = draw(_dims), draw(_dims), draw(_dims)
+    a_shape = draw(st.sampled_from([(m, k), (k,)]))
+    b_shape = draw(st.sampled_from([(k, n), (k,)]))
+    return ad.matmul, [_array(draw, a_shape), _array(draw, b_shape)]
+
+
+def _softmax_case(draw):
+    axis = draw(st.integers(0, 1))
+    return lambda x: ad.softmax(x, axis), [_matrix(draw)]
+
+
+def _gaussian_logits_case(draw):
+    sigma2 = draw(st.floats(0.05, 2.0))
+    rows, cols = _array(draw, (draw(_dims),)), _array(draw, (draw(_dims),))
+    return lambda r, c: ad.gaussian_logits(r, c, sigma2), [rows, cols]
+
+
+_PRIMITIVE_CASES = {
+    "add": _binary(lambda a, b: a + b),
+    "sub": _binary(lambda a, b: a - b),
+    "mul": _binary(lambda a, b: a * b),
+    "div": _binary(lambda a, b: a / b),
+    "exp": _unary(ad.exp),
+    "log": _unary(ad.log),
+    "tanh": _unary(ad.tanh),
+    "relu": _unary(ad.relu),
+    "abs": _unary(ad.absolute),
+    "sum": _asum_case,
+    "mean": _unary(ad.amean),
+    "cumsum": lambda draw: (ad.cumsum, [_array(draw, (draw(_dims),))]),
+    "concat": _concat_case,
+    "take_rows": _take_rows_case,
+    "getitem": _getitem_case,
+    "reshape": _reshape_case,
+    "transpose": _unary(ad.transpose),
+    "matmul": _matmul_case,
+    "softmax": _softmax_case,
+    "gaussian_logits": _gaussian_logits_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVE_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_untraced_primitive_equals_traced_data(name, data):
+    op, inputs = _PRIMITIVE_CASES[name](data.draw)
+    traced = data.draw(st.lists(st.booleans(), min_size=len(inputs), max_size=len(inputs)))
+    if name == "getitem":
+        traced = [True]  # indexing records only through Value.__getitem__
+    elif not any(traced):
+        traced[0] = True
+    with np.errstate(all="ignore"):
+        plain = op(*inputs)
+        tape = ad.Tape()
+        args = [tape.variable(x) if t else x for x, t in zip(inputs, traced)]
+        try:
+            out = op(*args)
+        except ad.NonFiniteError:
+            # the traced path refuses exactly what the plain path lets through
+            assert not np.isfinite(plain).all()
+            return
+    assert isinstance(out, ad.Value) and not isinstance(plain, ad.Value)
+    assert _same_bits(plain, out.data)
+
+
+def test_matmul_rejects_rank3_on_both_paths():
+    a, b = np.ones((2, 3, 4)), np.ones((4, 2))
+    with pytest.raises(ValueError, match="rank-1 and rank-2"):
+        ad.matmul(a, b)
+    with pytest.raises(ValueError, match="rank-1 and rank-2"):
+        ad.matmul(ad.Tape().variable(a), b)
+
+
+def test_relu_nan_propagates_untraced_and_raises_traced():
+    x = np.array([1.0, np.nan, -1.0])
+    plain = ad.relu(x)
+    assert plain[0] == 1.0 and np.isnan(plain[1]) and plain[2] == 0.0
+    with pytest.raises(ad.NonFiniteError) as exc:
+        ad.relu(ad.Tape().variable(x))
+    assert exc.value.op_name == "relu"
+    assert exc.value.node_index == 0
 
 
 # -- fused primitives against the primitive chains they replace ---------

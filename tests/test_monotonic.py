@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imvalign.core import Imv, compute_imv, validate_imv
 from imvalign.monotonic import (
@@ -150,3 +152,33 @@ def test_streaming_steps_match_whole_sequence_run():
             state, col = streaming_hma_step(state, alpha[:, j], kernel)
             assert abs(state.pi - path[j]) <= 1e-12
             assert np.max(np.abs(col - reconstructed[:, j])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@example(t1=1, t2=1, seed=0, sigma2=0.25, spread=1.0)
+@example(t1=1, t2=256, seed=1, sigma2=0.25, spread=1.0)
+@example(t1=64, t2=1, seed=2, sigma2=0.25, spread=1.0)
+@example(t1=64, t2=256, seed=3, sigma2=0.05, spread=0.1)
+@given(
+    t1=st.integers(1, 64),
+    t2=st.integers(1, 256),
+    seed=st.integers(0, 2**32 - 1),
+    sigma2=st.floats(0.05, 1.0),
+    spread=st.floats(0.1, 8.0),
+)
+def test_streaming_steps_match_whole_sequence_run_at_any_size(t1, t2, seed, sigma2, spread):
+    # Gaussian columns around random centres: ``spread`` moves them from
+    # near-hard single-token columns to diffuse ones, so the raw positions
+    # jump ahead, stall and fall back.
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(-1.0, t1, size=t2)
+    alpha = np.exp(-((np.arange(t1)[:, None] - centres) ** 2) / spread)
+    alpha += 1e-12
+    alpha /= alpha.sum(axis=0)
+    kernel = KernelConfig(sigma2=sigma2)
+    path, reconstructed = streaming_hma_run(alpha, kernel)
+    state = StreamingHmaState(t1=t1)
+    for j in range(t2):
+        state, col = streaming_hma_step(state, alpha[:, j], kernel)
+        assert abs(state.pi - path[j]) <= 1e-12
+        assert np.max(np.abs(col - reconstructed[:, j])) <= 1e-12

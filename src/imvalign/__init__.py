@@ -18,7 +18,7 @@ from .autodiff import (
     gradcheck,
 )
 from .attention import scaled_dot_alignment
-from .checks import CHECKABLE_OPS, run_check, run_suite
+from .checks import CHECKABLE_OPS, run_check
 from .core import (
     AlignmentError,
     Imv,

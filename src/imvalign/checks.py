@@ -26,7 +26,7 @@ from .monotonic import (
 from .positions import AlignedPositions, ApLossConfig, align_from_positions, ap_loss, density_matrix, extract_positions
 from .toy import ToyModel, ToyTask, TrainConfig, make_batch, sequence_forward
 
-__all__ = ["CHECKABLE_OPS", "run_check", "run_suite"]
+__all__ = ["CHECKABLE_OPS", "run_check"]
 
 _T1 = 5
 _T2 = 8
@@ -184,10 +184,3 @@ def run_check(
         ) from None
     f, inputs = builder(np.random.default_rng(seed))
     return ad.gradcheck(f, inputs, h=h, tol=tol, op_name=name)
-
-
-def run_suite(seeds=range(10), h: float = 1e-5, tol: float = 1e-4):
-    """Run every named check over several seeds; yields the reports."""
-    for name in CHECKABLE_OPS:
-        for seed in seeds:
-            yield run_check(name, seed=seed, h=h, tol=tol)

@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage or parse error, 3 contract violation
-(invalid alignment/IMV input), 4 numeric failure (degenerate transform,
-failed gradient check, diverged training).
+Exit codes: 0 success, 2 usage or parse error (including an invalid
+numeric setting such as a non-positive or NaN sigma2), 3 contract
+violation (invalid alignment/IMV input), 4 numeric failure (degenerate
+transform, failed gradient check, diverged training).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import (
     enumerate_monotonic_paths,
     validate_imv,
 )
-from .matrixio import MatrixFormatError, read_matrix, read_vector, write_matrix, write_pgm, write_vector
+from .matrixio import read_matrix, read_vector, write_matrix, write_pgm, write_vector
 from .monotonic import (
     DegenerateImvError,
     KernelConfig,
@@ -259,15 +260,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (MatrixFormatError, ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DegenerateImvError, NonFiniteError, TrainDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except AlignmentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    except (ValueError, FileNotFoundError) as exc:
+        # malformed files and configs (MatrixFormatError, ConfigError) and
+        # settings the library's configs reject
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .core import AlignmentError, Imv, check_alignment, index_vector
+from .core import COLUMN_SUM_TOL, AlignmentError, Imv, check_alignment, index_vector
 
 __all__ = [
     "DegenerateImvError",
@@ -50,7 +50,7 @@ class SmaWeights:
 
     def __post_init__(self):
         for name in ("lambda0", "lambda1", "lambda2", "lambda3"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
 
@@ -62,7 +62,7 @@ class KernelConfig:
     sigma2: float = 0.25
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
+        if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
 
 
@@ -161,8 +161,10 @@ def streaming_hma_step(
     col = np.asarray(alpha_col, dtype=np.float64)
     if col.ndim != 1 or col.shape[0] != state.t1:
         raise AlignmentError(f"expected a length-{state.t1} column, got {col.shape}")
-    if abs(col.sum() - 1.0) > 1e-3:
-        raise AlignmentError(f"column sums to {col.sum():.6g}, expected 1")
+    total = col.sum()
+    # written so that a NaN sum fails too
+    if not abs(total - 1.0) <= COLUMN_SUM_TOL:
+        raise AlignmentError(f"column sums to {total:.6g}, expected 1")
     p = index_vector(state.t1)
     new_pi = _advance(state.pi, float(col @ p))
     logits = -((new_pi - p) ** 2) / kernel.sigma2

@@ -65,7 +65,7 @@ class ApLossConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 

@@ -11,7 +11,7 @@ between the three directly comparable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -179,10 +179,12 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if self.steps < 0 or self.lr <= 0 or self.batch_size < 1:
+        if self.steps < 0 or not self.lr > 0 or self.batch_size < 1:
             raise ValueError("steps must be >= 0, lr > 0, batch_size >= 1")
         if self.pool_size < self.batch_size:
             raise ValueError("pool_size must be >= batch_size")
+        KernelConfig(sigma2=self.sigma2)
+        ApLossConfig(epsilon=self.epsilon)
 
 
 @dataclass
@@ -196,8 +198,13 @@ class TrainReport:
     total_loss: np.ndarray
     accuracy: np.ndarray
     diagonality: np.ndarray
-    steps_to_threshold: Optional[int]
     accuracy_threshold: float
+
+    @property
+    def steps_to_threshold(self) -> Optional[int]:
+        """First step whose accuracy reaches the threshold, or None."""
+        reached = np.flatnonzero(self.accuracy >= self.accuracy_threshold)
+        return int(reached[0]) if reached.size else None
 
     @property
     def final_loss(self) -> float:
@@ -216,21 +223,18 @@ class TrainReport:
         return float(self.accuracy.max())
 
     def records(self):
-        for i in range(self.total_loss.shape[0]):
-            yield {
-                "step": i,
-                "recon_loss": float(self.recon_loss[i]),
-                "ap_loss": float(self.ap_loss[i]),
-                "sma_loss": float(self.sma_loss[i]),
-                "total_loss": float(self.total_loss[i]),
-                "accuracy": float(self.accuracy[i]),
-                "diagonality": float(self.diagonality[i]),
-            }
+        columns = [getattr(self, name).tolist() for name in _TRACE_FIELDS]
+        for step, values in enumerate(zip(*columns)):
+            yield {"step": step, **dict(zip(_TRACE_FIELDS, values))}
 
     def write_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for record in self.records():
                 fh.write(json.dumps(record) + "\n")
+
+
+# the per-step trace: every np.ndarray field, in JSONL key order
+_TRACE_FIELDS = tuple(f.name for f in fields(TrainReport) if f.type == "np.ndarray")
 
 
 class ToyModel:
@@ -402,8 +406,7 @@ def _evaluate_step(model, batches, cfg, kernel, tape):
     params = model.variables(tape)
     total = None
     n = 0
-    recon_sum = ap_sum = sma_sum = 0.0
-    acc_sum = diag_sum = 0.0
+    sums: dict[str, float] = {}
     for batch in batches:
         try:
             out = sequence_forward(params, batch, cfg, kernel)
@@ -413,24 +416,23 @@ def _evaluate_step(model, batches, cfg, kernel, tape):
         seq_loss = out.recon + cfg.ap_weight * out.ap
         if out.sma is not None:
             seq_loss = seq_loss + out.sma
-            sma_sum += float(out.sma.data)
         total = seq_loss if total is None else total + seq_loss
-        recon_sum += float(out.recon.data)
-        ap_sum += float(out.ap.data)
-        acc_sum += alignment_accuracy(out.alpha_recon.data, batch.e_star)
-        diag_sum += diagonality_score(out.alpha_recon.data)
+        seq = {
+            "recon_loss": float(out.recon.data),
+            "ap_loss": float(out.ap.data),
+            "sma_loss": 0.0 if out.sma is None else float(out.sma.data),
+            "accuracy": alignment_accuracy(out.alpha_recon.data, batch.e_star),
+            "diagonality": diagonality_score(out.alpha_recon.data),
+        }
+        # running sums in batch order keep every trace entry bit-reproducible
+        for name, value in seq.items():
+            sums[name] = sums.get(name, 0.0) + value
     if total is None:
         raise DegenerateImvError("every sequence in the batch has a degenerate IMV")
-    metrics = {
-        "recon": recon_sum / n,
-        "ap": ap_sum / n,
-        "sma": sma_sum / n,
-        "accuracy": acc_sum / n,
-        "diagonality": diag_sum / n,
-    }
     mean_loss = total * (1.0 / n)
-    metrics["total"] = float(mean_loss.data)
-    return mean_loss, params, metrics
+    entry = {name: value / n for name, value in sums.items()}
+    entry["total_loss"] = float(mean_loss.data)
+    return mean_loss, params, entry
 
 
 def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
@@ -446,50 +448,26 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
     optimizer = _Adam(cfg.lr) if cfg.optimizer == "adam" else _Sgd(cfg.lr)
     pool = [make_batch(task, s) for s in range(cfg.pool_size)]
 
-    n_records = max(cfg.steps, 1)
-    recon = np.zeros(n_records)
-    ap = np.zeros(n_records)
-    sma = np.zeros(n_records)
-    total = np.zeros(n_records)
-    accuracy = np.zeros(n_records)
-    diagonality = np.zeros(n_records)
-    steps_to_threshold = None
-
-    for step in range(n_records):
+    trace = []
+    for step in range(max(cfg.steps, 1)):
         batches = [
             pool[(step * cfg.batch_size + b) % cfg.pool_size]
             for b in range(cfg.batch_size)
         ]
         tape = ad.Tape()
         try:
-            mean_loss, params, metrics = _evaluate_step(model, batches, cfg, kernel, tape)
+            mean_loss, params, entry = _evaluate_step(model, batches, cfg, kernel, tape)
         except (ad.NonFiniteError, DegenerateImvError) as exc:
             raise TrainDivergenceError(step, str(exc)) from exc
-        recon[step] = metrics["recon"]
-        ap[step] = metrics["ap"]
-        sma[step] = metrics["sma"]
-        total[step] = metrics["total"]
-        accuracy[step] = metrics["accuracy"]
-        diagonality[step] = metrics["diagonality"]
-        if steps_to_threshold is None and metrics["accuracy"] >= cfg.accuracy_threshold:
-            steps_to_threshold = step
+        trace.append(entry)
         if cfg.steps > 0:
             tape.backward(mean_loss)
             grads = {name: v.grad for name, v in params.items() if v.grad is not None}
             optimizer.step(model.params, grads)
 
     model.trained = cfg.steps > 0
-    report = TrainReport(
-        mode=cfg.mode,
-        recon_loss=recon,
-        ap_loss=ap,
-        sma_loss=sma,
-        total_loss=total,
-        accuracy=accuracy,
-        diagonality=diagonality,
-        steps_to_threshold=steps_to_threshold,
-        accuracy_threshold=cfg.accuracy_threshold,
-    )
+    columns = {name: np.array([entry[name] for entry in trace]) for name in _TRACE_FIELDS}
+    report = TrainReport(cfg.mode, accuracy_threshold=cfg.accuracy_threshold, **columns)
     if cfg.report_path:
         report.write_jsonl(cfg.report_path)
     return model, report

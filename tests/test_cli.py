@@ -187,6 +187,35 @@ def test_cli_roundtrip_imv_reconstruct_imv(tmp_path):
     assert np.max(np.abs(read_vector(pi2_file) - read_vector(pi_file))) < 0.1
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize("command, option", [
+    ("reconstruct", "--sigma2"), ("positions", "--sigma2"), ("sma", "--lambda0"),
+])
+def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
+    imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
+    argv = [command, "--imv", imv, "--t1", "2", option, value]
+    if command == "reconstruct":
+        argv += ["--out", str(tmp_path / "alpha.csv")]
+    assert main(argv) == 2
+    assert not (tmp_path / "alpha.csv").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"sigma2": -1}, {"sigma2": float("nan")}, {"epsilon": 0}, {"epsilon": float("nan")},
+])
+def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
+    path = tmp_path / "cfg.json"
+    heatmap = tmp_path / "h.pgm"
+    path.write_text(json.dumps({"steps": 1, "report_path": None, "heatmap_path": str(heatmap), **setting}))
+    assert main(["train-toy", "--config", str(path)]) == 2
+    assert not heatmap.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--h", "-1"), ("--h", "nan"), ("--tol", "-1"), ("--tol", "nan")])
+def test_gradcheck_invalid_setting_exits_2(option, value):
+    assert main(["gradcheck", "--op", "sma_loss", option, value]) == 2
+
+
 def test_usage_error_exit_code():
     assert main(["imv"]) == 2
     assert main(["no-such-command"]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imvalign.core import Imv, compute_imv, validate_imv
+from imvalign.core import AlignmentError, Imv, compute_imv, validate_imv
 from imvalign.monotonic import (
     DegenerateImvError,
     KernelConfig,
@@ -124,6 +124,28 @@ def test_streaming_step_never_rewinds():
     col[0] = 1.0
     state, _ = streaming_hma_step(state, col)
     assert state.pi == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_streaming_step_rejects_nonfinite_column(bad):
+    # a NaN column sum compares false against any tolerance; the step must
+    # reject it, as streaming_hma_run does, instead of carrying a NaN pi
+    col = np.array([0.5, 0.5, 0.0, 0.0])
+    col[2] = bad
+    with pytest.raises(AlignmentError):
+        streaming_hma_step(StreamingHmaState(t1=4), col)
+    with pytest.raises(AlignmentError):
+        streaming_hma_run(col[:, None])
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: KernelConfig(sigma2=v),
+    lambda v: SmaWeights(lambda0=v),
+])
+@pytest.mark.parametrize("value", [np.nan, -1.0])
+def test_configs_reject_nan_and_negative(make, value):
+    with pytest.raises(ValueError):
+        make(value)
 
 
 def test_streaming_positions_are_monotone_with_bounded_steps():

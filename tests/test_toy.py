@@ -70,6 +70,34 @@ def test_zero_steps_reports_initial_losses_only():
     assert not model.trained
 
 
+def test_zero_steps_report_has_one_entry_per_trace():
+    _, report = train(ToyTask(seed=0), TrainConfig(steps=0))
+    for name in ("recon_loss", "ap_loss", "sma_loss", "total_loss", "accuracy", "diagonality"):
+        assert getattr(report, name).shape == (1,)
+    assert [r["step"] for r in report.records()] == [0]
+
+
+def test_steps_to_threshold_is_first_step_reaching_it():
+    task = ToyTask(seed=0)
+    _, reached = train(task, TrainConfig(mode="HMA", seed=3, accuracy_threshold=0.8, **FAST))
+    step = reached.steps_to_threshold
+    assert isinstance(step, int) and step > 0
+    assert reached.accuracy[step] >= 0.8
+    assert np.all(reached.accuracy[:step] < 0.8)
+    _, never = train(task, TrainConfig(mode="HMA", seed=3, accuracy_threshold=1.5, **FAST))
+    assert never.steps_to_threshold is None
+    assert np.array_equal(never.accuracy, reached.accuracy)
+
+
+@pytest.mark.parametrize("setting", [
+    dict(sigma2=float("nan")), dict(sigma2=-1.0), dict(sigma2=0.0),
+    dict(epsilon=float("nan")), dict(epsilon=-1.0), dict(lr=float("nan")),
+])
+def test_train_config_rejects_invalid_numeric_settings(setting):
+    with pytest.raises(ValueError):
+        TrainConfig(**setting)
+
+
 def test_training_is_bit_deterministic():
     task = ToyTask(seed=0)
     cfg = TrainConfig(mode="HMA", seed=2, **FAST)

@@ -40,6 +40,10 @@ __all__ = [
     "matmul",
     "softmax",
     "gaussian_logits",
+    "monotone_rescale",
+    "sma_penalty",
+    "log_l1_distance",
+    "mean_squared_error",
     "data",
 ]
 
@@ -71,13 +75,21 @@ class Tape:
     Nodes are appended at execution time, so the list is topologically
     ordered by construction; the backward pass walks it once in reverse.
     One tape serves one computation and is not shared across threads.
+
+    A checking tape (the default) raises :class:`NonFiniteError` naming
+    the first node whose output is NaN or infinite. A tape made with
+    ``check_finite=False`` skips that per-node check; its caller checks
+    the result once and replays the computation on a checking tape to
+    name the node (see :func:`forward_backward`).
     """
 
-    def __init__(self):
+    def __init__(self, check_finite: bool = True):
+        self.check_finite = check_finite
         self.nodes: list[_Node] = []
         self._variables: list[Value] = []
-        # Sign snapshots of every relu/abs input, used by
-        # gradcheck to detect kink crossings between perturbed evaluations.
+        # Sign snapshots of every relu/abs input (fused nodes append those
+        # of the chain they replace), used by gradcheck to detect kink
+        # crossings between perturbed evaluations.
         self.kink_signatures: list[np.ndarray] = []
 
     def variable(self, data) -> "Value":
@@ -86,7 +98,7 @@ class Tape:
         return v
 
     def record(self, name: str, out_data: np.ndarray, backward) -> "Value":
-        if not np.isfinite(out_data).all():
+        if self.check_finite and not np.isfinite(out_data).all():
             raise NonFiniteError(name, len(self.nodes))
         out = Value(out_data, self)
         self.nodes.append(_Node(name, out, backward))
@@ -195,12 +207,12 @@ def data(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _record(name: str, out, backward, *operands, kink=None):
+def _record(name: str, out, backward, *operands, kinks=()):
     """Hand a primitive's forward result to the operands' tape.
 
     Returns ``out`` unchanged when no operand is a :class:`Value`;
     otherwise records it on the one tape the traced operands share, with
-    ``kink`` (if given) appended to the tape's kink signatures first.
+    ``kinks`` appended to the tape's kink signatures first.
     """
     tape = None
     for x in operands:
@@ -211,8 +223,7 @@ def _record(name: str, out, backward, *operands, kink=None):
                 raise ValueError("cannot combine values from different tapes")
     if tape is None:
         return out
-    if kink is not None:
-        tape.kink_signatures.append(kink)
+    tape.kink_signatures.extend(kinks)
     return tape.record(name, out, backward)
 
 
@@ -298,7 +309,7 @@ def relu(x):
     xd = data(x)
     mask = xd > 0.0
     return _record(
-        "relu", np.maximum(xd, 0.0), lambda g: _accumulate(x, g * mask), x, kink=mask
+        "relu", np.maximum(xd, 0.0), lambda g: _accumulate(x, g * mask), x, kinks=(mask,)
     )
 
 
@@ -306,7 +317,7 @@ def absolute(x):
     """|x|; subgradient at 0 is taken as 0 (sign convention)."""
     xd = data(x)
     sign = np.sign(xd)
-    return _record("abs", np.abs(xd), lambda g: _accumulate(x, g * sign), x, kink=sign)
+    return _record("abs", np.abs(xd), lambda g: _accumulate(x, g * sign), x, kinks=(sign,))
 
 
 # -- reductions and structure -------------------------------------------
@@ -366,13 +377,17 @@ def take_rows(x, indices):
     return _record("take_rows", xd[idx], backward, x)
 
 
-def _getitem(x: Value, key):
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[key] += g
-        _accumulate(x, gx)
+def _scatter(like: np.ndarray, key, g) -> np.ndarray:
+    """The gradient of ``like[key]`` for upstream ``g``: zeros, plus ``g`` at ``key``."""
+    gx = np.zeros_like(like)
+    gx[key] += g
+    return gx
 
-    return _record("getitem", x.data[key], backward, x)
+
+def _getitem(x: Value, key):
+    return _record(
+        "getitem", x.data[key], lambda g: _accumulate(x, _scatter(x.data, key, g)), x
+    )
 
 
 def reshape(x, shape):
@@ -452,17 +467,129 @@ def gaussian_logits(rows, cols, sigma2: float):
     return _record("gaussian_logits", diff * diff * scale, backward, rows, cols)
 
 
+# The fused primitives below each replace a chain of the primitives above
+# with one tape node. Forward and backward evaluate every operation of that
+# chain in its order, so values, gradients and the kink signatures they
+# append are the chain's bit for bit.
+
+
+def monotone_rescale(x, end: float, min_total: float):
+    """Rectified prefix path of a 1-D ``x``, rescaled to finish at ``end``.
+
+    Computes p = concat([0], cumsum(relu(x[1:] - x[:-1]))) and returns
+    p * end / p[-1] (the getitem/sub/relu/cumsum/concat/mul/getitem/div
+    chain). Raises ZeroDivisionError, before recording anything, when
+    p[-1] <= ``min_total``.
+    """
+    xd = data(x)
+    d = xd[1:] - xd[:-1]
+    mask = d > 0.0
+    path = np.concatenate([np.zeros(1), np.cumsum(np.maximum(d, 0.0))])
+    total = path[-1]
+    if total <= min_total:
+        raise ZeroDivisionError(f"rectified path total {float(total):.3g} <= {min_total:g}")
+    end_data = np.asarray(end, dtype=np.float64)
+    out_data = path * end_data / total
+
+    def backward(g):
+        g_path = _scatter(path, -1, _unbroadcast(-g * out_data / total, ())) + g / total * end_data
+        g_d = np.cumsum(g_path[1:][::-1])[::-1] * mask
+        _accumulate(x, _scatter(xd, slice(None, -1), -g_d))
+        _accumulate(x, _scatter(xd, slice(1, None), g_d))
+
+    return _record("monotone_rescale", out_data, backward, x, kinks=(mask,))
+
+
+def sma_penalty(x, span: float, lambdas: Sequence[float], square: bool = True):
+    """Soft monotonic penalty of a 1-D ``x`` with steps d = x[1:] - x[:-1]:
+
+        l0 * sum(|d| - d) + l1 * sum(|d - 1| + (d - 1))
+            + l2 * b(x[0] / span) + l3 * b(x[-1] / span - 1)
+
+    with b(v) = v * v when ``square``, else |v|.
+    """
+    l0, l1, l2, l3 = (np.asarray(w, dtype=np.float64) for w in lambdas)
+    xd = data(x)
+    d = xd[1:] - xd[:-1]
+    sign_d = np.sign(d)
+    d1 = d - 1.0
+    sign_d1 = np.sign(d1)
+    span_data = np.asarray(span, dtype=np.float64)
+    start = xd[0] / span_data
+    end = xd[-1] / span_data - 1.0
+    if square:
+        start_pen, end_pen, kinks = start * start, end * end, (sign_d, sign_d1)
+    else:
+        sign_start, sign_end = np.sign(start), np.sign(end)
+        start_pen, end_pen = np.abs(start), np.abs(end)
+        kinks = (sign_d, sign_d1, sign_start, sign_end)
+    out_data = (
+        l0 * np.sum(np.abs(d) - d)
+        + l1 * np.sum(np.abs(d1) + d1)
+        + l2 * start_pen
+        + l3 * end_pen
+    )
+
+    def backward(g):
+        g_end = g * l3
+        g_start = g * l2
+        if square:
+            g_end = g_end * end + g_end * end
+            g_start = g_start * start + g_start * start
+        else:
+            g_end = g_end * sign_end
+            g_start = g_start * sign_start
+        _accumulate(x, _scatter(xd, -1, g_end / span_data))
+        _accumulate(x, _scatter(xd, 0, g_start / span_data))
+        g_over = np.broadcast_to(g * l1, d.shape).copy()
+        g_back = np.broadcast_to(g * l0, d.shape).copy()
+        g_d = g_over + g_over * sign_d1 + -g_back + g_back * sign_d
+        _accumulate(x, _scatter(xd, slice(None, -1), -g_d))
+        _accumulate(x, _scatter(xd, slice(1, None), g_d))
+
+    return _record("sma_penalty", out_data, backward, x, kinks=kinks)
+
+
+def log_l1_distance(pred, target, eps: float):
+    """sum(|log(pred + eps) - log(target + eps)|); either operand may be traced."""
+    pred_shift = data(pred) + eps
+    target_shift = data(target) + eps
+    diff = np.log(pred_shift) - np.log(target_shift)
+    sign = np.sign(diff)
+
+    def backward(g):
+        g_diff = np.broadcast_to(g, diff.shape).copy() * sign
+        if isinstance(target, Value):
+            _accumulate(target, _unbroadcast(-g_diff / target_shift, target.shape))
+        if isinstance(pred, Value):
+            _accumulate(pred, _unbroadcast(g_diff / pred_shift, pred.shape))
+
+    return _record(
+        "log_l1_distance", np.sum(np.abs(diff)), backward, pred, target, kinks=(sign,)
+    )
+
+
+def mean_squared_error(a, b):
+    """mean((a - b)^2); either operand may be traced."""
+    ad, bd = data(a), data(b)
+    err = ad - bd
+    count = np.asarray(float(err.size))
+
+    def backward(g):
+        g_sq = np.broadcast_to(g / count, err.shape).copy()
+        g_err = g_sq * err + g_sq * err
+        if isinstance(a, Value):
+            _accumulate(a, _unbroadcast(g_err, ad.shape))
+        if isinstance(b, Value):
+            _accumulate(b, _unbroadcast(-g_err, bd.shape))
+
+    return _record("mean_squared_error", np.sum(err * err) / count, backward, a, b)
+
+
 # -- driver and gradient checking ---------------------------------------
 
 
-def _trace(f, arrays):
-    """Run ``f`` on a fresh tape, one variable per array.
-
-    Returns (tape, variables, output, objective): ``output`` is what ``f``
-    returned and ``objective`` is the sum of all its outputs, the scalar
-    that :func:`forward_backward` differentiates.
-    """
-    tape = Tape()
+def _trace_on(tape, f, arrays):
     variables = [tape.variable(x) for x in arrays]
     out = f(*variables)
     objective = None
@@ -471,12 +598,33 @@ def _trace(f, arrays):
     return tape, variables, out, objective
 
 
+def _trace(f, arrays):
+    """Run ``f`` on a fresh tape, one variable per array.
+
+    Returns (tape, variables, output, objective): ``output`` is what ``f``
+    returned and ``objective`` is the sum of all its outputs, the scalar
+    that :func:`forward_backward` differentiates. The tape skips the
+    per-node finite check and the objective is checked once instead; if
+    it is not finite, or ``f`` raises, ``f`` is replayed on a checking
+    tape, which raises :class:`NonFiniteError` naming the first non-finite
+    node before anything else can go wrong.
+    """
+    try:
+        traced = _trace_on(Tape(check_finite=False), f, arrays)
+        if np.isfinite(data(traced[3])).all():
+            return traced
+    except Exception:
+        pass  # the replay raises it again unless a non-finite node comes first
+    return _trace_on(Tape(), f, arrays)
+
+
 def forward_backward(f, inputs: Sequence[np.ndarray]):
     """Run ``f`` on a fresh tape and return (outputs, gradients).
 
     Gradients are of the sum of all outputs with respect to each input,
-    matching input shapes.  Raises :class:`NonFiniteError` if any traced
-    intermediate is NaN or infinite.
+    matching input shapes.  Raises :class:`NonFiniteError`, naming the
+    first traced intermediate that is NaN or infinite, if the sum of the
+    outputs is; an intermediate that leaves that sum finite is allowed.
     """
     tape, variables, out, objective = _trace(f, inputs)
     if isinstance(objective, Value):

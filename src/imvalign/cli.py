@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 
@@ -42,6 +43,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 EXIT_NUMERIC = 4
+
+# The oracle builds one dense t1 x t2 matrix per path; this bounds the
+# float64 entries of all of them together (80 MB).
+ORACLE_MAX_ENTRIES = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -144,6 +149,18 @@ def cmd_oracle(args) -> int:
     if args.t1 > args.t2:
         print(f"error: no monotonic path from {args.t1} tokens to {args.t2} steps", file=sys.stderr)
         return EXIT_USAGE
+    if args.t1 >= 2:
+        size = args.t1 * args.t2
+        # one matrix alone over the cap: the count is not worth computing
+        count = math.comb(args.t2 - 1, args.t1 - 1) if size <= ORACLE_MAX_ENTRIES else None
+        if count is None or count * size > ORACLE_MAX_ENTRIES:
+            paths = f"C({args.t2 - 1}, {args.t1 - 1})" if count is None else count
+            print(
+                f"error: {args.t1}x{args.t2} has {paths} monotonic paths; the oracle "
+                f"builds at most {ORACLE_MAX_ENTRIES} matrix entries",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     paths = enumerate_monotonic_paths(args.t1, args.t2)
     ok = True
     for m in paths:

@@ -81,24 +81,8 @@ def sma_loss(imv: Imv, weights: SmaWeights = SmaWeights(), boundary: str = "squa
         raise AlignmentError("sma_loss needs at least 2 output steps")
     if boundary not in ("square", "abs"):
         raise ValueError(f"boundary must be 'square' or 'abs', got {boundary!r}")
-    pi = imv.pi
-    d = pi[1:] - pi[:-1]
-    backward_motion = ad.asum(ad.absolute(d) - d)
-    overshoot = ad.asum(ad.absolute(d - 1.0) + (d - 1.0))
-    start = pi[0] / float(imv.t1 - 1)
-    end = pi[-1] / float(imv.t1 - 1) - 1.0
-    if boundary == "square":
-        start_pen = start * start
-        end_pen = end * end
-    else:
-        start_pen = ad.absolute(start)
-        end_pen = ad.absolute(end)
-    return (
-        weights.lambda0 * backward_motion
-        + weights.lambda1 * overshoot
-        + weights.lambda2 * start_pen
-        + weights.lambda3 * end_pen
-    )
+    lambdas = (weights.lambda0, weights.lambda1, weights.lambda2, weights.lambda3)
+    return ad.sma_penalty(imv.pi, float(imv.t1 - 1), lambdas, square=boundary == "square")
 
 
 def hma_transform(imv: Imv) -> Imv:
@@ -111,13 +95,10 @@ def hma_transform(imv: Imv) -> Imv:
     """
     if imv.t2 < 2:
         raise AlignmentError("hma_transform needs at least 2 output steps")
-    raw = imv.pi
-    d = ad.relu(raw[1:] - raw[:-1])
-    pi = ad.concat([np.zeros(1), ad.cumsum(d)])
-    end_value = float(ad.data(pi)[-1])
-    if end_value <= DEGENERATE_EPS:
-        raise DegenerateImvError("degenerate IMV: no forward motion")
-    pi_star = pi * float(imv.t1 - 1) / pi[-1]
+    try:
+        pi_star = ad.monotone_rescale(imv.pi, float(imv.t1 - 1), DEGENERATE_EPS)
+    except ZeroDivisionError:
+        raise DegenerateImvError("degenerate IMV: no forward motion") from None
     return Imv(pi_star, imv.t1)
 
 

@@ -100,8 +100,7 @@ def ap_loss(pred_delta, target_delta, cfg: ApLossConfig = ApLossConfig()):
         )
     if np.any(pred_data < 0) or np.any(target_data < 0):
         raise AlignmentError("position increments must be non-negative")
-    diff = ad.log(pred_delta + cfg.epsilon) - ad.log(target_delta + cfg.epsilon)
-    return ad.asum(ad.absolute(diff))
+    return ad.log_l1_distance(pred_delta, target_delta, cfg.epsilon)
 
 
 def align_from_positions(

@@ -11,6 +11,7 @@ between the three directly comparable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -46,7 +47,7 @@ MODES = ("NM", "SMA", "HMA")
 
 
 class TrainDivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
     def __init__(self, step: int, cause: str):
         super().__init__(f"training diverged at step {step}: {cause}")
@@ -78,6 +79,8 @@ class ToyTask:
             raise ValueError("need 1 <= dmin <= dmax")
         if self.t1_min < 2 or self.t1_max < self.t1_min:
             raise ValueError("need 2 <= t1_min <= t1_max")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,10 @@ class TrainConfig:
             raise ValueError("steps must be >= 0, lr > 0, batch_size >= 1")
         if self.pool_size < self.batch_size:
             raise ValueError("pool_size must be >= batch_size")
+        if not self.ap_weight >= 0:
+            raise ValueError(f"ap_weight must be non-negative, got {self.ap_weight}")
+        if math.isnan(self.accuracy_threshold):
+            raise ValueError("accuracy_threshold must not be NaN")
         KernelConfig(sigma2=self.sigma2)
         ApLossConfig(epsilon=self.epsilon)
 
@@ -311,8 +318,7 @@ def sequence_forward(
     imv_mono = hma_transform(imv) if cfg.mode == "HMA" else imv
     positions = extract_positions(imv_mono, kernel)
     alpha_recon, pred = _decode(params, emb, positions, batch.t2, kernel)
-    err = pred - batch.frames
-    recon = ad.amean(err * err)
+    recon = ad.mean_squared_error(pred, batch.frames)
 
     # increment predictor is trained against the extracted positions;
     # targets are detached and rectified so the log-scale loss sees
@@ -435,13 +441,42 @@ def _evaluate_step(model, batches, cfg, kernel, tape):
     return mean_loss, params, entry
 
 
+def _train_step(model, batches, cfg, kernel, step):
+    """One step's forward pass, and its backward pass when training.
+
+    The step runs on a tape that skips the per-node finite check; the loss
+    and every gradient are checked once instead. When a check fails, or
+    the forward raises, the step is replayed on a checking tape, so the
+    :class:`TrainDivergenceError` names the first non-finite node as a
+    fully checked step would. Returns (traced parameters, trace entry).
+    """
+    tape = ad.Tape(check_finite=False)
+    try:
+        mean_loss, params, entry = _evaluate_step(model, batches, cfg, kernel, tape)
+    except Exception:
+        mean_loss = None  # the replay raises it again unless a non-finite node comes first
+    cause = "non-finite loss"
+    if mean_loss is not None and np.isfinite(mean_loss.data):
+        if cfg.steps > 0:
+            tape.backward(mean_loss)
+        bad = [n for n, v in params.items() if v.grad is not None and not np.isfinite(v.grad).all()]
+        if not bad:
+            return params, entry
+        cause = f"non-finite gradient of parameter '{bad[0]}'"
+    try:
+        _evaluate_step(model, batches, cfg, kernel, ad.Tape())
+    except (ad.NonFiniteError, DegenerateImvError) as exc:
+        raise TrainDivergenceError(step, str(exc)) from exc
+    raise TrainDivergenceError(step, cause)
+
+
 def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
     """Run the toy trainer; returns the model and its per-step report.
 
     Fully deterministic for a fixed (task, cfg): data, initialization, and
     updates derive from the seeds alone. ``steps=0`` evaluates the initial
     state once without updating. Raises :class:`TrainDivergenceError` with
-    the offending step if the loss goes non-finite.
+    the offending step if the loss or a gradient goes non-finite.
     """
     model = ToyModel(task, cfg.seed)
     kernel = KernelConfig(sigma2=cfg.sigma2)
@@ -454,14 +489,9 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
             pool[(step * cfg.batch_size + b) % cfg.pool_size]
             for b in range(cfg.batch_size)
         ]
-        tape = ad.Tape()
-        try:
-            mean_loss, params, entry = _evaluate_step(model, batches, cfg, kernel, tape)
-        except (ad.NonFiniteError, DegenerateImvError) as exc:
-            raise TrainDivergenceError(step, str(exc)) from exc
+        params, entry = _train_step(model, batches, cfg, kernel, step)
         trace.append(entry)
         if cfg.steps > 0:
-            tape.backward(mean_loss)
             grads = {name: v.grad for name, v in params.items() if v.grad is not None}
             optimizer.step(model.params, grads)
 

@@ -257,6 +257,12 @@ def _gaussian_logits_case(draw):
     return lambda r, c: ad.gaussian_logits(r, c, sigma2), [rows, cols]
 
 
+def _sma_penalty_case(draw):
+    square = draw(st.booleans())
+    x = _array(draw, (draw(st.integers(2, 6)),))
+    return lambda v: ad.sma_penalty(v, 2.0, (0.7, 1.3, 0.9, 1.1), square), [x]
+
+
 _PRIMITIVE_CASES = {
     "add": _binary(lambda a, b: a + b),
     "sub": _binary(lambda a, b: a - b),
@@ -278,6 +284,13 @@ _PRIMITIVE_CASES = {
     "matmul": _matmul_case,
     "softmax": _softmax_case,
     "gaussian_logits": _gaussian_logits_case,
+    # a min_total of -inf never refuses: a zero total divides to NaN instead
+    "monotone_rescale": lambda draw: (
+        lambda x: ad.monotone_rescale(x, 3.0, -np.inf), [_array(draw, (draw(_dims),))]),
+    "sma_penalty": _sma_penalty_case,
+    "log_l1_distance": lambda draw: (
+        lambda p, t: ad.log_l1_distance(p, t, 1e-6), [_array(draw, (4,)), _array(draw, (4,))]),
+    "mean_squared_error": _binary(ad.mean_squared_error),
 }
 
 
@@ -347,7 +360,7 @@ def _traced_grads(f, inputs, traced):
     # a transposed consumer hands the node a non-contiguous gradient
     loss = ad.asum(out * w) + ad.asum(ad.transpose(out) * w.T * 0.5)
     tape.backward(loss)
-    return out.data, [a.grad for a in args if isinstance(a, ad.Value)]
+    return out.data, [a.grad for a in args if isinstance(a, ad.Value)], tape
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -355,8 +368,8 @@ def test_fused_softmax_is_bit_identical_to_chain(axis):
     rng = np.random.default_rng(7)
     for shape in [(5, 7), (1, 4), (6, 1)]:
         x = rng.normal(size=shape) * 3.0
-        out, grads = _traced_grads(lambda v: ad.softmax(v, axis), [x], [True])
-        ref_out, ref_grads = _traced_grads(lambda v: _composed_softmax(v, axis), [x], [True])
+        out, grads, _ = _traced_grads(lambda v: ad.softmax(v, axis), [x], [True])
+        ref_out, ref_grads, _ = _traced_grads(lambda v: _composed_softmax(v, axis), [x], [True])
         assert np.array_equal(out, ref_out)
         assert np.array_equal(grads[0], ref_grads[0])
         assert np.array_equal(ad.softmax(x, axis), ref_out)
@@ -370,8 +383,8 @@ def test_fused_gaussian_logits_is_bit_identical_to_chain(traced):
         cols = np.arange(t2, dtype=np.float64)
         f = lambda r, c: ad.gaussian_logits(r, c, 0.3)
         ref = lambda r, c: _composed_gaussian_logits(r, c, 0.3)
-        out, grads = _traced_grads(f, [rows, cols], traced)
-        ref_out, ref_grads = _traced_grads(ref, [rows, cols], traced)
+        out, grads, _ = _traced_grads(f, [rows, cols], traced)
+        ref_out, ref_grads, _ = _traced_grads(ref, [rows, cols], traced)
         assert np.array_equal(out, ref_out)
         assert len(grads) == len(ref_grads) == sum(traced)
         for g, r in zip(grads, ref_grads):
@@ -403,3 +416,159 @@ def test_gaussian_logits_gradcheck():
     f = lambda r, c: ad.asum(ad.gaussian_logits(r, c, 0.5) * w)
     report = ad.gradcheck(f, [rows, cols], op_name="gaussian_logits")
     assert report.passed
+
+
+# The primitive chains the four loss-side fused primitives replace, exactly
+# as hma_transform, sma_loss, ap_loss and the toy reconstruction loss wrote
+# them.
+
+
+def _chain_monotone_rescale(x, end, min_total):
+    pi = ad.concat([np.zeros(1), ad.cumsum(ad.relu(x[1:] - x[:-1]))])
+    return pi * end / pi[-1]
+
+
+def _chain_sma_penalty(pi, span, lambdas, square=True):
+    l0, l1, l2, l3 = lambdas
+    d = pi[1:] - pi[:-1]
+    backward_motion = ad.asum(ad.absolute(d) - d)
+    overshoot = ad.asum(ad.absolute(d - 1.0) + (d - 1.0))
+    start = pi[0] / span
+    end = pi[-1] / span - 1.0
+    if square:
+        start_pen, end_pen = start * start, end * end
+    else:
+        start_pen, end_pen = ad.absolute(start), ad.absolute(end)
+    return l0 * backward_motion + l1 * overshoot + l2 * start_pen + l3 * end_pen
+
+
+def _chain_log_l1_distance(pred, target, eps):
+    return ad.asum(ad.absolute(ad.log(pred + eps) - ad.log(target + eps)))
+
+
+def _chain_mean_squared_error(a, b):
+    err = a - b
+    return ad.amean(err * err)
+
+
+def _assert_fused_matches_chain(fused, chain, inputs, traced):
+    """Outputs, gradients and kink signatures bit-identical to the chain's,
+    traced and untraced."""
+    out, grads, tape = _traced_grads(fused, inputs, traced)
+    ref_out, ref_grads, ref_tape = _traced_grads(chain, inputs, traced)
+    assert _same_bits(out, ref_out)
+    assert len(grads) == len(ref_grads) == sum(traced)
+    for g, r in zip(grads, ref_grads):
+        assert _same_bits(g, r)
+    assert len(tape.kink_signatures) == len(ref_tape.kink_signatures)
+    for k, r in zip(tape.kink_signatures, ref_tape.kink_signatures):
+        assert _same_bits(k, r)
+    plain, ref_plain = fused(*inputs), chain(*inputs)
+    assert type(plain) is type(ref_plain) and _same_bits(plain, ref_plain)
+
+
+_RESCALE_CASES = [
+    np.array([0.3, 1.1]),  # t2 = 2
+    np.array([0.0, 0.0, 0.5]),  # a relu exactly at 0
+    np.array([2.0, 1.0, 1.0, 3.5, 3.5, 2.0, 4.25]),
+    np.random.default_rng(12).normal(size=17) * 2.0,
+]
+
+
+@pytest.mark.parametrize("x", _RESCALE_CASES)
+def test_fused_monotone_rescale_is_bit_identical_to_chain(x):
+    for end in (4.0, 1.0):
+        f = lambda v: ad.monotone_rescale(v, end, 1e-8)
+        ref = lambda v: _chain_monotone_rescale(v, end, 1e-8)
+        _assert_fused_matches_chain(f, ref, [x], [True])
+
+
+def test_monotone_rescale_raises_before_recording():
+    tape = ad.Tape()
+    x = tape.variable(np.array([1.0, 1.0, 0.5]))
+    with pytest.raises(ZeroDivisionError):
+        ad.monotone_rescale(x, 2.0, 1e-8)
+    assert tape.nodes == [] and tape.kink_signatures == []
+
+
+_SMA_CASES = [
+    np.array([0.0, 4.0]),  # t2 = 2, boundaries met exactly
+    np.array([0.7, -0.2]),  # t2 = 2
+    np.array([0.0, 0.0, 1.0, 2.0, 1.5, 4.0]),  # steps of exactly 0 and 1
+    np.random.default_rng(13).normal(size=9) * 2.0,
+]
+
+
+@pytest.mark.parametrize("square", [True, False])
+@pytest.mark.parametrize("pi", _SMA_CASES)
+def test_fused_sma_penalty_is_bit_identical_to_chain(pi, square):
+    for lambdas in [(0.7, 1.3, 0.9, 1.1), (1, 0, 2, 0)]:
+        f = lambda v: ad.sma_penalty(v, 4.0, lambdas, square)
+        ref = lambda v: _chain_sma_penalty(v, 4.0, lambdas, square)
+        _assert_fused_matches_chain(f, ref, [pi], [True])
+
+
+@pytest.mark.parametrize("traced", [(True, False), (False, True), (True, True)])
+def test_fused_log_l1_distance_is_bit_identical_to_chain(traced):
+    rng = np.random.default_rng(14)
+    pred = rng.uniform(0.0, 2.5, size=7)
+    target = rng.uniform(0.0, 2.5, size=7)
+    target[2] = pred[2]  # a log difference of exactly 0
+    pred[4] = 0.0
+    f = lambda p, t: ad.log_l1_distance(p, t, 1e-6)
+    ref = lambda p, t: _chain_log_l1_distance(p, t, 1e-6)
+    _assert_fused_matches_chain(f, ref, [pred, target], traced)
+
+
+@pytest.mark.parametrize("traced", [(True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("b_shape", [(6, 3), (1, 3)])
+def test_fused_mean_squared_error_is_bit_identical_to_chain(traced, b_shape):
+    rng = np.random.default_rng(15)
+    a, b = rng.normal(size=(6, 3)), rng.normal(size=b_shape)
+    _assert_fused_matches_chain(ad.mean_squared_error, _chain_mean_squared_error, [a, b], traced)
+
+
+@pytest.mark.parametrize("name, op, inputs", [
+    ("monotone_rescale", lambda v: ad.monotone_rescale(v, 3.0, 1e-8), [np.array([0.0, 1.0, 0.5, 2.0])]),
+    ("sma_penalty", lambda v: ad.sma_penalty(v, 3.0, (1, 1, 1, 1)), [np.array([0.0, 1.0, 0.5, 2.0])]),
+    ("log_l1_distance", lambda p, t: ad.log_l1_distance(p, t, 1e-6), [np.ones(3), np.full(3, 2.0)]),
+    ("mean_squared_error", ad.mean_squared_error, [np.ones((2, 3)), np.zeros((2, 3))]),
+])
+def test_loss_side_fused_primitives_record_one_node(name, op, inputs):
+    tape = ad.Tape()
+    op(*[tape.variable(x) for x in inputs])
+    assert [n.name for n in tape.nodes] == [name]
+
+
+def test_intermediate_infinity_with_finite_result_raises_only_on_a_checking_tape():
+    def f(x):
+        ad.exp(x * 1000.0)  # overflows, but nothing downstream uses it
+        return x * 2.0
+
+    x = np.array([1.0, 2.0])
+    with np.errstate(over="ignore"):
+        out, grads = ad.forward_backward(f, [x])
+        assert np.array_equal(out, [2.0, 4.0]) and np.array_equal(grads[0], [2.0, 2.0])
+        tape = ad.Tape()
+        with pytest.raises(ad.NonFiniteError) as exc:
+            f(tape.variable(x))
+    assert exc.value.op_name == "exp" and exc.value.node_index == 1
+
+
+def test_unchecked_tape_records_nonfinite_outputs():
+    tape = ad.Tape(check_finite=False)
+    with np.errstate(divide="ignore"):
+        out = ad.log(tape.variable(np.array([0.0, 1.0])))
+    assert out.data[0] == -np.inf and len(tape.nodes) == 1
+
+
+def test_gradcheck_replay_names_the_nonfinite_node():
+    # the objective is NaN: the checking replay raises naming the first bad node
+    def f(x):
+        y = x * 1.0  # node 0
+        return ad.log(y - 5.0)  # nodes 1 (sub) and 2 (log of a negative)
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ad.NonFiniteError) as exc:
+            ad.gradcheck(f, [np.array([1.0])])
+    assert exc.value.op_name == "log" and exc.value.node_index == 2

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def test_oracle_counts(capsys):
 
 def test_oracle_infeasible():
     assert main(["oracle", "--t1", "4", "--t2", "3"]) == 2
+
+
+def test_oracle_refuses_sizes_over_its_cap(capsys):
+    # C(39, 11) = 1,676,056,044 dense 12x40 matrices: refused before enumerating
+    start = time.perf_counter()
+    assert main(["oracle", "--t1", "12", "--t2", "40"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "1676056044 monotonic paths" in capsys.readouterr().err
+    # one matrix alone over the cap: the count is named, not computed
+    assert main(["oracle", "--t1", "100000", "--t2", "200000"]) == 2
+    assert "C(199999, 99999) monotonic paths" in capsys.readouterr().err
+    # the largest size the benchmark's cli-files workload asks for stays far below it
+    assert main(["oracle", "--t1", "5", "--t2", "10"]) == 0
+    assert capsys.readouterr().out.strip() == "126 paths, PASS"
 
 
 def test_gradcheck_command(capsys):
@@ -202,6 +217,8 @@ def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
 
 @pytest.mark.parametrize("setting", [
     {"sigma2": -1}, {"sigma2": float("nan")}, {"epsilon": 0}, {"epsilon": float("nan")},
+    {"ap_weight": float("nan")}, {"ap_weight": -1}, {"accuracy_threshold": float("nan")},
+    {"noise_sigma": float("nan")}, {"noise_sigma": -1},
 ])
 def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
     path = tmp_path / "cfg.json"

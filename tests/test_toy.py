@@ -92,10 +92,17 @@ def test_steps_to_threshold_is_first_step_reaching_it():
 @pytest.mark.parametrize("setting", [
     dict(sigma2=float("nan")), dict(sigma2=-1.0), dict(sigma2=0.0),
     dict(epsilon=float("nan")), dict(epsilon=-1.0), dict(lr=float("nan")),
+    dict(ap_weight=float("nan")), dict(ap_weight=-1.0), dict(accuracy_threshold=float("nan")),
 ])
 def test_train_config_rejects_invalid_numeric_settings(setting):
     with pytest.raises(ValueError):
         TrainConfig(**setting)
+
+
+@pytest.mark.parametrize("noise_sigma", [float("nan"), -0.1])
+def test_toy_task_rejects_invalid_noise_sigma(noise_sigma):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        ToyTask(noise_sigma=noise_sigma)
 
 
 def test_training_is_bit_deterministic():
@@ -154,6 +161,66 @@ def test_divergence_carries_step_index():
         with pytest.raises(TrainDivergenceError) as exc:
             train(task, cfg)
     assert exc.value.step >= 0
+
+
+class _CheckingTape(ad.Tape):
+    """A tape that checks every node whatever its caller asks for."""
+
+    def __init__(self, check_finite=True):
+        super().__init__(check_finite=True)
+
+
+@pytest.mark.parametrize("mode", ["HMA", "SMA", "NM"])
+def test_divergence_matches_a_fully_checked_run(mode, monkeypatch):
+    from imvalign.toy import TrainDivergenceError
+
+    task = ToyTask(seed=0)
+    cfg = TrainConfig(mode=mode, steps=200, lr=1e6, optimizer="sgd", pool_size=16, batch_size=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainDivergenceError) as fast:
+            train(task, cfg)
+        monkeypatch.setattr(ad, "Tape", _CheckingTape)
+        with pytest.raises(TrainDivergenceError) as checked:
+            train(task, cfg)
+    assert fast.value.step == checked.value.step
+    assert str(fast.value) == str(checked.value)
+    cause, ref = fast.value.__cause__, checked.value.__cause__
+    assert isinstance(cause, ad.NonFiniteError)
+    assert (cause.op_name, cause.node_index) == (ref.op_name, ref.node_index)
+
+
+def test_gradient_only_divergence_names_the_parameter(monkeypatch):
+    from imvalign.toy import TrainDivergenceError
+
+    def tanh_with_infinite_slope(x):
+        # a clean forward whose backward hands its input an infinite gradient
+        def backward(g):
+            x.grad = np.full_like(x.data, np.inf)
+
+        return x.tape.record("tanh", np.tanh(x.data), backward)
+
+    monkeypatch.setattr(ad, "tanh", tanh_with_infinite_slope)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(TrainDivergenceError) as exc:
+            train(ToyTask(seed=0), TrainConfig(mode="HMA", **FAST))
+    assert exc.value.step == 0
+    assert "non-finite gradient of parameter 'embed'" in str(exc.value)
+    assert exc.value.__cause__ is None
+
+
+@pytest.mark.parametrize("mode, nodes", [("HMA", 224), ("SMA", 232), ("NM", 216)])
+def test_tape_nodes_per_benchmark_step(mode, nodes):
+    # the benchmark's toy config: one 8-sequence step
+    from imvalign.toy import _evaluate_step
+
+    task = ToyTask(seed=0)
+    cfg = TrainConfig(mode=mode, steps=420, pool_size=32, batch_size=8, optimizer="adam",
+                      lr=1e-2, sigma2=0.25, seed=1, accuracy_threshold=0.9)
+    model = ToyModel(task, cfg.seed)
+    batches = [make_batch(task, s) for s in range(cfg.batch_size)]
+    tape = ad.Tape()
+    _evaluate_step(model, batches, cfg, KernelConfig(sigma2=cfg.sigma2), tape)
+    assert len(tape.nodes) == nodes
 
 
 def test_report_jsonl_roundtrip(tmp_path):

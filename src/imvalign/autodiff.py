@@ -8,6 +8,11 @@ hands the result to ``_record``, which returns it unchanged when no operand
 is a :class:`Value` and records it on the operands' tape otherwise, so
 both paths compute the same values.  Gradients are validated against
 central finite differences by :func:`gradcheck`.
+
+:func:`softmax` and :func:`gaussian_softmax` (the Gaussian kernel logits
+and their softmax in one node) write every entry whose shifted logit is
+below -746 as 0.0 without calling ``exp``: ``exp`` returns exactly 0.0
+there, so the values are unchanged, and it is slow on such inputs.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ __all__ = [
     "transpose",
     "matmul",
     "softmax",
-    "gaussian_logits",
+    "gaussian_softmax",
     "monotone_rescale",
     "sma_penalty",
     "log_l1_distance",
@@ -134,7 +139,7 @@ class Value:
     __array_ufunc__ = None
 
     def __init__(self, data: np.ndarray, tape: Tape):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: np.ndarray | None = None
         self.tape = tape
 
@@ -424,47 +429,71 @@ def matmul(a, b):
     return _record("matmul", ad @ bd, backward, a, b)
 
 
+# exp(x) is exactly 0.0 in float64 for every x below this (ln 2**-1075 is
+# about -745.13), and numpy's exp takes a slow path on such inputs.
+_EXP_UNDERFLOW = -746.0
+
+
+def _masked_softmax(shifted: np.ndarray, axis: int):
+    """Softmax along ``axis`` of logits shifted to a per-slice max of 0.
+
+    Overwrites ``shifted`` with the exponentials and returns (y, z, s): the
+    softmax, the exponentials and their per-slice sums. The mask is written
+    so that a NaN is not masked and still propagates through ``exp``.
+    """
+    underflow = shifted < _EXP_UNDERFLOW
+    np.exp(shifted, out=shifted, where=~underflow)
+    np.copyto(shifted, 0.0, where=underflow)
+    s = np.sum(shifted, axis=axis, keepdims=True)
+    return shifted / s, shifted, s
+
+
+def _softmax_grad(g, y, z, s, axis: int) -> np.ndarray:
+    """Gradient of the logits for upstream ``g``, evaluated as
+    ``(g/s + sum(-g*y/s)) * z`` in the order an exp/sum/div chain of
+    primitives would, so it equals that chain's bit for bit."""
+    return (g / s + np.sum(-g * y / s, axis=axis, keepdims=True)) * z
+
+
 def softmax(x, axis: int):
     """Stable softmax along ``axis``, recorded as one tape node.
 
     The per-slice max is subtracted as a constant before exponentiation;
     softmax is shift-invariant, so the gradient is unaffected while the
-    exponentials stay bounded. The backward pass evaluates
-    ``(g/s + sum(-g*y/s)) * z`` in the order an exp/sum/div chain of
-    primitives would, so its gradients equal that chain's bit for bit.
+    exponentials stay bounded. Values and gradients equal those of an
+    exp/sum/div chain of primitives bit for bit.
     """
     xd = data(x)
-    z = np.exp(xd - np.max(xd, axis=axis, keepdims=True))
-    s = np.sum(z, axis=axis, keepdims=True)
-    y = z / s
-
-    def backward(g):
-        _accumulate(x, (g / s + np.sum(-g * y / s, axis=axis, keepdims=True)) * z)
-
-    return _record("softmax", y, backward, x)
+    y, z, s = _masked_softmax(xd - np.max(xd, axis=axis, keepdims=True), axis)
+    return _record("softmax", y, lambda g: _accumulate(x, _softmax_grad(g, y, z, s, axis)), x)
 
 
-def gaussian_logits(rows, cols, sigma2: float):
-    """Gaussian kernel logits -(rows_i - cols_j)^2 / sigma2, one tape node.
+def gaussian_softmax(rows, cols, sigma2: float, axis: int):
+    """Softmax along ``axis`` of the Gaussian kernel logits
+    -(rows_i - cols_j)^2 / sigma2, recorded as one tape node.
 
     ``rows`` and ``cols`` are 1-D; the result has shape (len(rows),
-    len(cols)). Either operand may be traced; the backward pass evaluates
-    in the order a reshape/sub/mul/mul chain of primitives would, so its
-    gradients equal that chain's bit for bit.
+    len(cols)). Either operand may be traced. Values and gradients equal
+    those of a reshape/sub/mul/mul chain followed by :func:`softmax`, bit
+    for bit.
     """
     rd, cd = data(rows), data(cols)
     scale = -1.0 / sigma2
     diff = rd.reshape(-1, 1) - cd
+    logits = diff * diff
+    logits *= scale
+    logits -= np.max(logits, axis=axis, keepdims=True)
+    y, z, s = _masked_softmax(logits, axis)
 
     def backward(g):
-        half = g * scale * diff
+        half = _softmax_grad(g, y, z, s, axis) * scale * diff
         gd = half + half
         if isinstance(rows, Value):
-            _accumulate(rows, np.sum(gd, axis=1))
+            _accumulate(rows, _unbroadcast(gd, (rd.size, 1)).reshape(rd.shape))
         if isinstance(cols, Value):
-            _accumulate(cols, np.sum(-gd, axis=0))
+            _accumulate(cols, _unbroadcast(-gd, cd.shape))
 
-    return _record("gaussian_logits", diff * diff * scale, backward, rows, cols)
+    return _record("gaussian_softmax", y, backward, rows, cols)
 
 
 # The fused primitives below each replace a chain of the primitives above

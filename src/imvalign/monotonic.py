@@ -10,7 +10,7 @@ applies the hard constraint one output step at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,8 +108,7 @@ def align_from_imv(imv: Imv, kernel: KernelConfig = KernelConfig()):
     Columns are normalized over the input axis, so the result is a valid
     alignment regardless of where the centers fall.
     """
-    logits = ad.gaussian_logits(index_vector(imv.t1), imv.pi, kernel.sigma2)
-    return ad.softmax(logits, axis=0)
+    return ad.gaussian_softmax(index_vector(imv.t1), imv.pi, kernel.sigma2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def streaming_hma_step(
     logits = -((new_pi - p) ** 2) / kernel.sigma2
     logits -= logits.max()
     weights = np.exp(logits)
-    return replace(state, pi=new_pi), weights / weights.sum()
+    return StreamingHmaState(state.t1, new_pi), weights / weights.sum()
 
 
 def streaming_hma_run(

@@ -72,8 +72,7 @@ class ApLossConfig:
 def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
     """Row-normalized Gaussian density (t1, t2): how much of token i's
     alignment mass falls on each output step."""
-    logits = ad.gaussian_logits(index_vector(imv.t1), imv.pi, kernel.sigma2)
-    return ad.softmax(logits, axis=1)
+    return ad.gaussian_softmax(index_vector(imv.t1), imv.pi, kernel.sigma2, axis=1)
 
 
 def extract_positions(
@@ -110,8 +109,7 @@ def align_from_positions(
     whose aligned positions fall near output step j."""
     if t2 < 1:
         raise AlignmentError(f"t2 must be >= 1, got {t2}")
-    logits = ad.gaussian_logits(positions.e, index_vector(t2), kernel.sigma2)
-    return ad.softmax(logits, axis=0)
+    return ad.gaussian_softmax(positions.e, index_vector(t2), kernel.sigma2, axis=0)
 
 
 def infer_t2(positions: AlignedPositions) -> int:

@@ -1,3 +1,5 @@
+import warnings
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -251,10 +253,10 @@ def _softmax_case(draw):
     return lambda x: ad.softmax(x, axis), [_matrix(draw)]
 
 
-def _gaussian_logits_case(draw):
-    sigma2 = draw(st.floats(0.05, 2.0))
+def _gaussian_softmax_case(draw):
+    sigma2, axis = draw(st.floats(0.05, 2.0)), draw(st.integers(0, 1))
     rows, cols = _array(draw, (draw(_dims),)), _array(draw, (draw(_dims),))
-    return lambda r, c: ad.gaussian_logits(r, c, sigma2), [rows, cols]
+    return lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis), [rows, cols]
 
 
 def _sma_penalty_case(draw):
@@ -283,7 +285,7 @@ _PRIMITIVE_CASES = {
     "transpose": _unary(ad.transpose),
     "matmul": _matmul_case,
     "softmax": _softmax_case,
-    "gaussian_logits": _gaussian_logits_case,
+    "gaussian_softmax": _gaussian_softmax_case,
     # a min_total of -inf never refuses: a zero total divides to NaN instead
     "monotone_rescale": lambda draw: (
         lambda x: ad.monotone_rescale(x, 3.0, -np.inf), [_array(draw, (draw(_dims),))]),
@@ -340,7 +342,7 @@ def test_relu_nan_propagates_untraced_and_raises_traced():
 
 
 def _composed_softmax(x, axis):
-    m = np.max(x.data, axis=axis, keepdims=True)
+    m = np.max(ad.data(x), axis=axis, keepdims=True)
     z = ad.exp(x - m)
     return z / ad.asum(z, axis=axis, keepdims=True)
 
@@ -375,28 +377,112 @@ def test_fused_softmax_is_bit_identical_to_chain(axis):
         assert np.array_equal(ad.softmax(x, axis), ref_out)
 
 
+def _chain_gaussian_softmax(rows, cols, sigma2, axis):
+    return _composed_softmax(_composed_gaussian_logits(rows, cols, sigma2), axis)
+
+
 @pytest.mark.parametrize("traced", [(True, False), (False, True), (True, True)])
-def test_fused_gaussian_logits_is_bit_identical_to_chain(traced):
+def test_fused_gaussian_softmax_is_bit_identical_to_chain(traced):
     rng = np.random.default_rng(8)
-    for t1, t2 in [(5, 9), (1, 3), (4, 1)]:
-        rows = rng.normal(size=t1) * 2.0
-        cols = np.arange(t2, dtype=np.float64)
-        f = lambda r, c: ad.gaussian_logits(r, c, 0.3)
-        ref = lambda r, c: _composed_gaussian_logits(r, c, 0.3)
-        out, grads, _ = _traced_grads(f, [rows, cols], traced)
-        ref_out, ref_grads, _ = _traced_grads(ref, [rows, cols], traced)
-        assert np.array_equal(out, ref_out)
-        assert len(grads) == len(ref_grads) == sum(traced)
-        for g, r in zip(grads, ref_grads):
-            assert np.array_equal(g, r)
-        assert np.array_equal(ad.gaussian_logits(rows, cols, 0.3), ref_out)
+    cases = [(rng.normal(size=t1) * 2.0, np.arange(float(t2))) for t1, t2 in [(5, 9), (1, 3), (4, 1)]]
+    # shifted logits of about -710 and -740 on both axes: subnormal exponentials
+    cases.append((np.array([0.0, 14.6, 14.9]), np.arange(16.0)))
+    for axis in (0, 1):
+        for rows, cols in cases:
+            _assert_fused_matches_chain(
+                lambda r, c: ad.gaussian_softmax(r, c, 0.3, axis),
+                lambda r, c: _chain_gaussian_softmax(r, c, 0.3, axis), [rows, cols], traced)
 
 
 def test_fused_nodes_record_one_node_each():
     tape = ad.Tape()
     x = tape.variable(np.ones(3))
-    ad.softmax(ad.gaussian_logits(x, np.arange(4.0), 0.25), axis=0)
-    assert [n.name for n in tape.nodes] == ["gaussian_logits", "softmax"]
+    ad.softmax(ad.gaussian_softmax(x, np.arange(4.0), 0.25, axis=0), axis=1)
+    assert [n.name for n in tape.nodes] == ["gaussian_softmax", "softmax"]
+
+
+# Logits that straddle the exp mask: ordinary values, shifted logits in
+# [-746, -708] where exp gives subnormals, the mask threshold and its
+# neighbours, and values whose exp underflows to exactly 0.
+_logits = st.one_of(
+    st.floats(-3.0, 0.0),
+    st.floats(-746.0, -708.0),
+    st.sampled_from([-746.0, np.nextafter(-746.0, 0.0), np.nextafter(-746.0, -np.inf), -745.2]),
+    st.floats(-2000.0, -746.0),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_masked_softmax_equals_unmasked_chain(data):
+    """Skipping exp below the underflow threshold changes no bit of the
+    softmax or its gradient, on either axis and for strided inputs."""
+    axis = data.draw(st.integers(0, 1))
+    m, n = data.draw(_dims), data.draw(_dims)
+    x = data.draw(hnp.arrays(np.float64, (m, 2 * n), elements=_logits))
+    if data.draw(st.booleans()):
+        x[:, 0] = 0.0  # each row's max is 0: the drawn values are the shifted logits
+    layout = data.draw(st.sampled_from(["contiguous", "strided", "transposed"]))
+    x = {"contiguous": x, "strided": x[:, ::2], "transposed": x.T}[layout]
+    _assert_fused_matches_chain(
+        lambda v: ad.softmax(v, axis), lambda v: _composed_softmax(v, axis), [x], [True])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_masked_gaussian_softmax_equals_unmasked_chain(data):
+    axis = data.draw(st.integers(0, 1))
+    sigma2 = data.draw(st.sampled_from([0.25, 1.0]) | st.floats(0.05, 2.0))
+    coords = st.floats(-30.0, 30.0) | st.sampled_from([0.0, 720.0 ** 0.5, 740.0 ** 0.5])
+    rows = data.draw(hnp.arrays(np.float64, (2 * data.draw(_dims),), elements=coords))
+    cols = data.draw(hnp.arrays(np.float64, (data.draw(_dims),), elements=coords))
+    rows = rows[::2]  # a strided operand
+    traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    _assert_fused_matches_chain(
+        lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis),
+        lambda r, c: _chain_gaussian_softmax(r, c, sigma2, axis),
+        [rows, cols], traced)
+
+
+def test_exp_is_exactly_zero_below_the_mask_threshold():
+    below = np.array([-746.0, np.nextafter(-746.0, -np.inf), -800.0, -1e308, -np.inf])
+    assert _same_bits(np.exp(below), np.zeros(below.size))
+    assert np.exp(np.nextafter(-746.0, 0.0)) == 0.0  # the threshold has margin
+    assert np.exp(-745.0) > 0.0
+
+
+def _recorded(f):
+    """f()'s result and the warnings it raised, as (category, message) pairs."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f()
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_nonfinite_inputs_match_the_unmasked_chain_without_new_warnings(special, axis):
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(4, 5)) * 400.0  # most shifted logits underflow
+    x[1, 2] = special
+    rows, cols = rng.normal(size=4) * 20.0, np.arange(5.0)
+    rows[1] = special
+    cases = [
+        ("softmax", lambda v: ad.softmax(v, axis), lambda v: _composed_softmax(v, axis), [x]),
+        ("gaussian_softmax", lambda r, c: ad.gaussian_softmax(r, c, 0.25, axis),
+         lambda r, c: _chain_gaussian_softmax(r, c, 0.25, axis), [rows, cols]),
+    ]
+    for name, fused, chain, inputs in cases:
+        ref, ref_warnings = _recorded(lambda: chain(*inputs))
+        out, out_warnings = _recorded(lambda: fused(*inputs))
+        assert _same_bits(out, ref) and out_warnings == ref_warnings
+        if np.isfinite(out).all():  # an infinite logit whose exp is 0
+            continue
+        with np.errstate(all="ignore"):
+            tape = ad.Tape()
+            with pytest.raises(ad.NonFiniteError) as exc:
+                fused(*[tape.variable(v) for v in inputs])
+        assert exc.value.op_name == name and exc.value.node_index == 0
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -408,13 +494,14 @@ def test_softmax_gradcheck(axis):
     assert report.passed
 
 
-def test_gaussian_logits_gradcheck():
+@pytest.mark.parametrize("axis", [0, 1])
+def test_gaussian_softmax_gradcheck(axis):
     rng = np.random.default_rng(10)
     rows = rng.normal(size=4) * 2.0
     cols = rng.normal(size=6) * 2.0
     w = rng.normal(size=(4, 6))
-    f = lambda r, c: ad.asum(ad.gaussian_logits(r, c, 0.5) * w)
-    report = ad.gradcheck(f, [rows, cols], op_name="gaussian_logits")
+    f = lambda r, c: ad.asum(ad.gaussian_softmax(r, c, 4.0, axis) * w)
+    report = ad.gradcheck(f, [rows, cols], op_name="gaussian_softmax")
     assert report.passed
 
 

@@ -208,7 +208,7 @@ def test_gradient_only_divergence_names_the_parameter(monkeypatch):
     assert exc.value.__cause__ is None
 
 
-@pytest.mark.parametrize("mode, nodes", [("HMA", 224), ("SMA", 232), ("NM", 216)])
+@pytest.mark.parametrize("mode, nodes", [("HMA", 208), ("SMA", 216), ("NM", 200)])
 def test_tape_nodes_per_benchmark_step(mode, nodes):
     # the benchmark's toy config: one 8-sequence step
     from imvalign.toy import _evaluate_step

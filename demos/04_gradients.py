@@ -25,6 +25,13 @@ y = ad.asum(ad.exp(x) * 0.1)
 tape.backward(y)
 print("\nd sum(0.1*exp(x)) / dx:", x.grad, "(= 0.1*exp(x))")
 
+# A tape records NaN and infinity like any other value; forward_backward,
+# gradcheck and train raise the error naming the first such node.
+tape = ad.Tape()
+with np.errstate(divide="ignore"):
+    ad.log(tape.variable(np.array([1.0, 0.0]))) * 2.0
+print("first non-finite node:", tape.first_nonfinite())
+
 # Central-difference validation; a relu at exactly zero is excluded, not
 # failed, because no finite difference straddling a kink is meaningful.
 report = gradcheck(ad.relu, [np.array([0.0, -1.0, 2.0])], op_name="relu")

@@ -80,16 +80,11 @@ class Tape:
     Nodes are appended at execution time, so the list is topologically
     ordered by construction; the backward pass walks it once in reverse.
     One tape serves one computation and is not shared across threads.
-
-    A checking tape (the default) raises :class:`NonFiniteError` naming
-    the first node whose output is NaN or infinite. A tape made with
-    ``check_finite=False`` skips that per-node check; its caller checks
-    the result once and replays the computation on a checking tape to
-    name the node (see :func:`forward_backward`).
+    Recording does not check values: a NaN or infinite output is recorded
+    like any other, and :meth:`first_nonfinite` names the first one.
     """
 
-    def __init__(self, check_finite: bool = True):
-        self.check_finite = check_finite
+    def __init__(self):
         self.nodes: list[_Node] = []
         self._variables: list[Value] = []
         # Sign snapshots of every relu/abs input (fused nodes append those
@@ -103,11 +98,17 @@ class Tape:
         return v
 
     def record(self, name: str, out_data: np.ndarray, backward) -> "Value":
-        if self.check_finite and not np.isfinite(out_data).all():
-            raise NonFiniteError(name, len(self.nodes))
         out = Value(out_data, self)
         self.nodes.append(_Node(name, out, backward))
         return out
+
+    def first_nonfinite(self) -> "NonFiniteError | None":
+        """The error naming the first recorded node whose output is NaN or
+        infinite (where checking each output would have stopped), or None."""
+        for index, node in enumerate(self.nodes):
+            if not np.isfinite(node.out.data).all():
+                return NonFiniteError(node.name, index)
+        return None
 
     def backward(self, root: "Value", seed=None) -> None:
         """Accumulate gradients of ``root`` into every upstream value.
@@ -618,42 +619,39 @@ def mean_squared_error(a, b):
 # -- driver and gradient checking ---------------------------------------
 
 
-def _trace_on(tape, f, arrays):
-    variables = [tape.variable(x) for x in arrays]
-    out = f(*variables)
-    objective = None
-    for o in out if isinstance(out, (tuple, list)) else [out]:
-        objective = asum(o) if objective is None else objective + asum(o)
-    return tape, variables, out, objective
-
-
 def _trace(f, arrays):
     """Run ``f`` on a fresh tape, one variable per array.
 
     Returns (tape, variables, output, objective): ``output`` is what ``f``
     returned and ``objective`` is the sum of all its outputs, the scalar
-    that :func:`forward_backward` differentiates. The tape skips the
-    per-node finite check and the objective is checked once instead; if
-    it is not finite, or ``f`` raises, ``f`` is replayed on a checking
-    tape, which raises :class:`NonFiniteError` naming the first non-finite
-    node before anything else can go wrong.
+    that :func:`forward_backward` differentiates. If ``f`` raises or the
+    objective is not finite, raises the :meth:`Tape.first_nonfinite` error;
+    when there is none, what ``f`` raised is raised again.
     """
+    tape = Tape()
+    variables = [tape.variable(x) for x in arrays]
     try:
-        traced = _trace_on(Tape(check_finite=False), f, arrays)
-        if np.isfinite(data(traced[3])).all():
-            return traced
-    except Exception:
-        pass  # the replay raises it again unless a non-finite node comes first
-    return _trace_on(Tape(), f, arrays)
+        out = f(*variables)
+        objective = None
+        for o in out if isinstance(out, (tuple, list)) else [out]:
+            objective = asum(o) if objective is None else objective + asum(o)
+    except Exception as exc:
+        error = tape.first_nonfinite() or exc
+    else:
+        error = None if np.isfinite(data(objective)).all() else tape.first_nonfinite()
+    if error is not None:
+        raise error
+    return tape, variables, out, objective
 
 
 def forward_backward(f, inputs: Sequence[np.ndarray]):
     """Run ``f`` on a fresh tape and return (outputs, gradients).
 
     Gradients are of the sum of all outputs with respect to each input,
-    matching input shapes.  Raises :class:`NonFiniteError`, naming the
-    first traced intermediate that is NaN or infinite, if the sum of the
-    outputs is; an intermediate that leaves that sum finite is allowed.
+    matching input shapes.  If ``f`` raises or the sum of the outputs is not
+    finite, raises :class:`NonFiniteError` naming the first traced
+    intermediate that is NaN or infinite, if any; one that leaves the sum
+    finite is allowed.
     """
     tape, variables, out, objective = _trace(f, inputs)
     if isinstance(objective, Value):

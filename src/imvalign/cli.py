@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage or parse error (including an invalid
-numeric setting such as a non-positive or NaN sigma2), 3 contract
-violation (invalid alignment/IMV input), 4 numeric failure (degenerate
-transform, failed gradient check, diverged training).
+numeric setting such as a NaN, non-positive or sub-5.6e-309 sigma2),
+3 contract violation (invalid alignment/IMV input), 4 numeric failure
+(degenerate transform, failed gradient check, diverged training).
 """
 
 from __future__ import annotations

@@ -98,11 +98,11 @@ class ImvValidationReport:
         return line
 
 
-def check_alignment(alpha, tol: float = COLUMN_SUM_TOL) -> None:
+def check_alignment(alpha) -> None:
     """Assert alignment-matrix invariants; raises rather than renormalizing.
 
     Silent fixes would mask upstream bugs, so a column sum off by more
-    than ``tol`` is an error.
+    than ``COLUMN_SUM_TOL`` is an error.
     """
     data = ad.data(alpha)
     if data.ndim != 2:
@@ -111,16 +111,16 @@ def check_alignment(alpha, tol: float = COLUMN_SUM_TOL) -> None:
         raise AlignmentError("alignment contains non-finite entries")
     sums = data.sum(axis=0)
     worst = np.max(np.abs(sums - 1.0)) if sums.size else 0.0
-    if worst > tol:
+    if worst > COLUMN_SUM_TOL:
         j = int(np.argmax(np.abs(sums - 1.0)))
         raise AlignmentError(
-            f"column {j} sums to {sums[j]:.6g}; expected 1 within {tol:g}"
+            f"column {j} sums to {sums[j]:.6g}; expected 1 within {COLUMN_SUM_TOL:g}"
         )
 
 
-def compute_imv(alpha, tol: float = COLUMN_SUM_TOL) -> Imv:
+def compute_imv(alpha) -> Imv:
     """Expected input position per output step: pi_j = sum_i alpha[i,j]*i."""
-    check_alignment(alpha, tol=tol)
+    check_alignment(alpha)
     t1 = ad.data(alpha).shape[0]
     pi = ad.matmul(index_vector(t1), alpha)
     return Imv(pi, t1)

@@ -62,8 +62,8 @@ class KernelConfig:
     sigma2: float = 0.25
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if not (self.sigma2 > 0 and np.isfinite(1.0 / self.sigma2)):
+            raise ValueError(f"sigma2 must be positive with a finite reciprocal, got {self.sigma2}")
 
 
 def sma_loss(imv: Imv, weights: SmaWeights = SmaWeights(), boundary: str = "square"):

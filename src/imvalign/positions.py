@@ -125,6 +125,6 @@ def infer_t2(positions: AlignedPositions) -> int:
 def scale_positions(positions: AlignedPositions, rate: float) -> AlignedPositions:
     """Uniformly stretch (rate > 1) or compress (rate < 1) the positions;
     the inferred output length scales with the rate up to rounding."""
-    if rate <= 0:
-        raise AlignmentError(f"rate must be positive, got {rate}")
+    if not 0 < rate < np.inf:
+        raise AlignmentError(f"rate must be positive and finite, got {rate}")
     return AlignedPositions(positions.e * rate)

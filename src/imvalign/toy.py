@@ -383,8 +383,8 @@ class _Sgd:
 
 
 class _Adam:
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr):
+        self.lr = lr
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
@@ -394,11 +394,11 @@ class _Adam:
         for name, g in grads.items():
             m = self.m.setdefault(name, np.zeros_like(g))
             v = self.v.setdefault(name, np.zeros_like(g))
-            m += (1 - self.beta1) * (g - m)
-            v += (1 - self.beta2) * (g * g - v)
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m += (1 - 0.9) * (g - m)
+            v += (1 - 0.999) * (g * g - v)
+            m_hat = m / (1 - 0.9**self.t)
+            v_hat = v / (1 - 0.999**self.t)
+            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def _evaluate_step(model, batches, cfg, kernel, tape):
@@ -444,30 +444,30 @@ def _evaluate_step(model, batches, cfg, kernel, tape):
 def _train_step(model, batches, cfg, kernel, step):
     """One step's forward pass, and its backward pass when training.
 
-    The step runs on a tape that skips the per-node finite check; the loss
-    and every gradient are checked once instead. When a check fails, or
-    the forward raises, the step is replayed on a checking tape, so the
-    :class:`TrainDivergenceError` names the first non-finite node as a
-    fully checked step would. Returns (traced parameters, trace entry).
+    The loss and every gradient are checked once. When a check fails, or
+    the forward raises, the error names the tape's first non-finite node
+    (:meth:`ad.Tape.first_nonfinite`) if there is one. Returns (traced
+    parameters, trace entry).
     """
-    tape = ad.Tape(check_finite=False)
+    tape = ad.Tape()
+    failure = None
     try:
         mean_loss, params, entry = _evaluate_step(model, batches, cfg, kernel, tape)
-    except Exception:
-        mean_loss = None  # the replay raises it again unless a non-finite node comes first
+    except Exception as exc:
+        failure = exc
     cause = "non-finite loss"
-    if mean_loss is not None and np.isfinite(mean_loss.data):
+    if failure is None and np.isfinite(mean_loss.data):
         if cfg.steps > 0:
             tape.backward(mean_loss)
         bad = [n for n, v in params.items() if v.grad is not None and not np.isfinite(v.grad).all()]
         if not bad:
             return params, entry
         cause = f"non-finite gradient of parameter '{bad[0]}'"
-    try:
-        _evaluate_step(model, batches, cfg, kernel, ad.Tape())
-    except (ad.NonFiniteError, DegenerateImvError) as exc:
-        raise TrainDivergenceError(step, str(exc)) from exc
-    raise TrainDivergenceError(step, cause)
+    # the first non-finite node, else what the forward raised, else the failed check
+    failure = tape.first_nonfinite() or failure or TrainDivergenceError(step, cause)
+    if isinstance(failure, (ad.NonFiniteError, DegenerateImvError)):
+        raise TrainDivergenceError(step, str(failure)) from failure
+    raise failure
 
 
 def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imvalign import autodiff as ad
+from reference_tape import CheckingTape
 
 
 def test_identity_forward_backward():
@@ -309,13 +310,7 @@ def test_untraced_primitive_equals_traced_data(name, data):
     with np.errstate(all="ignore"):
         plain = op(*inputs)
         tape = ad.Tape()
-        args = [tape.variable(x) if t else x for x, t in zip(inputs, traced)]
-        try:
-            out = op(*args)
-        except ad.NonFiniteError:
-            # the traced path refuses exactly what the plain path lets through
-            assert not np.isfinite(plain).all()
-            return
+        out = op(*[tape.variable(x) if t else x for x, t in zip(inputs, traced)])
     assert isinstance(out, ad.Value) and not isinstance(plain, ad.Value)
     assert _same_bits(plain, out.data)
 
@@ -333,7 +328,7 @@ def test_relu_nan_propagates_untraced_and_raises_traced():
     plain = ad.relu(x)
     assert plain[0] == 1.0 and np.isnan(plain[1]) and plain[2] == 0.0
     with pytest.raises(ad.NonFiniteError) as exc:
-        ad.relu(ad.Tape().variable(x))
+        ad.forward_backward(ad.relu, [x])
     assert exc.value.op_name == "relu"
     assert exc.value.node_index == 0
 
@@ -480,9 +475,9 @@ def test_nonfinite_inputs_match_the_unmasked_chain_without_new_warnings(special,
             continue
         with np.errstate(all="ignore"):
             tape = ad.Tape()
-            with pytest.raises(ad.NonFiniteError) as exc:
-                fused(*[tape.variable(v) for v in inputs])
-        assert exc.value.op_name == name and exc.value.node_index == 0
+            fused(*[tape.variable(v) for v in inputs])
+        error = tape.first_nonfinite()
+        assert error.op_name == name and error.node_index == 0
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -636,21 +631,24 @@ def test_intermediate_infinity_with_finite_result_raises_only_on_a_checking_tape
     with np.errstate(over="ignore"):
         out, grads = ad.forward_backward(f, [x])
         assert np.array_equal(out, [2.0, 4.0]) and np.array_equal(grads[0], [2.0, 2.0])
-        tape = ad.Tape()
+        tape = CheckingTape()
         with pytest.raises(ad.NonFiniteError) as exc:
             f(tape.variable(x))
     assert exc.value.op_name == "exp" and exc.value.node_index == 1
 
 
 def test_unchecked_tape_records_nonfinite_outputs():
-    tape = ad.Tape(check_finite=False)
+    tape = ad.Tape()
     with np.errstate(divide="ignore"):
-        out = ad.log(tape.variable(np.array([0.0, 1.0])))
-    assert out.data[0] == -np.inf and len(tape.nodes) == 1
+        out = ad.log(tape.variable(np.array([1.0, 0.0]))) * 2.0
+    assert out.data[1] == -np.inf and [n.name for n in tape.nodes] == ["log", "mul"]
+    error = tape.first_nonfinite()
+    assert (error.op_name, error.node_index) == ("log", 0)
+    assert ad.Tape().first_nonfinite() is None
 
 
 def test_gradcheck_replay_names_the_nonfinite_node():
-    # the objective is NaN: the checking replay raises naming the first bad node
+    # the objective is NaN: gradcheck raises naming the first bad node
     def f(x):
         y = x * 1.0  # node 0
         return ad.log(y - 5.0)  # nodes 1 (sub) and 2 (log of a negative)
@@ -659,3 +657,84 @@ def test_gradcheck_replay_names_the_nonfinite_node():
         with pytest.raises(ad.NonFiniteError) as exc:
             ad.gradcheck(f, [np.array([1.0])])
     assert exc.value.op_name == "log" and exc.value.node_index == 2
+
+
+# -- the tape scan against the per-node-checking reference ---------------
+
+# 1-D primitives a chain draws from, with their arity
+_CHAIN_OPS = {
+    "add": (lambda a, b: a + b, 2),
+    "sub": (lambda a, b: a - b, 2),
+    "mul": (lambda a, b: a * b, 2),
+    "div": (lambda a, b: a / b, 2),
+    "exp": (ad.exp, 1),
+    "log": (ad.log, 1),
+    "tanh": (ad.tanh, 1),
+    "relu": (ad.relu, 1),
+    "abs": (ad.absolute, 1),
+    "cumsum": (ad.cumsum, 1),
+    "softmax": (lambda x: ad.softmax(x, 0), 1),
+    # raises ZeroDivisionError when the rectified path total is <= 0
+    "monotone_rescale": (lambda x: ad.monotone_rescale(x, 3.0, 0.0), 1),
+}
+
+
+@st.composite
+def _planted_chain(draw):
+    """A random chain of primitives over 1-3 input vectors, with NaN or
+    +-inf planted in the inputs (at least one in the first)."""
+    n = draw(st.integers(2, 5))
+    inputs = []
+    for k in range(draw(st.integers(1, 3))):
+        x = draw(hnp.arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=int(k == 0), max_size=2)):
+            x[i] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        inputs.append(x)
+    ops = st.sampled_from(sorted(_CHAIN_OPS))
+    steps = draw(st.lists(st.tuples(ops, st.integers(0, 99), st.integers(0, 99)),
+                          min_size=1, max_size=8))
+
+    def f(*xs):
+        values = list(xs)
+        for name, i, j in steps:
+            op, arity = _CHAIN_OPS[name]
+            operands = (values[i % len(values)], values[j % len(values)])[:arity]
+            values.append(op(*operands))
+        return values[-1]
+
+    return f, inputs
+
+
+def _outcome(run):
+    """run()'s exception as (type, op_name, node_index), or None."""
+    try:
+        run()
+    except ad.NonFiniteError as exc:
+        return ad.NonFiniteError, exc.op_name, exc.node_index
+    except Exception as exc:
+        return type(exc), None, None
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_planted_chain())
+def test_scan_names_the_node_a_checking_tape_raises_at(case):
+    f, inputs = case
+
+    def checked():
+        tape = CheckingTape()
+        ad.asum(f(*[tape.variable(x) for x in inputs]))  # forward_backward's objective
+
+    with np.errstate(all="ignore"):
+        try:
+            finite = bool(np.isfinite(np.sum(f(*inputs))))  # untraced
+        except ZeroDivisionError:
+            finite = False
+        ref = _outcome(checked)
+        fast = _outcome(lambda: ad.forward_backward(f, inputs))
+        if finite:  # intermediates may be non-finite; the objective is not
+            assert fast is None
+            return
+        assert fast == ref
+        if ref[0] is ad.NonFiniteError:
+            assert _outcome(lambda: ad.gradcheck(f, inputs)) == ref

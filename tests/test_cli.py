@@ -202,10 +202,11 @@ def test_cli_roundtrip_imv_reconstruct_imv(tmp_path):
     assert np.max(np.abs(read_vector(pi2_file) - read_vector(pi_file))) < 0.1
 
 
-@pytest.mark.parametrize("value", ["nan", "-1"])
-@pytest.mark.parametrize("command, option", [
-    ("reconstruct", "--sigma2"), ("positions", "--sigma2"), ("sma", "--lambda0"),
-])
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value)
+    for command, option in [("reconstruct", "--sigma2"), ("positions", "--sigma2"), ("sma", "--lambda0")]
+    for value in ["nan", "-1"]
+] + [("reconstruct", "--sigma2", "1e-320"), ("positions", "--sigma2", "1e-320")])
 def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
     imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
     argv = [command, "--imv", imv, "--t1", "2", option, value]
@@ -218,7 +219,7 @@ def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
 @pytest.mark.parametrize("setting", [
     {"sigma2": -1}, {"sigma2": float("nan")}, {"epsilon": 0}, {"epsilon": float("nan")},
     {"ap_weight": float("nan")}, {"ap_weight": -1}, {"accuracy_threshold": float("nan")},
-    {"noise_sigma": float("nan")}, {"noise_sigma": -1},
+    {"noise_sigma": float("nan")}, {"noise_sigma": -1}, {"sigma2": 1e-320},
 ])
 def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
     path = tmp_path / "cfg.json"

@@ -138,12 +138,16 @@ def test_streaming_step_rejects_nonfinite_column(bad):
         streaming_hma_run(col[:, None])
 
 
-@pytest.mark.parametrize("make", [
-    lambda v: KernelConfig(sigma2=v),
-    lambda v: SmaWeights(lambda0=v),
+_KERNEL_CONFIG = lambda v: KernelConfig(sigma2=v)
+_SMA_WEIGHTS = lambda v: SmaWeights(lambda0=v)
+
+
+@pytest.mark.parametrize("value, make", [
+    (np.nan, _KERNEL_CONFIG), (np.nan, _SMA_WEIGHTS),
+    (-1.0, _KERNEL_CONFIG), (-1.0, _SMA_WEIGHTS),
+    (1e-320, _KERNEL_CONFIG),  # positive, but 1 / sigma2 overflows to inf
 ])
-@pytest.mark.parametrize("value", [np.nan, -1.0])
-def test_configs_reject_nan_and_negative(make, value):
+def test_configs_reject_nan_and_negative(value, make):
     with pytest.raises(ValueError):
         make(value)
 

@@ -144,6 +144,14 @@ def test_scale_positions_rejects_nonpositive_rate():
         scale_positions(AlignedPositions(np.array([1.0, 2.0])), 0.0)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_scale_positions_rejects_nonfinite_rate(rate):
+    # NaN fails no `rate <= 0` test; both would surface later as a bare
+    # ValueError when the output length is rounded to an integer
+    with pytest.raises(AlignmentError):
+        scale_positions(AlignedPositions(np.array([1.0, 2.0])), rate)
+
+
 def test_deltas_anchor_first_position():
     pos = AlignedPositions(np.array([1.5, 2.0, 4.0]))
     assert np.allclose(pos.deltas, [1.5, 0.5, 2.0])

@@ -19,6 +19,7 @@ from imvalign.toy import (
     token_patterns,
     train,
 )
+from reference_tape import CheckingTape
 
 FAST = dict(steps=50, pool_size=16, batch_size=4, optimizer="adam")
 
@@ -163,13 +164,6 @@ def test_divergence_carries_step_index():
     assert exc.value.step >= 0
 
 
-class _CheckingTape(ad.Tape):
-    """A tape that checks every node whatever its caller asks for."""
-
-    def __init__(self, check_finite=True):
-        super().__init__(check_finite=True)
-
-
 @pytest.mark.parametrize("mode", ["HMA", "SMA", "NM"])
 def test_divergence_matches_a_fully_checked_run(mode, monkeypatch):
     from imvalign.toy import TrainDivergenceError
@@ -179,7 +173,7 @@ def test_divergence_matches_a_fully_checked_run(mode, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainDivergenceError) as fast:
             train(task, cfg)
-        monkeypatch.setattr(ad, "Tape", _CheckingTape)
+        monkeypatch.setattr(ad, "Tape", CheckingTape)
         with pytest.raises(TrainDivergenceError) as checked:
             train(task, cfg)
     assert fast.value.step == checked.value.step
@@ -318,6 +312,9 @@ def test_infer_requires_training_and_tokens(trained):
         infer(untrained, [0, 1])
     with pytest.raises(AlignmentError):
         infer(model, [])
+    for rate in (np.nan, np.inf):
+        with pytest.raises(AlignmentError):
+            infer(model, [0, 1, 2], rate=rate)
 
 
 def test_infer_generalizes_on_training_sequence(trained):

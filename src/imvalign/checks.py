@@ -1,11 +1,9 @@
 """Named gradient checks for every differentiable alignment operation.
 
-Each entry builds random-but-seeded inputs and a scalar wrapper around one
-operation, then runs the central-difference comparison from
-:mod:`~imvalign.autodiff`. Matrix- and vector-valued operations are
-contracted against fixed random weights so the scalar objective exercises
-every output element (a plain sum of a normalized softmax has an
-identically zero gradient and would check nothing).
+Each entry builds seeded random inputs and the operation on them;
+:func:`run_check` contracts a matrix- or vector-valued output against
+fixed random weights and runs the central-difference comparison from
+:mod:`~imvalign.autodiff`.
 """
 
 from __future__ import annotations
@@ -30,91 +28,44 @@ __all__ = ["CHECKABLE_OPS", "run_check"]
 
 _T1 = 5
 _T2 = 8
-
-
-def _weighted(op, rng, *shapes):
-    """Wrap an array-valued op with a fixed random contraction."""
-    weights = [rng.normal(size=s) for s in shapes]
-
-    def f(*inputs):
-        outs = op(*inputs)
-        if not isinstance(outs, (tuple, list)):
-            outs = (outs,)
-        total = None
-        for w, o in zip(weights, outs):
-            term = ad.asum(o * w)
-            total = term if total is None else total + term
-        return total
-
-    return f
+_KERNEL = KernelConfig(sigma2=0.4)
 
 
 def _check_sma_loss(rng):
     pi = rng.normal(size=_T2) * 2.0
-    f = lambda v: sma_loss(Imv(v, _T1), SmaWeights(0.7, 1.3, 0.9, 1.1))
-    return f, [pi]
+    return (lambda v: sma_loss(Imv(v, _T1), SmaWeights(0.7, 1.3, 0.9, 1.1))), [pi]
 
 
 def _check_hma_transform(rng):
     pi = rng.normal(size=_T2) * 1.5
     while np.all(np.diff(pi) <= 0):
         pi = rng.normal(size=_T2) * 1.5
-    f = _weighted(lambda v: hma_transform(Imv(v, _T1)).pi, rng, (_T2,))
-    return f, [pi]
+    return (lambda v: hma_transform(Imv(v, _T1)).pi), [pi]
 
 
-def _check_align_from_imv(rng):
-    pi = rng.uniform(0, _T1 - 1, size=_T2)
-    f = _weighted(
-        lambda v: align_from_imv(Imv(v, _T1), KernelConfig(sigma2=0.4)),
-        rng,
-        (_T1, _T2),
-    )
-    return f, [pi]
+def _imv_kernel_check(op):
+    """Builder for ``op(imv, kernel)`` at an IMV drawn uniformly from
+    [0, t1-1]."""
+
+    def build(rng):
+        return (lambda v: op(Imv(v, _T1), _KERNEL)), [rng.uniform(0, _T1 - 1, size=_T2)]
+
+    return build
 
 
 def _check_scaled_dot(rng):
-    queries = rng.normal(size=(_T2, 4))
-    keys = rng.normal(size=(_T1, 4))
-    f = _weighted(scaled_dot_alignment, rng, (_T1, _T2))
-    return f, [queries, keys]
-
-
-def _check_density_matrix(rng):
-    pi = rng.uniform(0, _T1 - 1, size=_T2)
-    f = _weighted(
-        lambda v: density_matrix(Imv(v, _T1), KernelConfig(sigma2=0.4)),
-        rng,
-        (_T1, _T2),
-    )
-    return f, [pi]
-
-
-def _check_extract_positions(rng):
-    pi = rng.uniform(0, _T1 - 1, size=_T2)
-    f = _weighted(
-        lambda v: extract_positions(Imv(v, _T1), KernelConfig(sigma2=0.4)).e,
-        rng,
-        (_T1,),
-    )
-    return f, [pi]
+    return scaled_dot_alignment, [rng.normal(size=(_T2, 4)), rng.normal(size=(_T1, 4))]
 
 
 def _check_ap_loss(rng):
     pred = rng.uniform(0.05, 2.5, size=_T1)
     target = rng.uniform(0.05, 2.5, size=_T1)
-    f = lambda p, t: ap_loss(p, t, ApLossConfig(epsilon=1e-6))
-    return f, [pred, target]
+    return (lambda p, t: ap_loss(p, t, ApLossConfig(epsilon=1e-6))), [pred, target]
 
 
 def _check_align_from_positions(rng):
     e = rng.uniform(0, _T2 - 1, size=_T1)
-    f = _weighted(
-        lambda v: align_from_positions(AlignedPositions(v), _T2, KernelConfig(sigma2=0.4)),
-        rng,
-        (_T1, _T2),
-    )
-    return f, [e]
+    return (lambda v: align_from_positions(AlignedPositions(v), _T2, _KERNEL)), [e]
 
 
 def _check_toy_forward(rng):
@@ -140,21 +91,17 @@ def _check_toy_forward(rng):
         cfg = TrainConfig(mode="HMA", sigma2=0.4, seed=seed)
         batch = make_batch(task, 0)
         model = ToyModel(task, seed)
-        kernel = KernelConfig(sigma2=cfg.sigma2)
-        # base-point targets, identical to what the trainer would detach;
         # redraw if this instance starts in the degenerate reversed state
         try:
-            base = sequence_forward(model.params, batch, cfg, kernel)
+            base = sequence_forward(model.params, batch, cfg)
         except DegenerateImvError:
             continue
         break
-    frozen_targets = np.maximum(base.positions.deltas, 0.0)
     names = list(model.params)
 
     def f(*param_values):
         params = dict(zip(names, param_values))
-        out = sequence_forward(params, batch, cfg, kernel, ap_targets=frozen_targets)
-        return out.recon + cfg.ap_weight * out.ap
+        return sequence_forward(params, batch, cfg, ap_targets=base.ap_targets).loss
 
     return f, [model.params[name] for name in names]
 
@@ -162,10 +109,10 @@ def _check_toy_forward(rng):
 CHECKABLE_OPS = {
     "sma_loss": _check_sma_loss,
     "hma_transform": _check_hma_transform,
-    "align_from_imv": _check_align_from_imv,
+    "align_from_imv": _imv_kernel_check(align_from_imv),
     "scaled_dot_alignment": _check_scaled_dot,
-    "density_matrix": _check_density_matrix,
-    "extract_positions": _check_extract_positions,
+    "density_matrix": _imv_kernel_check(density_matrix),
+    "extract_positions": _imv_kernel_check(lambda imv, kernel: extract_positions(imv, kernel).e),
     "ap_loss": _check_ap_loss,
     "align_from_positions": _check_align_from_positions,
     "toy_forward": _check_toy_forward,
@@ -175,12 +122,24 @@ CHECKABLE_OPS = {
 def run_check(
     name: str, seed: int = 0, h: float = 1e-5, tol: float = 1e-4
 ) -> ad.GradCheckReport:
-    """Gradient-check one named operation on seeded random inputs."""
+    """Gradient-check one named operation on seeded random inputs.
+
+    An array-valued output is contracted against random weights drawn
+    after the inputs, so the checked scalar exercises every element (a
+    plain sum of a normalized softmax has an identically zero gradient).
+    """
     try:
         builder = CHECKABLE_OPS[name]
     except KeyError:
         raise KeyError(
             f"unknown op {name!r}; known: {', '.join(sorted(CHECKABLE_OPS))}"
         ) from None
-    f, inputs = builder(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    op, inputs = builder(rng)
+    shape = np.shape(ad.data(op(*inputs)))
+    if shape:
+        weights = rng.normal(size=shape)
+        f = lambda *values: ad.asum(op(*values) * weights)
+    else:
+        f = op
     return ad.gradcheck(f, inputs, h=h, tol=tol, op_name=name)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage or parse error (including an invalid
-numeric setting such as a NaN, non-positive or sub-5.6e-309 sigma2),
-3 contract violation (invalid alignment/IMV input), 4 numeric failure
-(degenerate transform, failed gradient check, diverged training).
+numeric setting such as a NaN, infinite, non-positive or sub-5.6e-309
+sigma2), 3 contract violation (invalid alignment/IMV input), 4 numeric
+failure (degenerate transform, failed gradient check, diverged training).
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def cmd_train_toy(args) -> int:
     )
     # final alignment of the first pool sequence, for eyeballing convergence
     batch = make_batch(task, 0)
-    final = sequence_forward(model.params, batch, cfg, KernelConfig(sigma2=cfg.sigma2))
+    final = sequence_forward(model.params, batch, cfg)
     write_pgm(heatmap_path, final.alpha_recon)
     print(f"report: {cfg.report_path}; heatmap: {heatmap_path}")
     return EXIT_OK

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import COLUMN_SUM_TOL, AlignmentError, Imv, check_alignment, index_vector
+from .core import COLUMN_SUM_TOL, AlignmentError, Imv, compute_imv, index_vector
 
 __all__ = [
     "DegenerateImvError",
@@ -62,8 +62,8 @@ class KernelConfig:
     sigma2: float = 0.25
 
     def __post_init__(self):
-        if not (self.sigma2 > 0 and np.isfinite(1.0 / self.sigma2)):
-            raise ValueError(f"sigma2 must be positive with a finite reciprocal, got {self.sigma2}")
+        if not (0 < self.sigma2 < np.inf and np.isfinite(1.0 / self.sigma2)):
+            raise ValueError(f"sigma2 must be positive and finite with a finite reciprocal, got {self.sigma2}")
 
 
 def sma_loss(imv: Imv, weights: SmaWeights = SmaWeights(), boundary: str = "square"):
@@ -163,13 +163,9 @@ def streaming_hma_run(
     Returns (position sequence, reconstructed alignment); matches stepping
     :func:`streaming_hma_step` column by column.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    check_alignment(alpha)
-    t1, t2 = alpha.shape
-    p = index_vector(t1)
-    pi_path = np.empty(t2)
+    raw = compute_imv(alpha)
+    pi_path = np.empty(raw.t2)
     pos = 0.0
-    for j, raw in enumerate((p @ alpha).tolist()):
-        pos = pi_path[j] = _advance(pos, raw)
-    reconstructed = align_from_imv(Imv(pi_path, t1), kernel)
-    return pi_path, reconstructed
+    for j, target in enumerate(raw.values.tolist()):
+        pos = pi_path[j] = _advance(pos, target)
+    return pi_path, align_from_imv(Imv(pi_path, raw.t1), kernel)

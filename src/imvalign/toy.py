@@ -271,13 +271,16 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class SequenceForward:
-    """Outputs of :func:`sequence_forward`: the loss terms (``sma`` is
-    None outside SMA mode), the aligned positions and the reconstructed
-    alignment, each traced when the parameters are."""
+    """Outputs of :func:`sequence_forward`: the sequence loss and its terms
+    (``sma`` is None outside SMA mode), the detached increment-predictor
+    targets, the aligned positions and the reconstructed alignment, each
+    traced when the parameters are."""
 
+    loss: "np.ndarray | ad.Value"
     recon: "np.ndarray | ad.Value"
     ap: "np.ndarray | ad.Value"
     sma: "Optional[np.ndarray | ad.Value]"
+    ap_targets: np.ndarray
     positions: AlignedPositions
     alpha_recon: "np.ndarray | ad.Value"
 
@@ -301,7 +304,6 @@ def sequence_forward(
     params,
     batch: ToyBatch,
     cfg: TrainConfig,
-    kernel: KernelConfig,
     ap_targets: Optional[np.ndarray] = None,
 ) -> SequenceForward:
     """The toy model's forward pass over one sequence.
@@ -310,7 +312,9 @@ def sequence_forward(
     traced values from :meth:`ToyModel.variables`; both evaluate the same
     arithmetic. ``ap_targets`` overrides the increment-predictor targets;
     by default they are recomputed (detached) from the current alignment.
+    The loss is ``recon + ap_weight * ap``, plus ``sma`` in SMA mode.
     """
+    kernel = KernelConfig(sigma2=cfg.sigma2)
     emb = ad.take_rows(params["embed"], batch.token_ids)
     queries = ad.matmul(batch.frames, params["frame_proj"])
     alpha = scaled_dot_alignment(queries, emb)
@@ -324,14 +328,15 @@ def sequence_forward(
     # targets are detached and rectified so the log-scale loss sees
     # non-negative increments even under a non-monotone mode
     if ap_targets is None:
-        target_deltas = np.maximum(positions.deltas, 0.0)
-    else:
-        target_deltas = ap_targets
+        ap_targets = np.maximum(positions.deltas, 0.0)
     predicted_deltas = _predict_deltas(params, emb)
-    ap = ap_loss(predicted_deltas, target_deltas, ApLossConfig(epsilon=cfg.epsilon))
+    ap = ap_loss(predicted_deltas, ap_targets, ApLossConfig(epsilon=cfg.epsilon))
 
     sma = sma_loss(imv, cfg.sma_weights) if cfg.mode == "SMA" else None
-    return SequenceForward(recon, ap, sma, positions, alpha_recon)
+    loss = recon + cfg.ap_weight * ap
+    if sma is not None:
+        loss = loss + sma
+    return SequenceForward(loss, recon, ap, sma, ap_targets, positions, alpha_recon)
 
 
 def alignment_accuracy(alpha: np.ndarray, e_star: np.ndarray) -> float:
@@ -401,7 +406,7 @@ class _Adam:
             params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def _evaluate_step(model, batches, cfg, kernel, tape):
+def _evaluate_step(model, batches, cfg, tape):
     """One optimization step's forward pass over a batch of sequences.
 
     A sequence whose raw IMV happens to be non-increasing (a transient
@@ -415,14 +420,11 @@ def _evaluate_step(model, batches, cfg, kernel, tape):
     sums: dict[str, float] = {}
     for batch in batches:
         try:
-            out = sequence_forward(params, batch, cfg, kernel)
+            out = sequence_forward(params, batch, cfg)
         except DegenerateImvError:
             continue
         n += 1
-        seq_loss = out.recon + cfg.ap_weight * out.ap
-        if out.sma is not None:
-            seq_loss = seq_loss + out.sma
-        total = seq_loss if total is None else total + seq_loss
+        total = out.loss if total is None else total + out.loss
         seq = {
             "recon_loss": float(out.recon.data),
             "ap_loss": float(out.ap.data),
@@ -441,30 +443,28 @@ def _evaluate_step(model, batches, cfg, kernel, tape):
     return mean_loss, params, entry
 
 
-def _train_step(model, batches, cfg, kernel, step):
+def _train_step(model, batches, cfg, step):
     """One step's forward pass, and its backward pass when training.
 
     The loss and every gradient are checked once. When a check fails, or
     the forward raises, the error names the tape's first non-finite node
-    (:meth:`ad.Tape.first_nonfinite`) if there is one. Returns (traced
-    parameters, trace entry).
+    (:meth:`ad.Tape.first_nonfinite`) if there is one; a non-finite loss
+    is such a node. Returns (traced parameters, trace entry).
     """
     tape = ad.Tape()
     failure = None
     try:
-        mean_loss, params, entry = _evaluate_step(model, batches, cfg, kernel, tape)
+        mean_loss, params, entry = _evaluate_step(model, batches, cfg, tape)
     except Exception as exc:
         failure = exc
-    cause = "non-finite loss"
     if failure is None and np.isfinite(mean_loss.data):
         if cfg.steps > 0:
             tape.backward(mean_loss)
         bad = [n for n, v in params.items() if v.grad is not None and not np.isfinite(v.grad).all()]
         if not bad:
             return params, entry
-        cause = f"non-finite gradient of parameter '{bad[0]}'"
-    # the first non-finite node, else what the forward raised, else the failed check
-    failure = tape.first_nonfinite() or failure or TrainDivergenceError(step, cause)
+        failure = TrainDivergenceError(step, f"non-finite gradient of parameter '{bad[0]}'")
+    failure = tape.first_nonfinite() or failure
     if isinstance(failure, (ad.NonFiniteError, DegenerateImvError)):
         raise TrainDivergenceError(step, str(failure)) from failure
     raise failure
@@ -479,7 +479,6 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
     the offending step if the loss or a gradient goes non-finite.
     """
     model = ToyModel(task, cfg.seed)
-    kernel = KernelConfig(sigma2=cfg.sigma2)
     optimizer = _Adam(cfg.lr) if cfg.optimizer == "adam" else _Sgd(cfg.lr)
     pool = [make_batch(task, s) for s in range(cfg.pool_size)]
 
@@ -489,7 +488,7 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
             pool[(step * cfg.batch_size + b) % cfg.pool_size]
             for b in range(cfg.batch_size)
         ]
-        params, entry = _train_step(model, batches, cfg, kernel, step)
+        params, entry = _train_step(model, batches, cfg, step)
         trace.append(entry)
         if cfg.steps > 0:
             grads = {name: v.grad for name, v in params.items() if v.grad is not None}

@@ -32,6 +32,16 @@ def test_dimension_mismatch_rejected():
         scaled_dot_alignment(np.zeros((4, 5)), np.zeros((3, 6)))
 
 
+@pytest.mark.parametrize("queries, keys, message", [
+    (np.zeros(4), np.zeros((3, 4)), "2-D"),
+    (np.full((2, 4), np.nan), np.zeros((3, 4)), "finite"),
+    (np.zeros((2, 4)), np.full((3, 4), np.inf), "finite"),
+])
+def test_non_2d_or_nonfinite_inputs_rejected(queries, keys, message):
+    with pytest.raises(AlignmentError, match=message):
+        scaled_dot_alignment(queries, keys)
+
+
 def test_uniform_logit_shift_leaves_alignment_unchanged():
     # construct keys whose projection onto u is identical, so adding t*u to
     # every query shifts each column's logits by one constant

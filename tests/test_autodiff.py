@@ -57,6 +57,7 @@ def test_relu_at_zero_is_excluded_not_failed():
     report = ad.gradcheck(ad.relu, [np.array([0.0])], op_name="relu")
     assert report.passed
     assert report.excluded == [(0, 0)]
+    assert report.summary().endswith(", 1 point(s) excluded near kinks")
 
 
 def test_relu_subgradient_zero_at_kink():
@@ -156,6 +157,8 @@ def test_values_from_different_tapes_rejected():
     b = ad.Tape().variable(np.ones(2))
     with pytest.raises(ValueError):
         _ = a + b
+    with pytest.raises(ValueError, match="does not belong to this tape"):
+        ad.Tape().backward(a)
 
 
 def _same_bits(a, b) -> bool:

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from imvalign.checks import run_check
 from imvalign.cli import main
 from imvalign.matrixio import read_matrix, read_vector, write_matrix, write_vector
 
@@ -116,6 +117,11 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--op", "not_an_op"]) == 2
 
 
+def test_run_check_rejects_unknown_op():
+    with pytest.raises(KeyError, match="unknown op 'nope'; known: align_from_imv"):
+        run_check("nope")
+
+
 def test_train_toy_command(tmp_path, capsys):
     config = {
         "mode": "HMA",
@@ -206,7 +212,9 @@ def test_cli_roundtrip_imv_reconstruct_imv(tmp_path):
     (command, option, value)
     for command, option in [("reconstruct", "--sigma2"), ("positions", "--sigma2"), ("sma", "--lambda0")]
     for value in ["nan", "-1"]
-] + [("reconstruct", "--sigma2", "1e-320"), ("positions", "--sigma2", "1e-320")])
+] + [
+    (command, "--sigma2", value) for command in ("reconstruct", "positions") for value in ("1e-320", "inf")
+])
 def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
     imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
     argv = [command, "--imv", imv, "--t1", "2", option, value]
@@ -219,7 +227,7 @@ def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
 @pytest.mark.parametrize("setting", [
     {"sigma2": -1}, {"sigma2": float("nan")}, {"epsilon": 0}, {"epsilon": float("nan")},
     {"ap_weight": float("nan")}, {"ap_weight": -1}, {"accuracy_threshold": float("nan")},
-    {"noise_sigma": float("nan")}, {"noise_sigma": -1}, {"sigma2": 1e-320},
+    {"noise_sigma": float("nan")}, {"noise_sigma": -1}, {"sigma2": 1e-320}, {"sigma2": 1e400},
 ])
 def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
     path = tmp_path / "cfg.json"

@@ -52,6 +52,19 @@ def test_validate_flags_negative_step():
     assert report.violations == ((1, -1.0), (2, 2.0))
 
 
+def test_summary_names_at_most_five_violations():
+    report = validate_imv(Imv(np.array([0.0, 2.0, 0.0, 2.0, 0.0, 2.0, 0.0]), 2))
+    assert report.summary() == (
+        "NOT monotone/continuous, NOT complete (6 step violation(s): delta[1]=2, "
+        "delta[2]=-2, delta[3]=2, delta[4]=-2, delta[5]=2, ...)"
+    )
+
+
+def test_check_alignment_rejects_1d_input():
+    with pytest.raises(AlignmentError, match="2-D"):
+        compute_imv(np.array([0.5, 0.5]))
+
+
 def test_validate_flags_incomplete_end():
     report = validate_imv(Imv(np.array([0.0, 1.0, 1.5]), 2))
     assert not report.complete

@@ -34,6 +34,7 @@ def test_read_matrix_rejects_bad_inputs(tmp_path):
         "cols.csv": "1,3\n1,2\n",
         "text.csv": "1,2\na,b\n",
         "nonfinite.csv": "1,2\n1,inf\n",
+        "zero_rows.csv": "0,3\n",
     }
     for name, content in cases.items():
         path = tmp_path / name
@@ -51,3 +52,7 @@ def test_read_vector_rejects_bad_inputs(tmp_path):
     text.write_text("1.0\nnot-a-number\n")
     with pytest.raises(MatrixFormatError):
         read_vector(text)
+    nonfinite = tmp_path / "nonfinite.csv"
+    nonfinite.write_text("1.0\ninf\n")
+    with pytest.raises(MatrixFormatError, match="non-finite"):
+        read_vector(nonfinite)

@@ -48,6 +48,10 @@ def test_sma_loss_rejects_degenerate_dimensions():
 
     with pytest.raises(AlignmentError):
         sma_loss(Imv(np.array([0.0, 1.0]), 1))
+    with pytest.raises(AlignmentError, match="2 output steps"):
+        sma_loss(Imv(np.array([0.0]), 2))
+    with pytest.raises(ValueError, match="boundary"):
+        sma_loss(Imv(np.array([0.0, 1.0]), 2), boundary="max")
 
 
 def test_hma_transform_hand_computed():
@@ -66,6 +70,8 @@ def test_hma_transform_is_noop_on_monotone_input():
 def test_hma_transform_rejects_constant_input():
     with pytest.raises(DegenerateImvError):
         hma_transform(Imv(np.full(4, 2.5), 3))
+    with pytest.raises(AlignmentError, match="2 output steps"):
+        hma_transform(Imv(np.array([1.0]), 3))
 
 
 def test_hma_output_satisfies_constraints():
@@ -138,6 +144,11 @@ def test_streaming_step_rejects_nonfinite_column(bad):
         streaming_hma_run(col[:, None])
 
 
+def test_streaming_step_rejects_wrong_length_column():
+    with pytest.raises(AlignmentError, match="length-4 column"):
+        streaming_hma_step(StreamingHmaState(t1=4), np.array([0.5, 0.5]))
+
+
 _KERNEL_CONFIG = lambda v: KernelConfig(sigma2=v)
 _SMA_WEIGHTS = lambda v: SmaWeights(lambda0=v)
 
@@ -146,6 +157,7 @@ _SMA_WEIGHTS = lambda v: SmaWeights(lambda0=v)
     (np.nan, _KERNEL_CONFIG), (np.nan, _SMA_WEIGHTS),
     (-1.0, _KERNEL_CONFIG), (-1.0, _SMA_WEIGHTS),
     (1e-320, _KERNEL_CONFIG),  # positive, but 1 / sigma2 overflows to inf
+    (np.inf, _KERNEL_CONFIG),  # every kernel logit would be -0.0: a uniform kernel
 ])
 def test_configs_reject_nan_and_negative(value, make):
     with pytest.raises(ValueError):

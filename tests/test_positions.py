@@ -82,6 +82,11 @@ def test_ap_loss_rejects_negative_inputs():
         ap_loss(np.array([0.1]), np.array([-0.5]))
 
 
+def test_ap_loss_rejects_mismatched_shapes():
+    with pytest.raises(AlignmentError, match="shapes differ"):
+        ap_loss(np.ones(3), np.ones(2))
+
+
 def test_ap_loss_nonnegative():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -100,6 +105,11 @@ def test_align_from_positions_ties_share_weight():
         AlignedPositions(np.array([1.0, 1.0, 4.0])), 6, KernelConfig(sigma2=0.5)
     )
     assert np.allclose(alpha[0], alpha[1], atol=1e-15)
+
+
+def test_align_from_positions_rejects_zero_length():
+    with pytest.raises(AlignmentError, match="t2 must be >= 1"):
+        align_from_positions(AlignedPositions(np.array([0.0, 1.0])), 0, SHARP)
 
 
 def test_align_from_positions_columns_normalized():

@@ -94,6 +94,7 @@ def test_steps_to_threshold_is_first_step_reaching_it():
     dict(sigma2=float("nan")), dict(sigma2=-1.0), dict(sigma2=0.0),
     dict(epsilon=float("nan")), dict(epsilon=-1.0), dict(lr=float("nan")),
     dict(ap_weight=float("nan")), dict(ap_weight=-1.0), dict(accuracy_threshold=float("nan")),
+    dict(sigma2=float("inf")),
 ])
 def test_train_config_rejects_invalid_numeric_settings(setting):
     with pytest.raises(ValueError):
@@ -137,8 +138,7 @@ def test_hma_feeds_normalized_complete_alignment():
     batch = make_batch(task, 0)
     tape = ad.Tape()
     params = model.variables(tape)
-    kernel = KernelConfig(sigma2=cfg.sigma2)
-    alpha_recon = sequence_forward(params, batch, cfg, kernel).alpha_recon
+    alpha_recon = sequence_forward(params, batch, cfg).alpha_recon
     sums = alpha_recon.data.sum(axis=0)
     assert np.allclose(sums, 1.0, atol=1e-9)
     # the positions behind it derive from a complete transformed IMV
@@ -202,6 +202,22 @@ def test_gradient_only_divergence_names_the_parameter(monkeypatch):
     assert exc.value.__cause__ is None
 
 
+def test_all_degenerate_batch_diverges_at_step_zero():
+    from imvalign.monotonic import DegenerateImvError
+    from imvalign.toy import TrainDivergenceError, _train_step
+
+    # zero embeddings give uniform attention: every raw IMV is constant
+    task = ToyTask(seed=0)
+    cfg = TrainConfig(mode="HMA", **FAST)
+    model = ToyModel(task, cfg.seed)
+    model.params["embed"][:] = 0.0
+    batches = [make_batch(task, s) for s in range(cfg.batch_size)]
+    with pytest.raises(TrainDivergenceError, match="every sequence in the batch") as exc:
+        _train_step(model, batches, cfg, 0)
+    assert exc.value.step == 0
+    assert isinstance(exc.value.__cause__, DegenerateImvError)
+
+
 @pytest.mark.parametrize("mode, nodes", [("HMA", 208), ("SMA", 216), ("NM", 200)])
 def test_tape_nodes_per_benchmark_step(mode, nodes):
     # the benchmark's toy config: one 8-sequence step
@@ -213,7 +229,7 @@ def test_tape_nodes_per_benchmark_step(mode, nodes):
     model = ToyModel(task, cfg.seed)
     batches = [make_batch(task, s) for s in range(cfg.batch_size)]
     tape = ad.Tape()
-    _evaluate_step(model, batches, cfg, KernelConfig(sigma2=cfg.sigma2), tape)
+    _evaluate_step(model, batches, cfg, tape)
     assert len(tape.nodes) == nodes
 
 
@@ -365,11 +381,10 @@ def test_untraced_forward_equals_traced_data(mode):
     task = ToyTask(seed=0)
     cfg = TrainConfig(mode=mode, seed=1)
     model = ToyModel(task, cfg.seed)
-    kernel = KernelConfig(sigma2=cfg.sigma2)
     for seed in range(20):
         batch = make_batch(task, seed)
-        plain = sequence_forward(model.params, batch, cfg, kernel)
-        traced = sequence_forward(model.variables(ad.Tape()), batch, cfg, kernel)
+        plain = sequence_forward(model.params, batch, cfg)
+        traced = sequence_forward(model.variables(ad.Tape()), batch, cfg)
         assert np.array_equal(plain.alpha_recon, traced.alpha_recon.data)
         assert np.array_equal(plain.positions.values, traced.positions.values)
         assert plain.recon == traced.recon.data and plain.ap == traced.ap.data

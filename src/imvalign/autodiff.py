@@ -39,7 +39,6 @@ __all__ = [
     "amean",
     "cumsum",
     "concat",
-    "take_rows",
     "reshape",
     "transpose",
     "matmul",
@@ -110,7 +109,7 @@ class Tape:
                 return NonFiniteError(node.name, index)
         return None
 
-    def backward(self, root: "Value", seed=None) -> None:
+    def backward(self, root: "Value") -> None:
         """Accumulate gradients of ``root`` into every upstream value.
 
         Each node is visited exactly once; values never touched by the
@@ -122,9 +121,7 @@ class Tape:
             node.out.grad = None
         for v in self._variables:
             v.grad = None
-        if seed is None:
-            seed = np.ones_like(root.data)
-        root.grad = np.asarray(seed, dtype=np.float64)
+        root.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
             if node.out.grad is not None:
                 node.backward(node.out.grad)
@@ -370,19 +367,6 @@ def concat(parts: Sequence, axis: int = 0):
     return _record("concat", np.concatenate(datas, axis=axis), backward, *parts)
 
 
-def take_rows(x, indices):
-    """Row gather ``x[indices]`` (embedding lookup); indices are constants."""
-    xd = data(x)
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def backward(g):
-        gx = np.zeros_like(xd)
-        np.add.at(gx, idx, g)
-        _accumulate(x, gx)
-
-    return _record("take_rows", xd[idx], backward, x)
-
-
 def _scatter(like: np.ndarray, key, g) -> np.ndarray:
     """The gradient of ``like[key]`` for upstream ``g``: zeros, plus ``g`` at ``key``."""
     gx = np.zeros_like(like)
@@ -391,9 +375,16 @@ def _scatter(like: np.ndarray, key, g) -> np.ndarray:
 
 
 def _getitem(x: Value, key):
-    return _record(
-        "getitem", x.data[key], lambda g: _accumulate(x, _scatter(x.data, key, g)), x
-    )
+    """``x[key]``, the one gather. ``np.add.at`` gives an element selected
+    twice (a repeated token's embedding) both contributions; the fused ops'
+    slice and scalar keys select none twice and use the faster :func:`_scatter`."""
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, key, g)
+        _accumulate(x, gx)
+
+    return _record("getitem", x.data[key], backward, x)
 
 
 def reshape(x, shape):
@@ -655,7 +646,7 @@ def forward_backward(f, inputs: Sequence[np.ndarray]):
     """
     tape, variables, out, objective = _trace(f, inputs)
     if isinstance(objective, Value):
-        tape.backward(objective, 1.0)
+        tape.backward(objective)
     grads = [
         v.grad if v.grad is not None else np.zeros_like(v.data) for v in variables
     ]
@@ -708,9 +699,9 @@ def gradcheck(
     sum-of-outputs scalar; relative error uses a max(|a|,|b|,1e-8)
     denominator.  Elements whose perturbation crosses a relu/abs
     kink (detected by comparing sign snapshots of the two evaluations)
-    are excluded rather than failed.  Raises
-    :class:`NonDeterministicError` if two evaluations at the base point
-    disagree.
+    are excluded rather than failed.  A non-finite analytic gradient
+    element fails the check.  Raises :class:`NonDeterministicError` if two
+    evaluations at the base point disagree.
     """
     if not h > 0 or not tol >= 0:
         raise ValueError(f"need step h > 0 and tol >= 0, got h={h}, tol={tol}")
@@ -726,7 +717,8 @@ def gradcheck(
     _, analytic = forward_backward(f, arrays)
 
     excluded: list[tuple[int, int]] = []
-    max_rel = 0.0
+    # max() keeps a NaN first argument, so a NaN here is reported and fails
+    max_rel = 0.0 if all(np.isfinite(g).all() for g in analytic) else np.nan
     for k, x in enumerate(arrays):
         flat = x.reshape(-1)
         ana_flat = analytic[k].reshape(-1)

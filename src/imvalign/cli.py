@@ -146,21 +146,20 @@ def cmd_sma(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.t1 > args.t2:
-        print(f"error: no monotonic path from {args.t1} tokens to {args.t2} steps", file=sys.stderr)
+    if not 2 <= args.t1 <= args.t2:
+        print(f"error: the oracle needs 2 <= t1 <= t2, got t1={args.t1}, t2={args.t2}", file=sys.stderr)
         return EXIT_USAGE
-    if args.t1 >= 2:
-        size = args.t1 * args.t2
-        # one matrix alone over the cap: the count is not worth computing
-        count = math.comb(args.t2 - 1, args.t1 - 1) if size <= ORACLE_MAX_ENTRIES else None
-        if count is None or count * size > ORACLE_MAX_ENTRIES:
-            paths = f"C({args.t2 - 1}, {args.t1 - 1})" if count is None else count
-            print(
-                f"error: {args.t1}x{args.t2} has {paths} monotonic paths; the oracle "
-                f"builds at most {ORACLE_MAX_ENTRIES} matrix entries",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+    size = args.t1 * args.t2
+    # one matrix alone over the cap: the count is not worth computing
+    count = math.comb(args.t2 - 1, args.t1 - 1) if size <= ORACLE_MAX_ENTRIES else None
+    if count is None or count * size > ORACLE_MAX_ENTRIES:
+        paths = f"C({args.t2 - 1}, {args.t1 - 1})" if count is None else count
+        print(
+            f"error: {args.t1}x{args.t2} has {paths} monotonic paths; the oracle "
+            f"builds at most {ORACLE_MAX_ENTRIES} matrix entries",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     paths = enumerate_monotonic_paths(args.t1, args.t2)
     ok = True
     for m in paths:
@@ -228,13 +227,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="Gaussian alignment matrix from an IMV")
     imv_args(p)
-    p.add_argument("--sigma2", type=float, default=0.25)
+    p.add_argument("--sigma2", type=float, default=KernelConfig.sigma2)
     p.add_argument("--out", required=True, help="output matrix CSV")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("positions", help="aligned output position per input token")
     imv_args(p)
-    p.add_argument("--sigma2", type=float, default=0.25)
+    p.add_argument("--sigma2", type=float, default=KernelConfig.sigma2)
     p.add_argument("--out", help="write the positions as single-column CSV")
     p.set_defaults(func=cmd_positions)
 

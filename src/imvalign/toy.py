@@ -58,6 +58,16 @@ class UntrainedModelError(RuntimeError):
     """Inference was requested from a model that was never trained."""
 
 
+def _require_integer_fields(config) -> None:
+    """Raise ValueError unless every ``int`` field of the dataclass ``config``
+    holds an integer: a numpy integer is one, a bool or a float is not."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if f.type == "int" and not integer:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ToyTask:
     """Synthetic monotonic transduction task definition."""
@@ -73,8 +83,11 @@ class ToyTask:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integer_fields(self)
         if self.vocab < 2:
             raise ValueError("vocab must be >= 2")
+        if self.embed_dim < 1 or self.frame_dim < 1:
+            raise ValueError("embed_dim and frame_dim must be >= 1")
         if self.dmin < 1 or self.dmax < self.dmin:
             raise ValueError("need 1 <= dmin <= dmax")
         if self.t1_min < 2 or self.t1_max < self.t1_min:
@@ -170,7 +183,7 @@ class TrainConfig:
     pool_size: int = 64
     sma_weights: SmaWeights = field(default_factory=SmaWeights)
     ap_weight: float = 1.0
-    sigma2: float = 0.25
+    sigma2: float = KernelConfig.sigma2
     epsilon: float = 1e-6
     seed: int = 0
     optimizer: str = "sgd"
@@ -178,6 +191,7 @@ class TrainConfig:
     report_path: Optional[str] = None
 
     def __post_init__(self):
+        _require_integer_fields(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in ("sgd", "adam"):
@@ -315,7 +329,7 @@ def sequence_forward(
     The loss is ``recon + ap_weight * ap``, plus ``sma`` in SMA mode.
     """
     kernel = KernelConfig(sigma2=cfg.sigma2)
-    emb = ad.take_rows(params["embed"], batch.token_ids)
+    emb = params["embed"][batch.token_ids]
     queries = ad.matmul(batch.frames, params["frame_proj"])
     alpha = scaled_dot_alignment(queries, emb)
     imv = compute_imv(alpha)
@@ -506,7 +520,7 @@ def infer(
     model: ToyModel,
     token_ids,
     rate: float = 1.0,
-    sigma2: float = 0.25,
+    sigma2: float = KernelConfig.sigma2,
     t2: Optional[int] = None,
 ) -> np.ndarray:
     """Generate frames for a token sequence without any reference output.

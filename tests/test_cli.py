@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from imvalign.checks import run_check
+from imvalign import autodiff as ad
+from imvalign.checks import CHECKABLE_OPS, run_check
 from imvalign.cli import main
 from imvalign.matrixio import read_matrix, read_vector, write_matrix, write_vector
 
@@ -28,6 +29,9 @@ def test_imv_identity(tmp_path, capsys):
     assert np.array_equal(read_vector(out), [0.0, 1.0])
     printed = capsys.readouterr().out
     assert "monotone" in printed and "complete" in printed
+    # without --out the IMV is printed after the report
+    assert main(["imv", "--alignment", alignment]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0,1"
 
 
 def test_imv_hand_case(tmp_path):
@@ -92,8 +96,10 @@ def test_oracle_counts(capsys):
     assert capsys.readouterr().out.strip() == "6 paths, PASS"
 
 
-def test_oracle_infeasible():
-    assert main(["oracle", "--t1", "4", "--t2", "3"]) == 2
+@pytest.mark.parametrize("t1, t2", [(4, 3), (1, 3), (0, 3)])
+def test_oracle_infeasible(t1, t2, capsys):
+    assert main(["oracle", "--t1", str(t1), "--t2", str(t2)]) == 2
+    assert "the oracle needs 2 <= t1 <= t2" in capsys.readouterr().err
 
 
 def test_oracle_refuses_sizes_over_its_cap(capsys):
@@ -115,6 +121,16 @@ def test_gradcheck_command(capsys):
     assert "PASS" in capsys.readouterr().out
     assert main(["gradcheck", "--op", "hma_transform"]) == 0
     assert main(["gradcheck", "--op", "not_an_op"]) == 2
+
+
+def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
+    # finite at every probe around x = 0, where the analytic gradient is 0 * inf
+    op, x = (lambda v: ad.relu(ad.log(v * v))), np.array([0.0, 2.0])
+    monkeypatch.setitem(CHECKABLE_OPS, "nan_gradient", lambda rng: (op, [x]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert not ad.gradcheck(op, [x]).passed
+        assert main(["gradcheck", "--op", "nan_gradient"]) == 4
+    assert "nan_gradient: FAIL (max rel err nan" in capsys.readouterr().out
 
 
 def test_run_check_rejects_unknown_op():
@@ -150,6 +166,10 @@ def test_train_toy_rejects_bad_configs(tmp_path):
     bad_mode = tmp_path / "mode.json"
     bad_mode.write_text(json.dumps({"mode": "XYZ"}))
     assert main(["train-toy", "--config", str(bad_mode)]) == 2
+
+    not_an_object = tmp_path / "array.json"
+    not_an_object.write_text(json.dumps([{"mode": "HMA"}]))
+    assert main(["train-toy", "--config", str(not_an_object)]) == 2
 
 
 def _read_pgm(path):
@@ -228,6 +248,9 @@ def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
     {"sigma2": -1}, {"sigma2": float("nan")}, {"epsilon": 0}, {"epsilon": float("nan")},
     {"ap_weight": float("nan")}, {"ap_weight": -1}, {"accuracy_threshold": float("nan")},
     {"noise_sigma": float("nan")}, {"noise_sigma": -1}, {"sigma2": 1e-320}, {"sigma2": 1e400},
+    {"embed_dim": 0}, {"frame_dim": 0}, {"steps": 1.5}, {"vocab": 6.5}, {"seed": 1.5},
+    {"task_seed": 1.5}, {"batch_size": 2.5, "pool_size": 4}, {"pool_size": 3.0, "batch_size": 2},
+    {"dmin": 1.5, "dmax": 3}, {"steps": True},
 ])
 def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
     path = tmp_path / "cfg.json"

@@ -65,6 +65,13 @@ def test_check_alignment_rejects_1d_input():
         compute_imv(np.array([0.5, 0.5]))
 
 
+def test_imv_rejects_empty_input_and_one_step_validation():
+    with pytest.raises(AlignmentError, match="t1 must be >= 1"):
+        Imv(np.array([0.0, 0.0]), 0)
+    with pytest.raises(AlignmentError, match="at least 2 steps"):
+        validate_imv(Imv(np.array([0.0]), 1))
+
+
 def test_validate_flags_incomplete_end():
     report = validate_imv(Imv(np.array([0.0, 1.0, 1.5]), 2))
     assert not report.complete
@@ -103,6 +110,8 @@ def test_enumerate_small_path_sets():
 def test_enumerate_rejects_infeasible():
     with pytest.raises(AlignmentError):
         enumerate_monotonic_paths(4, 3)
+    with pytest.raises(AlignmentError, match="at least 2 input tokens"):
+        enumerate_monotonic_paths(1, 3)
 
 
 def test_path_imvs_satisfy_exact_constraints():

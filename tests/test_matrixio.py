@@ -6,6 +6,7 @@ from imvalign.matrixio import (
     read_matrix,
     read_vector,
     write_matrix,
+    write_pgm,
     write_vector,
 )
 
@@ -24,6 +25,13 @@ def test_vector_roundtrip_is_exact(tmp_path):
     path = tmp_path / "v.csv"
     write_vector(path, v)
     assert np.array_equal(read_vector(path), v)
+
+
+@pytest.mark.parametrize("writer", [write_matrix, write_pgm])
+def test_matrix_writers_reject_1d_arrays(tmp_path, writer):
+    with pytest.raises(MatrixFormatError, match="2-D"):
+        writer(tmp_path / "out", np.ones(3))
+    assert not (tmp_path / "out").exists()
 
 
 def test_read_matrix_rejects_bad_inputs(tmp_path):

@@ -94,11 +94,27 @@ def test_steps_to_threshold_is_first_step_reaching_it():
     dict(sigma2=float("nan")), dict(sigma2=-1.0), dict(sigma2=0.0),
     dict(epsilon=float("nan")), dict(epsilon=-1.0), dict(lr=float("nan")),
     dict(ap_weight=float("nan")), dict(ap_weight=-1.0), dict(accuracy_threshold=float("nan")),
-    dict(sigma2=float("inf")),
+    dict(sigma2=float("inf")), dict(optimizer="rmsprop"), dict(pool_size=4, batch_size=8),
+    dict(steps=1.5), dict(steps=True), dict(batch_size=2.5, pool_size=4), dict(seed=np.float64(1.0)),
 ])
 def test_train_config_rejects_invalid_numeric_settings(setting):
     with pytest.raises(ValueError):
         TrainConfig(**setting)
+
+
+@pytest.mark.parametrize("setting", [
+    dict(vocab=1), dict(dmin=3, dmax=2), dict(t1_min=1), dict(embed_dim=0), dict(frame_dim=0),
+    dict(vocab=6.5), dict(seed=True), dict(dmin=1.5, dmax=3),
+])
+def test_toy_task_rejects_invalid_settings(setting):
+    with pytest.raises(ValueError):
+        ToyTask(**setting)
+
+
+def test_configs_accept_numpy_integers():
+    task = ToyTask(vocab=np.int64(5), seed=np.int32(2))
+    cfg = TrainConfig(steps=np.int64(3), batch_size=np.int16(2), pool_size=np.int64(4))
+    assert (task.vocab, cfg.steps) == (5, 3)
 
 
 @pytest.mark.parametrize("noise_sigma", [float("nan"), -0.1])

@@ -7,7 +7,9 @@ against central finite differences, kinks excluded.
 
 import numpy as np
 
-from imvalign import CHECKABLE_OPS, Imv, SmaWeights, forward_backward, gradcheck, run_check, sma_loss
+from imvalign import (
+    CHECKABLE_OPS, Imv, SmaWeights, forward_backward, gradcheck, hma_transform, run_check, sma_loss,
+)
 from imvalign import autodiff as ad
 
 np.set_printoptions(precision=4, suppress=True)
@@ -28,13 +30,16 @@ print("\nd sum(0.1*exp(x)) / dx:", x.grad, "(= 0.1*exp(x))")
 # A tape records NaN and infinity like any other value; forward_backward,
 # gradcheck and train raise the error naming the first such node.
 tape = ad.Tape()
-with np.errstate(divide="ignore"):
-    ad.log(tape.variable(np.array([1.0, 0.0]))) * 2.0
+with np.errstate(over="ignore"):
+    ad.exp(tape.variable(np.array([1.0, 1000.0]))) * 2.0
 print("first non-finite node:", tape.first_nonfinite())
 
-# Central-difference validation; a relu at exactly zero is excluded, not
-# failed, because no finite difference straddling a kink is meaningful.
-report = gradcheck(ad.relu, [np.array([0.0, -1.0, 2.0])], op_name="relu")
+# Central-difference validation. The hard transform rectifies the IMV's
+# steps, and its step of exactly zero is a kink: the two points whose
+# perturbation crosses it are excluded, not failed, because no finite
+# difference straddling a kink is meaningful.
+v = np.array([0.0, 1.0, 1.0, 2.5, 3.0])
+report = gradcheck(lambda x: hma_transform(Imv(x, 4)).pi, [v], op_name="hma_transform")
 print("\n" + report.summary())
 
 # The registry covers every differentiable operation in the package,

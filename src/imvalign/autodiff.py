@@ -31,15 +31,8 @@ __all__ = [
     "forward_backward",
     "gradcheck",
     "exp",
-    "log",
     "tanh",
-    "relu",
-    "absolute",
     "asum",
-    "amean",
-    "cumsum",
-    "concat",
-    "reshape",
     "transpose",
     "matmul",
     "softmax",
@@ -86,9 +79,10 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._variables: list[Value] = []
-        # Sign snapshots of every relu/abs input (fused nodes append those
-        # of the chain they replace), used by gradcheck to detect kink
-        # crossings between perturbed evaluations.
+        # Sign snapshots at the kinks of the fused ops (the HMA rectifier in
+        # monotone_rescale, the absolute values of the SMA penalty and the
+        # AP loss), used by gradcheck to detect kink crossings between
+        # perturbed evaluations.
         self.kink_signatures: list[np.ndarray] = []
 
     def variable(self, data) -> "Value":
@@ -194,9 +188,6 @@ class Value:
     def T(self):
         return transpose(self)
 
-    def reshape(self, shape):
-        return reshape(self, shape)
-
 
 def _accumulate(v, g: np.ndarray) -> None:
     if isinstance(v, Value):
@@ -295,32 +286,11 @@ def exp(x):
     return _record("exp", out_data, lambda g: _accumulate(x, g * out_data), x)
 
 
-def log(x):
-    xd = data(x)
-    return _record("log", np.log(xd), lambda g: _accumulate(x, g / xd), x)
-
-
 def tanh(x):
     out_data = np.tanh(data(x))
     return _record(
         "tanh", out_data, lambda g: _accumulate(x, g * (1.0 - out_data * out_data)), x
     )
-
-
-def relu(x):
-    """max(x, 0); subgradient at exactly 0 is taken as 0."""
-    xd = data(x)
-    mask = xd > 0.0
-    return _record(
-        "relu", np.maximum(xd, 0.0), lambda g: _accumulate(x, g * mask), x, kinks=(mask,)
-    )
-
-
-def absolute(x):
-    """|x|; subgradient at 0 is taken as 0 (sign convention)."""
-    xd = data(x)
-    sign = np.sign(xd)
-    return _record("abs", np.abs(xd), lambda g: _accumulate(x, g * sign), x, kinks=(sign,))
 
 
 # -- reductions and structure -------------------------------------------
@@ -335,36 +305,6 @@ def asum(x, axis=None, keepdims: bool = False):
         _accumulate(x, np.broadcast_to(g, xd.shape).copy())
 
     return _record("sum", np.sum(xd, axis=axis, keepdims=keepdims), backward, x)
-
-
-def amean(x):
-    n = data(x).size
-    return asum(x) / float(n)
-
-
-def cumsum(x):
-    """Prefix sums of a 1-D vector.
-
-    The backward pass is the reversed cumulative sum of the incoming
-    gradient, which is exact.
-    """
-    return _record(
-        "cumsum",
-        np.cumsum(data(x)),
-        lambda g: _accumulate(x, np.cumsum(g[::-1])[::-1]),
-        x,
-    )
-
-
-def concat(parts: Sequence, axis: int = 0):
-    datas = [data(p) for p in parts]
-
-    def backward(g):
-        offsets = np.cumsum([d.shape[axis] for d in datas])[:-1]
-        for p, piece in zip(parts, np.split(g, offsets, axis=axis)):
-            _accumulate(p, piece)
-
-    return _record("concat", np.concatenate(datas, axis=axis), backward, *parts)
 
 
 def _scatter(like: np.ndarray, key, g) -> np.ndarray:
@@ -385,13 +325,6 @@ def _getitem(x: Value, key):
         _accumulate(x, gx)
 
     return _record("getitem", x.data[key], backward, x)
-
-
-def reshape(x, shape):
-    xd = data(x)
-    return _record(
-        "reshape", xd.reshape(shape), lambda g: _accumulate(x, g.reshape(xd.shape)), x
-    )
 
 
 def transpose(x):
@@ -488,10 +421,10 @@ def gaussian_softmax(rows, cols, sigma2: float, axis: int):
     return _record("gaussian_softmax", y, backward, rows, cols)
 
 
-# The fused primitives below each replace a chain of the primitives above
-# with one tape node. Forward and backward evaluate every operation of that
-# chain in its order, so values, gradients and the kink signatures they
-# append are the chain's bit for bit.
+# The fused primitives below each replace a chain of primitives with one
+# tape node. Forward and backward evaluate every operation of that chain in
+# its order, so values, gradients and the kink signatures they append are
+# the chain's bit for bit.
 
 
 def monotone_rescale(x, end: float, min_total: float):
@@ -697,9 +630,10 @@ def gradcheck(
 
     The numeric estimate for an element is (f(x+h)-f(x-h))/2h on the
     sum-of-outputs scalar; relative error uses a max(|a|,|b|,1e-8)
-    denominator.  Elements whose perturbation crosses a relu/abs
-    kink (detected by comparing sign snapshots of the two evaluations)
-    are excluded rather than failed.  A non-finite analytic gradient
+    denominator.  Elements whose perturbation crosses a kink (the HMA
+    rectifier, an absolute value of the SMA penalty or the AP loss;
+    detected by comparing sign snapshots of the two evaluations) are
+    excluded rather than failed.  A non-finite analytic gradient
     element fails the check.  Raises :class:`NonDeterministicError` if two
     evaluations at the base point disagree.
     """

@@ -19,6 +19,7 @@ import numpy as np
 from .autodiff import NonFiniteError
 from .checks import CHECKABLE_OPS, run_check
 from .core import (
+    MAX_ALIGNMENT_ENTRIES,
     AlignmentError,
     Imv,
     compute_imv,
@@ -43,11 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 EXIT_NUMERIC = 4
-
-# The oracle builds one dense t1 x t2 matrix per path; this bounds the
-# float64 entries of all of them together (80 MB).
-ORACLE_MAX_ENTRIES = 10_000_000
-
 
 class ConfigError(ValueError):
     """A run-configuration document is malformed."""
@@ -151,12 +147,12 @@ def cmd_oracle(args) -> int:
         return EXIT_USAGE
     size = args.t1 * args.t2
     # one matrix alone over the cap: the count is not worth computing
-    count = math.comb(args.t2 - 1, args.t1 - 1) if size <= ORACLE_MAX_ENTRIES else None
-    if count is None or count * size > ORACLE_MAX_ENTRIES:
+    count = math.comb(args.t2 - 1, args.t1 - 1) if size <= MAX_ALIGNMENT_ENTRIES else None
+    if count is None or count * size > MAX_ALIGNMENT_ENTRIES:
         paths = f"C({args.t2 - 1}, {args.t1 - 1})" if count is None else count
         print(
             f"error: {args.t1}x{args.t2} has {paths} monotonic paths; the oracle "
-            f"builds at most {ORACLE_MAX_ENTRIES} matrix entries",
+            f"builds at most {MAX_ALIGNMENT_ENTRIES} matrix entries",
             file=sys.stderr,
         )
         return EXIT_USAGE

@@ -33,6 +33,10 @@ __all__ = [
 # is the acceptance slack at the compute_imv boundary.
 COLUMN_SUM_TOL = 1e-3
 
+# The most float64 alignment entries one computation may build (80 MB): the
+# oracle's path matrices together, or one toy sequence's t1 x t2 alignment.
+MAX_ALIGNMENT_ENTRIES = 10_000_000
+
 
 class AlignmentError(ValueError):
     """An alignment-matrix or IMV contract was violated."""

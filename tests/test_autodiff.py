@@ -353,17 +353,6 @@ def test_relu_nan_propagates_untraced_and_raises_traced():
 # -- fused primitives against the primitive chains they replace ---------
 
 
-def _composed_softmax(x, axis):
-    m = np.max(ad.data(x), axis=axis, keepdims=True)
-    z = ad.exp(x - m)
-    return z / ad.asum(z, axis=axis, keepdims=True)
-
-
-def _composed_gaussian_logits(rows, cols, sigma2):
-    diff = ref.reshape(rows, (-1, 1)) - cols
-    return diff * diff * (-1.0 / sigma2)
-
-
 def _traced_grads(f, inputs, traced):
     """Gradients of asum(f(...) * w) for the inputs flagged in ``traced``;
     the others enter as constants."""
@@ -383,14 +372,10 @@ def test_fused_softmax_is_bit_identical_to_chain(axis):
     for shape in [(5, 7), (1, 4), (6, 1)]:
         x = rng.normal(size=shape) * 3.0
         out, grads, _ = _traced_grads(lambda v: ad.softmax(v, axis), [x], [True])
-        ref_out, ref_grads, _ = _traced_grads(lambda v: _composed_softmax(v, axis), [x], [True])
+        ref_out, ref_grads, _ = _traced_grads(lambda v: ref.softmax_chain(v, axis), [x], [True])
         assert np.array_equal(out, ref_out)
         assert np.array_equal(grads[0], ref_grads[0])
         assert np.array_equal(ad.softmax(x, axis), ref_out)
-
-
-def _chain_gaussian_softmax(rows, cols, sigma2, axis):
-    return _composed_softmax(_composed_gaussian_logits(rows, cols, sigma2), axis)
 
 
 @pytest.mark.parametrize("traced", [(True, False), (False, True), (True, True)])
@@ -403,7 +388,7 @@ def test_fused_gaussian_softmax_is_bit_identical_to_chain(traced):
         for rows, cols in cases:
             _assert_fused_matches_chain(
                 lambda r, c: ad.gaussian_softmax(r, c, 0.3, axis),
-                lambda r, c: _chain_gaussian_softmax(r, c, 0.3, axis), [rows, cols], traced)
+                lambda r, c: ref.gaussian_softmax_chain(r, c, 0.3, axis), [rows, cols], traced)
 
 
 def test_fused_nodes_record_one_node_each():
@@ -437,7 +422,7 @@ def test_masked_softmax_equals_unmasked_chain(data):
     layout = data.draw(st.sampled_from(["contiguous", "strided", "transposed"]))
     x = {"contiguous": x, "strided": x[:, ::2], "transposed": x.T}[layout]
     _assert_fused_matches_chain(
-        lambda v: ad.softmax(v, axis), lambda v: _composed_softmax(v, axis), [x], [True])
+        lambda v: ad.softmax(v, axis), lambda v: ref.softmax_chain(v, axis), [x], [True])
 
 
 @settings(max_examples=80, deadline=None)
@@ -452,7 +437,7 @@ def test_masked_gaussian_softmax_equals_unmasked_chain(data):
     traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
     _assert_fused_matches_chain(
         lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis),
-        lambda r, c: _chain_gaussian_softmax(r, c, sigma2, axis),
+        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis),
         [rows, cols], traced)
 
 
@@ -479,15 +464,21 @@ def test_nonfinite_inputs_match_the_unmasked_chain_without_new_warnings(special,
     x[1, 2] = special
     rows, cols = rng.normal(size=4) * 20.0, np.arange(5.0)
     rows[1] = special
+    # a size where the band engages on either axis but for the special centre
+    index, centres = np.arange(256.0), _jittered_grid(rng, 160)
+    assert _band_engages(index, centres, 0.25, axis)
+    centres[7] = special
+    gaussian = (lambda r, c: ad.gaussian_softmax(r, c, 0.25, axis),
+                lambda r, c: ref.gaussian_softmax_chain(r, c, 0.25, axis))
     cases = [
-        ("softmax", lambda v: ad.softmax(v, axis), lambda v: _composed_softmax(v, axis), [x]),
-        ("gaussian_softmax", lambda r, c: ad.gaussian_softmax(r, c, 0.25, axis),
-         lambda r, c: _chain_gaussian_softmax(r, c, 0.25, axis), [rows, cols]),
+        ("softmax", lambda v: ad.softmax(v, axis), lambda v: ref.softmax_chain(v, axis), [x]),
+        ("gaussian_softmax", *gaussian, [rows, cols]),
+        ("gaussian_softmax", *gaussian, [index, centres]),
     ]
     for name, fused, chain, inputs in cases:
-        ref, ref_warnings = _recorded(lambda: chain(*inputs))
+        expected, expected_warnings = _recorded(lambda: chain(*inputs))
         out, out_warnings = _recorded(lambda: fused(*inputs))
-        assert _same_bits(out, ref) and out_warnings == ref_warnings
+        assert _same_bits(out, expected) and out_warnings == expected_warnings
         if np.isfinite(out).all():  # an infinite logit whose exp is 0
             continue
         with np.errstate(all="ignore"):
@@ -495,6 +486,190 @@ def test_nonfinite_inputs_match_the_unmasked_chain_without_new_warnings(special,
             fused(*[tape.variable(v) for v in inputs])
         error = tape.first_nonfinite()
         assert error.op_name == name and error.node_index == 0
+
+
+# -- the banded Gaussian kernel -------------------------------------------
+
+
+def _band_engages(rows, cols, sigma2, axis):
+    """Whether gaussian_softmax computes this call in a band."""
+    return ad._banded_gaussian(rows, cols, sigma2, -1.0 / sigma2, axis) is not None
+
+
+def _jittered_grid(rng, n):
+    """Sorted centres about one apart, starting 40 below 0."""
+    return np.arange(float(n)) - 40.0 + rng.uniform(-0.45, 0.45, n)
+
+
+def _threshold_centres():
+    """(sigma2, centre) pairs at which the shifted logit of some row of
+    arange(n), n >= 200, is exactly the exp mask threshold -746 or one ulp
+    either side of it, found by stepping sigma2 by ulps. The centre -186
+    lies beyond the rows."""
+    targets = [-746.0, np.nextafter(-746.0, 0.0), np.nextafter(-746.0, -np.inf)]
+    rows = np.arange(200.0)
+    found, hit = [], set()
+    for centre, start in [(100.33928571428571, 0.25), (150.3392857142857, 0.25), (-186.0, 0.5)]:
+        for direction in (np.inf, -np.inf):
+            sigma2 = start
+            for _ in range(300):
+                diff = rows - centre
+                logits = diff * diff * (-1.0 / sigma2)
+                shifted = logits - logits.max()
+                for t in targets:
+                    if (shifted == t).any():
+                        found.append((float(sigma2), centre))
+                        hit.add(t)
+                sigma2 = np.nextafter(sigma2, direction)
+    assert len(hit) == 3
+    return found
+
+
+_THRESHOLD_CENTRES = _threshold_centres()
+
+
+def _close(x, expected):
+    """Within the band's stated tolerance: 1e-12 of the largest magnitude
+    in ``expected``, or of 1 if that is smaller."""
+    scale = max(1.0, float(np.abs(expected).max()))
+    return x.shape == expected.shape and bool(np.all(np.abs(x - expected) <= 1e-12 * scale))
+
+
+def _assert_band_matches_chain(rows, cols, sigma2, axis, traced):
+    """Values and the cols gradient of an axis-0 band bit for bit, the
+    other results within :func:`_close`, traced and untraced."""
+    fused = lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis)
+    out, grads, _ = _traced_grads(fused, [rows, cols], traced)
+    expected, expected_grads, _ = _traced_grads(
+        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis), [rows, cols], traced)
+    assert _same_bits(fused(rows, cols), out)
+    assert _same_bits(out, expected) if axis == 0 else _close(out, expected)
+    operands = [name for name, t in zip(("rows", "cols"), traced) if t]
+    for name, g, e in zip(operands, grads, expected_grads):
+        assert _same_bits(g, e) if (axis, name) == (0, "cols") else _close(g, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_banded_gaussian_softmax_matches_the_dense_chain(data):
+    axis = data.draw(st.integers(0, 1))
+    n, m = data.draw(st.integers(230, 300)), data.draw(st.integers(160, 220))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    kind = data.draw(st.sampled_from(["index", "centres", "nm"]))
+    if kind == "index":
+        # Unit-spaced rows, a few of them repeated, along the softmax axis;
+        # across it centres in and beyond their range, three of them where
+        # a row's shifted logit is at the exp mask threshold.
+        sigma2, centre = data.draw(st.sampled_from(_THRESHOLD_CENTRES))
+        repeats = rng.choice(n, data.draw(st.integers(0, 3))).astype(float)
+        a = np.sort(np.concatenate([np.arange(float(n)), repeats]))
+        b = rng.uniform(-60.0, n + 60.0, m)
+        b[rng.choice(m, 3, replace=False)] = centre
+    else:
+        # Centres along the softmax axis (the density matrix), some below
+        # the index vector's range. NM centres are unsorted and run dense.
+        sigma2 = data.draw(st.floats(0.1, 0.3))
+        a, b = _jittered_grid(rng, n), np.arange(float(m))
+        if kind == "nm":
+            i, j = sorted(rng.choice(n, 2, replace=False))
+            a[i], a[j] = a[j], a[i]
+    rows, cols = (a, b) if axis == 0 else (b, a)
+    traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    assert _band_engages(rows, cols, sigma2, axis) == (kind != "nm")
+    if kind == "nm":
+        _assert_fused_matches_chain(
+            lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis),
+            lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis), [rows, cols], traced)
+    else:
+        _assert_band_matches_chain(rows, cols, sigma2, axis, traced)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_band_at_the_smallest_sigma2_with_a_finite_reciprocal(axis):
+    # every entry but the nearest row's logit is -inf or below the mask
+    sigma2 = float(np.nextafter(1.0 / np.finfo(np.float64).max, 1.0))
+    assert np.isfinite(-1.0 / sigma2)
+    rows, cols = np.arange(256.0), _jittered_grid(np.random.default_rng(17), 160) + 40.0
+    rows, cols = (rows, cols) if axis == 0 else (cols, rows)
+    out, out_warnings = _recorded(lambda: ad.gaussian_softmax(rows, cols, sigma2, axis))
+    expected, expected_warnings = _recorded(
+        lambda: ref.gaussian_softmax_chain(rows, cols, sigma2, axis))
+    assert out_warnings == expected_warnings == [(RuntimeWarning, "overflow encountered in multiply")]
+    with np.errstate(over="ignore"):
+        assert _band_engages(rows, cols, sigma2, axis)
+        _assert_band_matches_chain(rows, cols, sigma2, axis, (True, True))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("case", ["sigma2 1e6", "t1 = 1", "t2 = 1", "sorted equal centres"])
+def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
+    rng = np.random.default_rng(18)
+    sigma2, rows, cols = 0.25, np.arange(256.0), _jittered_grid(rng, 160)
+    if case == "sigma2 1e6":
+        sigma2 = 1e6  # the window covers every row
+    elif case == "t1 = 1":
+        rows, cols = np.array([3.7]), np.arange(20000.0)
+    elif case == "t2 = 1":
+        rows, cols = np.arange(20000.0), np.array([3.7])
+    else:
+        cols = np.full(160, 37.25)
+    along = rows if axis == 0 else cols
+    # equal centres along the softmax axis span nothing; across it they band
+    engages = case == "sorted equal centres" and along is rows
+    assert _band_engages(rows, cols, sigma2, axis) == engages
+    fused = lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis)
+    chain = lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis)
+    if engages:
+        _assert_band_matches_chain(rows, cols, sigma2, axis, (True, True))
+    else:
+        _assert_fused_matches_chain(fused, chain, [rows, cols], (True, True))
+
+
+def test_band_falls_back_where_rounding_widens_the_window():
+    # Centres 1.35e9 below rows 8.3e-8 apart: the logits, about -1.8e18,
+    # are rounded to multiples of 256, and entries beyond the window of
+    # radius sqrt(dmin^2 + 746) are non-zero.
+    rows = np.concatenate([np.arange(12.0) * 8.330601273198334e-08, np.arange(1.0, 300.0)])
+    cols = -1354275769.6264634 - np.arange(160.0) * 1e-3
+    assert not _band_engages(rows, cols, 1.0, 0)
+    _assert_band_matches_chain(rows, cols, 1.0, 0, (True, True))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_band_gradient_with_a_nan_outside_the_band_is_the_dense_one(axis):
+    rows, cols = np.arange(256.0), _jittered_grid(np.random.default_rng(19), 160) + 40.0
+    rows, cols = (rows, cols) if axis == 0 else (cols, rows)
+    assert _band_engages(rows, cols, 0.25, axis)
+
+    def grads(f):
+        tape = ad.Tape()
+        r, c = tape.variable(rows), tape.variable(cols)
+        out = f(r, c)
+        w = np.ones(out.shape)
+        w[0, -1] = np.nan  # the far corner: outside every window
+        tape.backward(ad.asum(out * w))
+        return r.grad, c.grad
+
+    with np.errstate(invalid="ignore"):
+        got = grads(lambda r, c: ad.gaussian_softmax(r, c, 0.25, axis))
+        expected = grads(lambda r, c: ref.gaussian_softmax_chain(r, c, 0.25, axis))
+    for g, e in zip(got, expected):
+        assert np.isnan(e).any()
+        np.testing.assert_array_equal(g, e)  # NaN where the chain has NaN
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_banded_gaussian_softmax_gradcheck(axis):
+    # 120 centres about 2 apart along the softmax axis against 480 steps
+    # 0.5 apart over the same range: about 28 of the 120 in each window,
+    # and no one-hot softmax whose tiny gradients drown in rounding
+    rng = np.random.default_rng(20)
+    along, index = np.arange(120.0) * 2.0 + rng.uniform(-0.5, 0.5, 120), np.arange(480.0) * 0.5
+    rows, cols = (along, index) if axis == 0 else (index, along)
+    assert _band_engages(rows, cols, 1.0, axis)
+    w = rng.normal(size=(rows.size, cols.size))
+    f = lambda r, c: ad.asum(ad.gaussian_softmax(r, c, 1.0, axis) * w)
+    assert ad.gradcheck(f, [rows, cols], op_name="gaussian_softmax").passed
 
 
 @pytest.mark.parametrize("axis", [0, 1])

@@ -19,6 +19,7 @@ from imvalign.toy import (
     token_patterns,
     train,
 )
+import reference_tape as ref
 from reference_tape import CheckingTape
 
 FAST = dict(steps=50, pool_size=16, batch_size=4, optimizer="adam")
@@ -139,6 +140,30 @@ def test_training_is_bit_deterministic():
     assert np.array_equal(r1.total_loss, r2.total_loss)
     assert np.array_equal(r1.accuracy, r2.accuracy)
     assert np.array_equal(r1.diagonality, r2.diagonality)
+
+
+def test_default_training_runs_the_dense_gaussian_kernel(monkeypatch):
+    """At the default ToyTask sizes the banded kernel never engages: the loss
+    traces equal, bit for bit, those of training through the dense chain."""
+    banded = []
+    band = ad._banded_gaussian
+
+    def spy(*args):
+        banded.append(band(*args))
+        return banded[-1]
+
+    monkeypatch.setattr(ad, "_banded_gaussian", spy)
+
+    def traces(mode):
+        _, report = train(ToyTask(), TrainConfig(mode=mode, steps=30, seed=3, optimizer="adam"))
+        return [report.recon_loss, report.ap_loss, report.sma_loss, report.total_loss]
+
+    fused = {mode: traces(mode) for mode in ("HMA", "SMA", "NM")}
+    assert banded and not any(b is not None for b in banded)
+    monkeypatch.setattr(ad, "gaussian_softmax", ref.gaussian_softmax_chain)
+    for mode, expected in fused.items():
+        for got, want in zip(traces(mode), expected):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_nm_is_sma_with_zero_weights():

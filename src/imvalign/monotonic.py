@@ -11,6 +11,9 @@ applies the hard constraint one output step at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate, islice
+from math import isfinite
 
 import numpy as np
 
@@ -122,8 +125,18 @@ class StreamingHmaState:
 
 def _advance(pos: float, raw: float) -> float:
     """The streaming clamp: move from ``pos`` toward the raw attended
-    position ``raw`` by at least 0 and at most 1."""
-    return pos + min(max(raw - pos, 0.0), 1.0)
+    position ``raw`` by at least 0 and at most 1. A NaN step passes
+    through; the callers reject it."""
+    step = raw - pos
+    return pos + (1.0 if step > 1.0 else 0.0 if step < 0.0 else step)
+
+
+@lru_cache(maxsize=8)
+def _index_grid(t1: int) -> np.ndarray:
+    """A read-only :func:`index_vector` that the steps of one length share."""
+    grid = index_vector(t1)
+    grid.flags.writeable = False
+    return grid
 
 
 def streaming_hma_step(
@@ -134,23 +147,34 @@ def streaming_hma_step(
     """Advance the streaming position by one output step.
 
     The raw attended position of the column is compared against the
-    running position; the advance is clipped to [0, 1] (the streaming path
-    cannot rescale afterwards, so continuity is enforced directly) and the
-    replacement column is the Gaussian bump at the new position.
+    running position; the advance is clipped to [0, 1] by the clamp rule
+    :func:`streaming_hma_run` also uses (the streaming path cannot rescale
+    afterwards, so continuity is enforced directly), and the replacement
+    column, a fresh array, is the Gaussian bump at the new position. Raises
+    :class:`AlignmentError` when the raw or the new position is not finite;
+    a NaN or infinite ``state.pi`` always gives a non-finite new position.
     """
     col = np.asarray(alpha_col, dtype=np.float64)
-    if col.ndim != 1 or col.shape[0] != state.t1:
-        raise AlignmentError(f"expected a length-{state.t1} column, got {col.shape}")
-    total = col.sum()
+    t1 = state.t1
+    if col.shape != (t1,):
+        raise AlignmentError(f"expected a length-{t1} column, got {col.shape}")
+    total = np.add.reduce(col)
     # written so that a NaN sum fails too
     if not abs(total - 1.0) <= COLUMN_SUM_TOL:
         raise AlignmentError(f"column sums to {total:.6g}, expected 1")
-    p = index_vector(state.t1)
-    new_pi = _advance(state.pi, float(col @ p))
-    logits = -((new_pi - p) ** 2) / kernel.sigma2
-    logits -= logits.max()
-    weights = np.exp(logits)
-    return StreamingHmaState(state.t1, new_pi), weights / weights.sum()
+    p = _index_grid(t1)
+    raw = float(col.dot(p))
+    new_pi = _advance(state.pi, raw)
+    if not (isfinite(raw) and isfinite(new_pi)):
+        raise AlignmentError(f"streaming position is not finite: raw {raw!r}, from {state.pi!r} to {new_pi!r}")
+    logits = p - new_pi
+    logits *= logits
+    logits /= -kernel.sigma2
+    # fl(i - new_pi) is monotone in i, so the nearest row holds the largest logit
+    logits -= logits[min(max(round(new_pi), 0), t1 - 1)]
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits)
+    return StreamingHmaState(t1, new_pi), logits
 
 
 def streaming_hma_run(
@@ -158,14 +182,16 @@ def streaming_hma_run(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whole-sequence form of the streaming constraint.
 
-    Computes all raw attended positions at once, runs the clamp recurrence
-    over them, and reconstructs every column in one kernel evaluation.
-    Returns (position sequence, reconstructed alignment); matches stepping
-    :func:`streaming_hma_step` column by column.
+    Computes all raw attended positions at once, runs the clamp rule of
+    :func:`streaming_hma_step` over them, and reconstructs every column in
+    one kernel evaluation. Returns (position sequence, reconstructed
+    alignment); matches stepping :func:`streaming_hma_step` column by
+    column. Raises :class:`AlignmentError` when a raw position is not
+    finite.
     """
     raw = compute_imv(alpha)
-    pi_path = np.empty(raw.t2)
-    pos = 0.0
-    for j, target in enumerate(raw.values.tolist()):
-        pos = pi_path[j] = _advance(pos, target)
+    if not np.isfinite(raw.values).all():
+        raise AlignmentError("streaming run: a raw attended position is not finite")
+    steps = accumulate(raw.values.tolist(), _advance, initial=0.0)
+    pi_path = np.fromiter(islice(steps, 1, None), np.float64, raw.t2)
     return pi_path, align_from_imv(Imv(pi_path, raw.t1), kernel)

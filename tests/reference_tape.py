@@ -4,7 +4,9 @@
 The primitives below are the chains the fused ops replace; the library no
 longer calls them. They dispatch like the library's own primitives, through
 the public :meth:`Tape.record`, so a fused op can be compared with its
-chain bit for bit, kink signatures included.
+chain bit for bit, kink signatures included. The streaming functions at the
+end are the plain forms of :mod:`imvalign.monotonic`'s streaming clamp,
+step and run, which the library's must match bit for bit.
 """
 
 from typing import Sequence
@@ -12,6 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from imvalign import autodiff as ad
+from imvalign.core import COLUMN_SUM_TOL, AlignmentError, Imv, compute_imv, index_vector
+from imvalign.monotonic import KernelConfig, StreamingHmaState, align_from_imv
 
 
 class CheckingTape(ad.Tape):
@@ -115,3 +119,44 @@ def gaussian_softmax_chain(rows, cols, sigma2, axis):
     :func:`ad.gaussian_softmax` fuses."""
     diff = reshape(rows, (-1, 1)) - cols
     return softmax_chain(diff * diff * (-1.0 / sigma2), axis)
+
+
+def _advance(pos: float, raw: float) -> float:
+    """The streaming clamp: move from ``pos`` toward the raw attended
+    position ``raw`` by at least 0 and at most 1."""
+    return pos + min(max(raw - pos, 0.0), 1.0)
+
+
+def streaming_hma_step(
+    state: StreamingHmaState,
+    alpha_col: np.ndarray,
+    kernel: KernelConfig = KernelConfig(),
+) -> tuple[StreamingHmaState, np.ndarray]:
+    """One streaming step: the clamped advance and a dense one-column
+    Gaussian kernel at the new position."""
+    col = np.asarray(alpha_col, dtype=np.float64)
+    if col.ndim != 1 or col.shape[0] != state.t1:
+        raise AlignmentError(f"expected a length-{state.t1} column, got {col.shape}")
+    total = col.sum()
+    # written so that a NaN sum fails too
+    if not abs(total - 1.0) <= COLUMN_SUM_TOL:
+        raise AlignmentError(f"column sums to {total:.6g}, expected 1")
+    p = index_vector(state.t1)
+    new_pi = _advance(state.pi, float(col @ p))
+    logits = -((new_pi - p) ** 2) / kernel.sigma2
+    logits -= logits.max()
+    weights = np.exp(logits)
+    return StreamingHmaState(state.t1, new_pi), weights / weights.sum()
+
+
+def streaming_hma_run(
+    alpha, kernel: KernelConfig = KernelConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The clamp recurrence as an indexed loop over the raw positions, then
+    one kernel evaluation over the whole path."""
+    raw = compute_imv(alpha)
+    pi_path = np.empty(raw.t2)
+    pos = 0.0
+    for j, target in enumerate(raw.values.tolist()):
+        pos = pi_path[j] = _advance(pos, target)
+    return pi_path, align_from_imv(Imv(pi_path, raw.t1), kernel)

@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
+import reference_tape as ref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imvalign.core import AlignmentError, Imv, compute_imv, validate_imv
+from imvalign import autodiff as ad
+from imvalign import monotonic
+from imvalign.core import AlignmentError, Imv, compute_imv, index_vector, validate_imv
 from imvalign.monotonic import (
     DegenerateImvError,
     KernelConfig,
@@ -149,6 +154,27 @@ def test_streaming_step_rejects_wrong_length_column():
         streaming_hma_step(StreamingHmaState(t1=4), np.array([0.5, 0.5]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("column", [
+    [-1e308, 0.0, 0.0, 1e308, 1.0],  # sums to 1, but 3 * 1e308 overflows to inf
+    [1e308, 0.0, 0.0, -1e308, 1.0],  # ... and to -inf
+    [0.0, 1e308, -1e308, 1e308, -1e308, 1.0],
+])
+def test_streaming_rejects_an_overflowing_raw_position(column):
+    # the clamp would turn an infinite raw position into a step of 1 or 0
+    col = np.array(column)
+    with pytest.raises(AlignmentError, match="not finite"):
+        streaming_hma_step(StreamingHmaState(t1=col.size), col)
+    with pytest.raises(AlignmentError, match="not finite"):
+        streaming_hma_run(col[:, None])
+
+
+@pytest.mark.parametrize("pi", [np.nan, np.inf, -np.inf])
+def test_streaming_step_rejects_a_nonfinite_state(pi):
+    with pytest.raises(AlignmentError, match="not finite"):
+        streaming_hma_step(StreamingHmaState(t1=4, pi=pi), np.array([0.0, 1.0, 0.0, 0.0]))
+
+
 _KERNEL_CONFIG = lambda v: KernelConfig(sigma2=v)
 _SMA_WEIGHTS = lambda v: SmaWeights(lambda0=v)
 
@@ -220,3 +246,132 @@ def test_streaming_steps_match_whole_sequence_run_at_any_size(t1, t2, seed, sigm
         state, col = streaming_hma_step(state, alpha[:, j], kernel)
         assert abs(state.pi - path[j]) <= 1e-12
         assert np.max(np.abs(col - reconstructed[:, j])) <= 1e-12
+
+
+def _near_diagonal(rng, t1, t2):
+    centres = np.linspace(0.0, t1 - 1.0, t2) + rng.normal(0.0, 0.7, t2)
+    alpha = np.exp(-((np.arange(t1)[:, None] - centres) ** 2) / 2.0) + 1e-12
+    return alpha / alpha.sum(axis=0)
+
+
+@pytest.mark.parametrize("t1, t2", [(144, 433), (256, 1024)])
+def test_streaming_steps_match_a_banded_whole_sequence_run(t1, t2, monkeypatch):
+    # at these sizes the run's kernel evaluates only its band; the steps'
+    # one-column kernels stay dense
+    banded = []
+    band = ad._banded_gaussian
+
+    def spy(*args):
+        banded.append(band(*args))
+        return banded[-1]
+
+    monkeypatch.setattr(ad, "_banded_gaussian", spy)
+    alpha = _near_diagonal(np.random.default_rng(t1), t1, t2)
+    kernel = KernelConfig()
+    path, reconstructed = streaming_hma_run(alpha, kernel)
+    assert len(banded) == 1 and banded[0] is not None
+    state = StreamingHmaState(t1=t1)
+    for j in range(t2):
+        state, col = streaming_hma_step(state, alpha[:, j], kernel)
+        assert abs(state.pi - path[j]) <= 1e-12
+        assert np.max(np.abs(col - reconstructed[:, j])) <= 1e-12
+
+
+_CLAMP_VALUES = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, 5e-324, -5e-324,
+                 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def test_streaming_clamp_matches_the_min_max_form_bit_for_bit():
+    # every pair, so the step raw - pos is exactly 0, 1, -0.0 (raw -0.0 from
+    # pos 0.0), a subnormal, one ulp either side of 0 and 1, inf and NaN
+    for pos, raw in itertools.product(_CLAMP_VALUES, repeat=2):
+        assert _bits(monotonic._advance(pos, raw)) == _bits(ref._advance(pos, raw)), (pos, raw)
+
+
+def _stream_columns(rng, t1: int, t2: int, pos: float) -> np.ndarray:
+    """Columns whose raw positions sit on the half-row grid near the
+    running position, which starts at ``pos`` (raw steps of exactly 0 and 1,
+    new positions at k + 0.5 ties), beyond [0, t1 - 1] through a negative
+    entry, or anywhere (a random column)."""
+    alpha = np.zeros((t1, t2))
+    for j in range(t2):
+        kind = rng.choice(3, p=[0.6, 0.2, 0.2])
+        if kind == 0 or t1 == 1:
+            target = min(max(np.floor(2.0 * pos) / 2.0 + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5]), 0.0), t1 - 1.0)
+            k = int(target)
+            if target == k:
+                alpha[k, j] = 1.0
+            else:
+                alpha[k:k + 2, j] = 0.5
+        elif kind == 1:
+            excess = rng.uniform(0.01, 3.0)
+            ahead, behind = (t1 - 1, 0) if rng.random() < 0.5 else (0, t1 - 1)
+            alpha[ahead, j], alpha[behind, j] = 1.0 + excess, -excess
+        else:
+            col = rng.random(t1) ** 4
+            alpha[:, j] = col / col.sum()
+        pos = ref._advance(pos, float(alpha[:, j] @ np.arange(t1)))
+    return alpha
+
+
+@settings(max_examples=12, deadline=None)
+@example(t1=256, t2=1024, seed=0, sigma2=0.05, start=0.0, clamp=[])
+@example(t1=256, t2=1024, seed=1, sigma2=1e6, start=0.0, clamp=[])
+@example(t1=1, t2=16, seed=2, sigma2=0.25, start=-0.0, clamp=[(0.0, -0.0)])
+@example(t1=40, t2=64, seed=3, sigma2=0.25, start=-40.0, clamp=[])
+@given(
+    t1=st.integers(1, 256),
+    t2=st.integers(1, 1024),
+    seed=st.integers(0, 2**32 - 1),
+    sigma2=st.floats(0.05, 1e6),
+    # the steps' starting position; the run always starts at 0
+    start=st.sampled_from([0.0, -0.0, 0.5, 3.0, -2.5, -40.0]),
+    clamp=st.lists(st.tuples(st.floats(), st.floats()), max_size=20),
+)
+def test_streaming_step_and_run_match_the_reference_bit_for_bit(t1, t2, seed, sigma2, start, clamp):
+    for pos, raw in clamp:
+        assert _bits(monotonic._advance(pos, raw)) == _bits(ref._advance(pos, raw))
+    alpha = _stream_columns(np.random.default_rng(seed), t1, t2, start)
+    kernel = KernelConfig(sigma2=sigma2)
+    path, reconstructed = streaming_hma_run(alpha, kernel)
+    ref_path, ref_reconstructed = ref.streaming_hma_run(alpha, kernel)
+    assert path.tobytes() == ref_path.tobytes()
+    assert reconstructed.tobytes() == ref_reconstructed.tobytes()
+    state = ref_state = StreamingHmaState(t1=t1, pi=start)
+    for j in range(t2):
+        state, col = streaming_hma_step(state, alpha[:, j], kernel)
+        ref_state, ref_col = ref.streaming_hma_step(ref_state, alpha[:, j], kernel)
+        assert _bits(state.pi) == _bits(ref_state.pi)
+        assert col.tobytes() == ref_col.tobytes()
+
+
+def test_streaming_steps_return_fresh_columns_and_hold_no_input():
+    rng = np.random.default_rng(5)
+    alpha = rng.random((7, 12))
+    alpha /= alpha.sum(axis=0)
+    kernel = KernelConfig(sigma2=0.3)
+    expected = []
+    state = StreamingHmaState(t1=7)
+    for j in range(12):
+        state, col = streaming_hma_step(state, alpha[:, j], kernel)
+        expected.append((state.pi, col.tobytes()))
+    work = alpha.copy()
+    state = StreamingHmaState(t1=7)
+    state, first = streaming_hma_step(state, work[:, 0], kernel)
+    kept = first.copy()
+    for j in range(1, 12):
+        state, col = streaming_hma_step(state, work[:, j], kernel)
+        assert (state.pi, col.tobytes()) == expected[j]
+        assert col.flags.writeable and col.flags.owndata
+        col[:] = np.nan  # neither the returned column
+        work[:, j] = np.nan  # nor the consumed input may reach a later step
+    assert first.tobytes() == kept.tobytes() == expected[0][1]
+    # the steps share an index grid; index_vector still returns a fresh one
+    grid = index_vector(7)
+    assert grid.flags.writeable
+    grid[:] = -1.0
+    assert np.array_equal(index_vector(7), np.arange(7.0))

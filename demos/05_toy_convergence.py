@@ -15,16 +15,7 @@ STEPS = 400
 task = ToyTask(seed=0)
 reports = {}
 for mode in ("NM", "SMA", "HMA"):
-    cfg = TrainConfig(
-        mode=mode,
-        steps=STEPS,
-        pool_size=32,
-        optimizer="adam",
-        lr=1e-2,
-        sigma2=0.25,
-        seed=1,
-    )
-    _, report = train(task, cfg)
+    _, report = train(task, TrainConfig(mode=mode, steps=STEPS))
     reports[mode] = report
     print(
         f"{mode:3s}: loss {report.recon_loss[0]:.2f} -> {report.final_loss:.3f}, "

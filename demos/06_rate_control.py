@@ -11,7 +11,7 @@ import numpy as np
 from imvalign import ToyTask, TrainConfig, infer, make_batch, train
 
 task = ToyTask(seed=0)
-cfg = TrainConfig(mode="HMA", steps=600, pool_size=32, optimizer="adam", lr=1e-2, seed=1)
+cfg = TrainConfig(mode="HMA", steps=600)
 print("training the hard-monotonic model (about 10s)...")
 model, report = train(task, cfg)
 print(f"final loss {report.final_loss:.3f}, best accuracy {report.best_accuracy:.2f}\n")

@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from .autodiff import NonFiniteError
 from .checks import CHECKABLE_OPS, run_check
 from .core import (
@@ -49,24 +47,17 @@ class ConfigError(ValueError):
     """A run-configuration document is malformed."""
 
 
-# train-toy defaults that differ from the library's
-_TRAIN_TOY_DEFAULTS = {
-    "seed": 1,
-    "steps": 1200,
-    "pool_size": 32,
-    "optimizer": "adam",
-    "report_path": "toy_report.jsonl",
-}
-
-
-def load_run_config(path) -> tuple[ToyTask, TrainConfig, str]:
+def load_run_config(path) -> tuple[ToyTask, TrainConfig, str | None, str]:
     """Read a flat JSON run configuration for the toy trainer command.
 
     Keys are the fields of :class:`ToyTask` (its ``seed`` spelled
-    ``task_seed``), the fields of :class:`TrainConfig`, and
-    ``heatmap_path``. Unknown keys are rejected; absent keys take the
-    library defaults, except those in ``_TRAIN_TOY_DEFAULTS``. Returns
-    (task, trainer settings, heatmap path).
+    ``task_seed``), the fields of :class:`TrainConfig`, and the two output
+    files: ``report_path`` (default ``"toy_report.jsonl"``; ``null`` or an
+    empty string writes no report) and ``heatmap_path`` (default
+    ``"toy_alignment.pgm"``). Absent keys take the library defaults.
+    Unknown keys, invalid settings and a path that is not a string (or an
+    empty heatmap path) raise :class:`ConfigError`. Returns (task, trainer
+    settings, report path, heatmap path).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -77,19 +68,23 @@ def load_run_config(path) -> tuple[ToyTask, TrainConfig, str]:
         raise ConfigError(f"{path}: top-level JSON must be an object")
     task_keys = {"task_seed" if f.name == "seed" else f.name for f in fields(ToyTask)}
     train_keys = {f.name for f in fields(TrainConfig)}
-    unknown = set(raw) - task_keys - train_keys - {"heatmap_path"}
+    unknown = set(raw) - task_keys - train_keys - {"report_path", "heatmap_path"}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    report_path = raw.pop("report_path", "toy_report.jsonl")
     heatmap_path = raw.pop("heatmap_path", "toy_alignment.pgm")
+    if not (report_path is None or isinstance(report_path, str)):
+        raise ConfigError(f"{path}: report_path must be a string or null, got {report_path!r}")
+    if not (isinstance(heatmap_path, str) and heatmap_path):
+        raise ConfigError(f"{path}: heatmap_path must be a non-empty string, got {heatmap_path!r}")
     task_args = {"seed" if k == "task_seed" else k: raw.pop(k) for k in set(raw) & task_keys}
-    train_args = {**_TRAIN_TOY_DEFAULTS, **raw}
     try:
         if "sma_weights" in raw:
             w = raw["sma_weights"]
             if not isinstance(w, (list, tuple)) or len(w) != 4:
                 raise ValueError("sma_weights must be a list of 4 numbers")
-            train_args["sma_weights"] = SmaWeights(*(float(x) for x in w))
-        return ToyTask(**task_args), TrainConfig(**train_args), heatmap_path
+            raw["sma_weights"] = SmaWeights(*(float(x) for x in w))
+        return ToyTask(**task_args), TrainConfig(**raw), report_path, heatmap_path
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -157,16 +152,9 @@ def cmd_oracle(args) -> int:
         )
         return EXIT_USAGE
     paths = enumerate_monotonic_paths(args.t1, args.t2)
-    ok = True
-    for m in paths:
-        imv = compute_imv(m)
-        deltas = imv.deltas
-        if not (
-            np.all((deltas == 0.0) | (deltas == 1.0))
-            and imv.values[0] == 0.0
-            and imv.values[-1] == args.t1 - 1
-        ):
-            ok = False
+    # a path's IMV is integer, so the exact step constraint allows steps of 0 or 1 only
+    reports = [validate_imv(compute_imv(m), tol=0.0) for m in paths]
+    ok = all(r.monotone_continuous and r.complete for r in reports)
     print(f"{len(paths)} paths, {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_NUMERIC
 
@@ -178,8 +166,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    task, cfg, heatmap_path = load_run_config(args.config)
+    task, cfg, report_path, heatmap_path = load_run_config(args.config)
     model, report = train(task, cfg)
+    if report_path:
+        report.write_jsonl(report_path)
     print(
         f"mode={cfg.mode} steps={cfg.steps}: "
         f"final loss {report.final_loss:.4f}, accuracy {report.final_accuracy:.3f}, "
@@ -190,7 +180,7 @@ def cmd_train_toy(args) -> int:
     batch = make_batch(task, 0)
     final = sequence_forward(model.params, batch, cfg)
     write_pgm(heatmap_path, final.alpha_recon)
-    print(f"report: {cfg.report_path}; heatmap: {heatmap_path}")
+    print(f"report: {report_path}; heatmap: {heatmap_path}")
     return EXIT_OK
 
 

@@ -43,8 +43,8 @@ class DegenerateImvError(AlignmentError):
 
 @dataclass(frozen=True)
 class SmaWeights:
-    """Non-negative coefficients of the four soft-constraint penalty terms:
-    backward motion, steps larger than one, and the two boundary offsets."""
+    """Non-negative, finite weights of the four soft-constraint penalty
+    terms: backward motion, steps over one, and the two boundary offsets."""
 
     lambda0: float = 1.0
     lambda1: float = 1.0
@@ -53,8 +53,8 @@ class SmaWeights:
 
     def __post_init__(self):
         for name in ("lambda0", "lambda1", "lambda2", "lambda3"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,9 @@ def streaming_hma_step(
     :func:`streaming_hma_run` also uses (the streaming path cannot rescale
     afterwards, so continuity is enforced directly), and the replacement
     column, a fresh array, is the Gaussian bump at the new position. Raises
-    :class:`AlignmentError` when the raw or the new position is not finite;
-    a NaN or infinite ``state.pi`` always gives a non-finite new position.
+    :class:`AlignmentError` when the raw or the new position is not finite
+    (as from a NaN or infinite ``state.pi``) or so far from every row that
+    the nearest row's kernel logit overflows.
     """
     col = np.asarray(alpha_col, dtype=np.float64)
     t1 = state.t1
@@ -171,7 +172,10 @@ def streaming_hma_step(
     logits *= logits
     logits /= -kernel.sigma2
     # fl(i - new_pi) is monotone in i, so the nearest row holds the largest logit
-    logits -= logits[min(max(round(new_pi), 0), t1 - 1)]
+    shift = logits[min(max(round(new_pi), 0), t1 - 1)]
+    if not isfinite(shift):
+        raise AlignmentError(f"streaming position {new_pi!r} is too far from rows 0..{t1 - 1}")
+    logits -= shift
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits)
     return StreamingHmaState(t1, new_pi), logits

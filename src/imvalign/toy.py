@@ -180,21 +180,22 @@ def make_batch(task: ToyTask, seed: int) -> ToyBatch:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Trainer settings; ``mode`` selects the monotonic strategy."""
+    """Trainer settings; ``mode`` selects the monotonic strategy. The
+    defaults are the acceptance run on ``ToyTask(seed=0)``, which
+    ``imvalign train-toy``, the benchmark and criterion 7 train."""
 
     mode: str = "HMA"
-    steps: int = 800
+    steps: int = 1200
     lr: float = 1e-2
     batch_size: int = 8
-    pool_size: int = 64
+    pool_size: int = 32
     sma_weights: SmaWeights = field(default_factory=SmaWeights)
     ap_weight: float = 1.0
     sigma2: float = KernelConfig.sigma2
     epsilon: float = 1e-6
-    seed: int = 0
-    optimizer: str = "sgd"
+    seed: int = 1
+    optimizer: str = "adam"
     accuracy_threshold: float = 0.9
-    report_path: Optional[str] = None
 
     def __post_init__(self):
         _require_integer_fields(self)
@@ -497,8 +498,9 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
 
     Fully deterministic for a fixed (task, cfg): data, initialization, and
     updates derive from the seeds alone. ``steps=0`` evaluates the initial
-    state once without updating. Raises :class:`TrainDivergenceError` with
-    the offending step if the loss or a gradient goes non-finite.
+    state once without updating. Writes no file (see :meth:`TrainReport.write_jsonl`).
+    Raises :class:`TrainDivergenceError` with the offending step if the
+    loss or a gradient goes non-finite.
     """
     model = ToyModel(task, cfg.seed)
     optimizer = _Adam(cfg.lr) if cfg.optimizer == "adam" else _Sgd(cfg.lr)
@@ -518,10 +520,7 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
 
     model.trained = cfg.steps > 0
     columns = {name: np.array([entry[name] for entry in trace]) for name in _TRACE_FIELDS}
-    report = TrainReport(cfg.mode, accuracy_threshold=cfg.accuracy_threshold, **columns)
-    if cfg.report_path:
-        report.write_jsonl(cfg.report_path)
-    return model, report
+    return model, TrainReport(cfg.mode, accuracy_threshold=cfg.accuracy_threshold, **columns)
 
 
 def infer(

@@ -44,6 +44,10 @@ def _toy_config(mode: str, seed: int) -> TrainConfig:
     )
 
 
+def test_the_default_train_config_is_the_acceptance_run():
+    assert TrainConfig() == _toy_config("HMA", TOY_SEEDS[0])
+
+
 def _report(criterion: int, ok: bool, detail: str, elapsed: float, limit: float):
     status = "PASS" if ok and elapsed < limit else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} — {detail} [{elapsed:.1f}s < {limit:.0f}s]")

@@ -92,10 +92,25 @@ def test_sma_zero(tmp_path, capsys):
 
 
 def test_oracle_counts(capsys):
-    assert main(["oracle", "--t1", "2", "--t2", "3"]) == 0
-    assert capsys.readouterr().out.strip() == "2 paths, PASS"
-    assert main(["oracle", "--t1", "3", "--t2", "5"]) == 0
-    assert capsys.readouterr().out.strip() == "6 paths, PASS"
+    import math
+
+    for t1 in range(2, 6):
+        for t2 in range(t1, 11):
+            assert main(["oracle", "--t1", str(t1), "--t2", str(t2)]) == 0
+            assert capsys.readouterr().out.strip() == f"{math.comb(t2 - 1, t1 - 1)} paths, PASS"
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),  # skips row 1
+    np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]]),  # never reaches row 2
+    np.array([[1.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 1.0]]),  # a step of 1.5
+    np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),  # starts at row 1, steps back
+])
+def test_oracle_fails_a_path_that_breaks_a_constraint(monkeypatch, capsys, bad):
+    good = cli.enumerate_monotonic_paths(3, 3)
+    monkeypatch.setattr(cli, "enumerate_monotonic_paths", lambda t1, t2: good + [bad])
+    assert main(["oracle", "--t1", "3", "--t2", "3"]) == 4
+    assert capsys.readouterr().out.strip() == "2 paths, FAIL"
 
 
 @pytest.mark.parametrize("t1, t2", [(4, 3), (1, 3), (0, 3)])
@@ -152,7 +167,9 @@ def test_train_toy_command(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["train-toy", "--config", str(path)]) == 0
-    assert (tmp_path / "report.jsonl").exists()
+    _, report = cli.train(*cli.load_run_config(str(path))[:2])
+    report.write_jsonl(str(tmp_path / "expected.jsonl"))
+    assert (tmp_path / "report.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
     assert (tmp_path / "final.pgm").read_text().startswith("P2")
 
 
@@ -235,6 +252,8 @@ def test_cli_roundtrip_imv_reconstruct_imv(tmp_path):
     for command, option in [("reconstruct", "--sigma2"), ("positions", "--sigma2"), ("sma", "--lambda0")]
     for value in ["nan", "-1"]
 ] + [
+    ("sma", f"--lambda{i}", "inf") for i in range(4)
+] + [
     (command, "--sigma2", value) for command in ("reconstruct", "positions") for value in ("1e-320", "inf")
 ])
 def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
@@ -253,7 +272,8 @@ def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
     {"embed_dim": 0}, {"frame_dim": 0}, {"steps": 1.5}, {"vocab": 6.5}, {"seed": 1.5},
     {"task_seed": 1.5}, {"batch_size": 2.5, "pool_size": 4}, {"pool_size": 3.0, "batch_size": 2},
     {"dmin": 1.5, "dmax": 3}, {"steps": True}, {"noise_sigma": 1e400}, {"lr": 1e400},
-    {"epsilon": 1e400}, {"ap_weight": 1e400},
+    {"epsilon": 1e400}, {"ap_weight": 1e400}, {"sma_weights": [1e400, 1, 1, 1]},
+    {"sma_weights": [1, 1, 1, -1]},
 ])
 def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
     path = tmp_path / "cfg.json"
@@ -352,24 +372,47 @@ def _load(tmp_path, config):
 def test_run_config_defaults(tmp_path):
     from imvalign.toy import ToyTask, TrainConfig
 
-    task, cfg, heatmap_path = _load(tmp_path, {})
+    task, cfg, report_path, heatmap_path = _load(tmp_path, {})
     assert task == ToyTask()
-    assert cfg == TrainConfig(seed=1, steps=1200, pool_size=32, optimizer="adam",
-                              report_path="toy_report.jsonl")
+    assert cfg == TrainConfig()
+    assert report_path == "toy_report.jsonl"
     assert heatmap_path == "toy_alignment.pgm"
 
 
 def test_run_config_routes_keys(tmp_path):
     from imvalign.monotonic import SmaWeights
 
-    task, cfg, heatmap_path = _load(tmp_path, {
+    task, cfg, report_path, heatmap_path = _load(tmp_path, {
         "task_seed": 7, "seed": 3, "vocab": 5, "lr": 0.05, "mode": "SMA",
-        "sma_weights": [0.5, 1, 2.0, 0], "heatmap_path": "h.pgm",
+        "sma_weights": [0.5, 1, 2.0, 0], "report_path": None, "heatmap_path": "h.pgm",
     })
     assert (task.seed, task.vocab) == (7, 5)
     assert (cfg.seed, cfg.lr, cfg.mode, cfg.steps) == (3, 0.05, "SMA", 1200)
     assert cfg.sma_weights == SmaWeights(0.5, 1.0, 2.0, 0.0)
-    assert heatmap_path == "h.pgm"
+    assert (report_path, heatmap_path) == (None, "h.pgm")
+
+
+@pytest.mark.parametrize("paths", [
+    {"heatmap_path": None}, {"heatmap_path": 7}, {"heatmap_path": ""}, {"heatmap_path": ["h.pgm"]},
+    {"report_path": 7}, {"report_path": True}, {"report_path": {"path": "r.jsonl"}},
+])
+def test_train_toy_rejects_bad_output_paths_before_training(tmp_path, monkeypatch, capsys, paths):
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train was called"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"steps": 1, **paths}))
+    assert main(["train-toy", "--config", str(path)]) == 2
+    key = next(iter(paths))
+    assert f"{key} must be a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report_path", [None, ""])
+def test_train_toy_without_a_report_writes_only_the_heatmap(tmp_path, monkeypatch, capsys, report_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"steps": 2, "batch_size": 4, "pool_size": 8,
+                                                   "report_path": report_path}))
+    assert main(["train-toy", "--config", "cfg.json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "toy_alignment.pgm"]
+    assert f"report: {report_path}; heatmap: toy_alignment.pgm" in capsys.readouterr().out
 
 
 def test_run_config_rejects_bad_sma_weights(tmp_path):

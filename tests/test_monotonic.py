@@ -175,6 +175,22 @@ def test_streaming_step_rejects_a_nonfinite_state(pi):
         streaming_hma_step(StreamingHmaState(t1=4, pi=pi), np.array([0.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("pi, sigma2", [(1e200, 0.25), (-1e10, 1e-300), (1e154, 1e-5)])
+def test_streaming_step_rejects_a_position_whose_logit_overflows(pi, sigma2):
+    # (i - pi)**2 / sigma2 overflows for every row: the column would be all NaN
+    with np.errstate(over="ignore"):
+        with pytest.raises(AlignmentError, match="too far from rows 0..3"):
+            streaming_hma_step(StreamingHmaState(t1=4, pi=pi), np.array([0.0, 1.0, 0.0, 0.0]),
+                               KernelConfig(sigma2=sigma2))
+
+
+def test_streaming_step_keeps_a_far_position_whose_logit_is_finite():
+    # far beyond the last row, but (3 - pi)**2 / sigma2 is finite: one-hot there
+    state, col = streaming_hma_step(StreamingHmaState(t1=4, pi=1e10), np.array([0.0, 0.0, 0.0, 1.0]))
+    assert state.pi == 1e10
+    assert np.array_equal(col, [0.0, 0.0, 0.0, 1.0])
+
+
 _KERNEL_CONFIG = lambda v: KernelConfig(sigma2=v)
 _SMA_WEIGHTS = lambda v: SmaWeights(lambda0=v)
 
@@ -184,6 +200,7 @@ _SMA_WEIGHTS = lambda v: SmaWeights(lambda0=v)
     (-1.0, _KERNEL_CONFIG), (-1.0, _SMA_WEIGHTS),
     (1e-320, _KERNEL_CONFIG),  # positive, but 1 / sigma2 overflows to inf
     (np.inf, _KERNEL_CONFIG),  # every kernel logit would be -0.0: a uniform kernel
+    pytest.param(np.inf, _SMA_WEIGHTS, id="inf-SmaWeights"),  # inf * 0 makes the penalty NaN
 ])
 def test_configs_reject_nan_and_negative(value, make):
     with pytest.raises(ValueError):

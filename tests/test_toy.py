@@ -282,13 +282,16 @@ def test_tape_nodes_per_benchmark_step(mode, nodes):
     assert len(tape.nodes) == nodes
 
 
-def test_report_jsonl_roundtrip(tmp_path):
+def test_report_jsonl_roundtrip(tmp_path, monkeypatch):
     import json
 
     task = ToyTask(seed=0)
     path = tmp_path / "report.jsonl"
-    cfg = TrainConfig(mode="NM", seed=2, report_path=str(path), **FAST)
+    cfg = TrainConfig(mode="NM", seed=2, **FAST)
+    monkeypatch.chdir(tmp_path)
     _, report = train(task, cfg)
+    assert not any(tmp_path.iterdir())  # the trainer writes no files
+    report.write_jsonl(str(path))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == cfg.steps
     first = json.loads(lines[0])

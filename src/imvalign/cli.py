@@ -1,9 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 usage or parse error (including an invalid
-numeric setting such as a NaN, infinite, non-positive or sub-5.6e-309
-sigma2), 3 contract violation (invalid alignment/IMV input), 4 numeric
-failure (degenerate transform, failed gradient check, diverged training).
+A command exits 0, or 4 when the check it runs (oracle, gradcheck) fails.
+A library error exits with the code :data:`EXIT_CODES` gives its class.
 """
 
 from __future__ import annotations
@@ -11,19 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
-from .autodiff import NonFiniteError
+from .autodiff import NonDeterministicError, NonFiniteError
 from .checks import CHECKABLE_OPS, run_check
-from .core import (
-    MAX_ALIGNMENT_ENTRIES,
-    AlignmentError,
-    Imv,
-    compute_imv,
-    enumerate_monotonic_paths,
-    validate_imv,
-)
+from .core import MAX_ALIGNMENT_ENTRIES, AlignmentError, Imv, compute_imv, enumerate_monotonic_paths, validate_imv
 from .matrixio import read_matrix, read_vector, write_matrix, write_pgm, write_vector
 from .monotonic import (
     DegenerateImvError,
@@ -34,14 +26,28 @@ from .monotonic import (
     sma_loss,
 )
 from .positions import extract_positions
-from .toy import ToyTask, TrainConfig, TrainDivergenceError, make_batch, sequence_forward, train
+from .toy import ToyTask, TrainConfig, TrainDivergenceError, UntrainedModelError, make_batch, sequence_forward, train
 
-__all__ = ["main", "load_run_config", "ConfigError"]
+__all__ = ["main", "load_run_config", "ConfigError", "EXIT_CODES"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 EXIT_NUMERIC = 4
+
+# An error exits with the code of the first class in its MRO listed here, so
+# a subclass's entry wins over its base's whatever the order below.
+EXIT_CODES = {
+    ValueError: EXIT_USAGE,  # malformed files and configs, rejected settings
+    OSError: EXIT_USAGE,  # an input or output path that cannot be opened
+    UntrainedModelError: EXIT_USAGE,
+    AlignmentError: EXIT_CONTRACT,  # invalid alignment or IMV input
+    DegenerateImvError: EXIT_NUMERIC,
+    NonFiniteError: EXIT_NUMERIC,
+    NonDeterministicError: EXIT_NUMERIC,
+    TrainDivergenceError: EXIT_NUMERIC,
+}
+
 
 class ConfigError(ValueError):
     """A run-configuration document is malformed."""
@@ -55,9 +61,10 @@ def load_run_config(path) -> tuple[ToyTask, TrainConfig, str | None, str]:
     files: ``report_path`` (default ``"toy_report.jsonl"``; ``null`` or an
     empty string writes no report) and ``heatmap_path`` (default
     ``"toy_alignment.pgm"``). Absent keys take the library defaults.
-    Unknown keys, invalid settings and a path that is not a string (or an
-    empty heatmap path) raise :class:`ConfigError`. Returns (task, trainer
-    settings, report path, heatmap path).
+    Unknown keys, invalid settings, a path that is not a string (or an empty
+    heatmap path) and a path that names a directory or lies in a missing one
+    raise :class:`ConfigError`. Returns (task, trainer settings, report
+    path, heatmap path).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -77,6 +84,9 @@ def load_run_config(path) -> tuple[ToyTask, TrainConfig, str | None, str]:
         raise ConfigError(f"{path}: report_path must be a string or null, got {report_path!r}")
     if not (isinstance(heatmap_path, str) and heatmap_path):
         raise ConfigError(f"{path}: heatmap_path must be a non-empty string, got {heatmap_path!r}")
+    for key, out in (("report_path", report_path), ("heatmap_path", heatmap_path)):
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            raise ConfigError(f"{path}: {key} {out!r} names a directory or lies in a missing one")
     task_args = {"seed" if k == "task_seed" else k: raw.pop(k) for k in set(raw) & task_keys}
     try:
         if "sma_weights" in raw:
@@ -138,19 +148,16 @@ def cmd_sma(args) -> int:
 
 def cmd_oracle(args) -> int:
     if not 2 <= args.t1 <= args.t2:
-        print(f"error: the oracle needs 2 <= t1 <= t2, got t1={args.t1}, t2={args.t2}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the oracle needs 2 <= t1 <= t2, got t1={args.t1}, t2={args.t2}")
     size = args.t1 * args.t2
     # one matrix alone over the cap: the count is not worth computing
     count = math.comb(args.t2 - 1, args.t1 - 1) if size <= MAX_ALIGNMENT_ENTRIES else None
     if count is None or count * size > MAX_ALIGNMENT_ENTRIES:
         paths = f"C({args.t2 - 1}, {args.t1 - 1})" if count is None else count
-        print(
-            f"error: {args.t1}x{args.t2} has {paths} monotonic paths; the oracle "
-            f"builds at most {MAX_ALIGNMENT_ENTRIES} matrix entries",
-            file=sys.stderr,
+        raise ValueError(
+            f"{args.t1}x{args.t2} has {paths} monotonic paths; the oracle "
+            f"builds at most {MAX_ALIGNMENT_ENTRIES} matrix entries"
         )
-        return EXIT_USAGE
     paths = enumerate_monotonic_paths(args.t1, args.t2)
     # a path's IMV is integer, so the exact step constraint allows steps of 0 or 1 only
     reports = [validate_imv(compute_imv(m), tol=0.0) for m in paths]
@@ -262,17 +269,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (DegenerateImvError, NonFiniteError, TrainDivergenceError) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except AlignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except (ValueError, FileNotFoundError) as exc:
-        # malformed files and configs (MatrixFormatError, ConfigError) and
-        # settings the library's configs reject
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

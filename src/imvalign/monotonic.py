@@ -152,8 +152,9 @@ def streaming_hma_step(
     afterwards, so continuity is enforced directly), and the replacement
     column, a fresh array, is the Gaussian bump at the new position. Raises
     :class:`AlignmentError` when the raw or the new position is not finite
-    (as from a NaN or infinite ``state.pi``) or so far from every row that
-    the nearest row's kernel logit overflows.
+    (as from a NaN or infinite ``state.pi``), so far from every row that
+    the nearest row's kernel logit overflows, or at least 2**52 in magnitude,
+    where float64 spacing reaches 1 and rows' distances round together.
     """
     col = np.asarray(alpha_col, dtype=np.float64)
     t1 = state.t1
@@ -173,7 +174,7 @@ def streaming_hma_step(
     logits /= -kernel.sigma2
     # fl(i - new_pi) is monotone in i, so the nearest row holds the largest logit
     shift = logits[min(max(round(new_pi), 0), t1 - 1)]
-    if not isfinite(shift):
+    if not isfinite(shift) or abs(new_pi) >= 2.0**52:
         raise AlignmentError(f"streaming position {new_pi!r} is too far from rows 0..{t1 - 1}")
     logits -= shift
     np.exp(logits, out=logits)

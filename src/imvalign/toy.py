@@ -192,7 +192,7 @@ class TrainConfig:
     sma_weights: SmaWeights = field(default_factory=SmaWeights)
     ap_weight: float = 1.0
     sigma2: float = KernelConfig.sigma2
-    epsilon: float = 1e-6
+    epsilon: float = ApLossConfig.epsilon
     seed: int = 1
     optimizer: str = "adam"
     accuracy_threshold: float = 0.9

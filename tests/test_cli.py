@@ -419,3 +419,145 @@ def test_run_config_rejects_bad_sma_weights(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"sma_weights": [1.0, 1.0, 1.0]}))
     assert main(["train-toy", "--config", str(path)]) == 2
+
+
+def _library_exception_classes():
+    """Every exception class an ``imvalign`` module defines, found by
+    introspection so a new one cannot be missed."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import imvalign
+
+    found = []
+    for info in pkgutil.iter_modules(imvalign.__path__):
+        module = importlib.import_module(f"imvalign.{info.name}")
+        found += [obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                  if issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    return found
+
+
+def _resolved_code(cls):
+    return next((cli.EXIT_CODES[c] for c in cls.__mro__ if c in cli.EXIT_CODES), None)
+
+
+def test_every_library_exception_class_has_an_exit_code():
+    classes = _library_exception_classes()
+    names = {cls.__name__ for cls in classes}
+    assert {"AlignmentError", "DegenerateImvError", "ConfigError", "MatrixFormatError", "NonFiniteError",
+            "NonDeterministicError", "TrainDivergenceError", "UntrainedModelError"} <= names
+    assert all(_resolved_code(cls) in (2, 3, 4) for cls in classes)
+    # a subclass's entry wins over its base's; the file-format errors resolve through ValueError
+    assert [_resolved_code(c) for c in (cli.DegenerateImvError, cli.AlignmentError, cli.ConfigError)] == [4, 3, 2]
+
+
+@pytest.mark.parametrize("cls", _library_exception_classes(), ids=lambda cls: cls.__name__)
+def test_a_library_exception_raised_by_a_command_exits_with_its_code(monkeypatch, capsys, cls):
+    def run_check(*args, **kwargs):
+        # bypasses subclass __init__ signatures; str(exc) is the message
+        raise cls.__new__(cls, "injected failure")
+
+    monkeypatch.setattr(cli, "run_check", run_check)
+    assert main(["gradcheck", "--op", "sma_loss"]) == _resolved_code(cls)
+    assert capsys.readouterr().err == "error: injected failure\n"
+
+
+def test_an_unlisted_exception_is_not_swallowed(monkeypatch):
+    # a RuntimeError of no listed class is a bug: it keeps its traceback
+    def run_check(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "run_check", run_check)
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["gradcheck", "--op", "sma_loss"])
+
+
+def test_readme_lists_every_exit_code_class():
+    import pathlib
+
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("Exit codes"):]
+    section = section[:section.index("\n\n")]
+    for cls, code in cli.EXIT_CODES.items():
+        assert f"`{cls.__name__}` ({code})" in section, cls.__name__
+
+
+# one case per path argument: the command's argv, with {bad} at the path under test
+_PATH_ARGUMENTS = {
+    "imv --alignment": ["imv", "--alignment", "{bad}"],
+    "imv --out": ["imv", "--alignment", "{alignment}", "--out", "{bad}"],
+    "hma --imv": ["hma", "--imv", "{bad}", "--t1", "2"],
+    "hma --out": ["hma", "--imv", "{imv}", "--t1", "2", "--out", "{bad}"],
+    "reconstruct --imv": ["reconstruct", "--imv", "{bad}", "--t1", "2", "--out", "{out}"],
+    "reconstruct --out": ["reconstruct", "--imv", "{imv}", "--t1", "2", "--out", "{bad}"],
+    "positions --imv": ["positions", "--imv", "{bad}", "--t1", "2"],
+    "positions --out": ["positions", "--imv", "{imv}", "--t1", "2", "--out", "{bad}"],
+    "sma --imv": ["sma", "--imv", "{bad}", "--t1", "2"],
+    "heatmap --alignment": ["heatmap", "--alignment", "{bad}", "--out", "{out}"],
+    "heatmap --out": ["heatmap", "--alignment", "{alignment}", "--out", "{bad}"],
+    "train-toy --config": ["train-toy", "--config", "{bad}"],
+    "train-toy report_path": ["train-toy", "--config", "{report_config}"],
+    "train-toy heatmap_path": ["train-toy", "--config", "{heatmap_config}"],
+}
+
+
+def _fault_argv(tmp_path, name, kind):
+    """Write a command's good inputs and return its argv with one path
+    argument made unusable: a directory, or a path in a missing directory."""
+    bad = tmp_path / "a_dir" if kind == "directory" else tmp_path / "missing" / "x.out"
+    if kind == "directory":
+        bad.mkdir()
+    inputs = {"alignment": _matrix_file(tmp_path, np.eye(2)), "imv": _vector_file(tmp_path, [0.0, 1.0]),
+              "out": str(tmp_path / "out.csv"), "bad": str(bad)}
+    for key in ("report_path", "heatmap_path"):
+        config = tmp_path / f"{key}.json"
+        config.write_text(json.dumps({"steps": 2, "batch_size": 4, "pool_size": 8, "report_path": None,
+                                      "heatmap_path": str(tmp_path / "h.pgm"), key: str(bad)}))
+        inputs[key.replace("_path", "_config")] = str(config)
+    return [arg.format(**inputs) for arg in _PATH_ARGUMENTS[name]]
+
+
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing parent"])
+@pytest.mark.parametrize("name", sorted(_PATH_ARGUMENTS))
+def test_an_unusable_path_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, name, kind):
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train was called"))
+    argv = _fault_argv(tmp_path, name, kind)
+    before = _tree(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert _tree(tmp_path) == before
+
+
+def test_an_unusable_path_exits_2_without_a_traceback_from_a_fresh_interpreter(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import imvalign
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imvalign.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = _fault_argv(tmp_path, "imv --out", "directory")
+    out = subprocess.run([sys.executable, "-m", "imvalign.cli", *argv], env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: [Errno 21] Is a directory") and out.stderr.count("\n") == 1
+
+
+def test_train_toy_permission_error_at_write_time_exits_2(tmp_path, monkeypatch, capsys):
+    # a read-only path cannot be made while running as root: the writer raises instead
+    def write_pgm(path, alpha):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_pgm", write_pgm)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"steps": 2, "batch_size": 4, "pool_size": 8, "report_path": None,
+                                "heatmap_path": str(tmp_path / "h.pgm")}))
+    assert main(["train-toy", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{tmp_path / 'h.pgm'}'\n"

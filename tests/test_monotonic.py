@@ -191,6 +191,19 @@ def test_streaming_step_keeps_a_far_position_whose_logit_is_finite():
     assert np.array_equal(col, [0.0, 0.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("pi", [1e17, 2.0**52])
+def test_streaming_step_rejects_a_position_past_float64_row_resolution(pi):
+    # from 2**52 on, fl(i - pi) rounds neighbouring rows together: at 1e17 the
+    # column came back uniform instead of one-hot at the last row
+    with pytest.raises(AlignmentError, match="too far from rows 0..3"):
+        streaming_hma_step(StreamingHmaState(t1=4, pi=pi), np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+def test_streaming_step_keeps_a_position_just_inside_float64_row_resolution():
+    state, col = streaming_hma_step(StreamingHmaState(t1=4, pi=2.0**52 - 1), np.array([0.0, 0.0, 0.0, 1.0]))
+    assert np.array_equal(col, [0.0, 0.0, 0.0, 1.0])
+
+
 _KERNEL_CONFIG = lambda v: KernelConfig(sigma2=v)
 _SMA_WEIGHTS = lambda v: SmaWeights(lambda0=v)
 

@@ -14,9 +14,16 @@ It trains HMA, SMA and NM for 420 steps each at the benchmark toy config
 
 ``test_golden_toy.py`` trains again and compares bit for bit when numpy and
 the BLAS match the recorded ones. Otherwise it compares the traces of the
-first ``tolerance["steps"]`` steps within the file's ``tolerance``. Rewrite
-the file only for a change that moves the numbers on purpose, and report
-the largest deviation from the old file with it.
+first ``tolerance["steps"]`` steps within the file's ``tolerance``.
+
+It also makes the acceptance suite's criterion-7 runs (the 15 runs of 1200
+steps, about a minute) and criterion-4 gradient checks, and records each
+run's ``steps_to_threshold`` and each check's ``max_rel_error``. Criteria 7
+and 4 compare their own results with these, bit for bit, on the recorded
+environment only.
+
+Rewrite the file only for a change that moves the numbers on purpose, and
+report the largest deviation from the old file with it.
 """
 
 from __future__ import annotations
@@ -24,11 +31,13 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from imvalign import toy
+from imvalign.checks import CHECKABLE_OPS, run_check
 
 GOLDEN = Path(__file__).with_name("golden_toy.json")
 
@@ -46,6 +55,11 @@ TRACES = ("recon_loss", "ap_loss", "sma_loss", "total_loss", "accuracy", "diagon
 # 345 as recorded). Such a run can only be held to its first steps.
 TOLERANCE = {"steps": 16, "rtol": 1e-9, "atol": 1e-12}
 
+# the acceptance suite's criterion-7 training seeds (each run is the full
+# TrainConfig default, i.e. 1200 steps) and criterion-4 gradient-check seeds
+CRITERION7_SEEDS = (1, 2, 3, 4, 5)
+CRITERION4_SEEDS = range(10)
+
 
 def config(mode: str) -> toy.TrainConfig:
     return toy.TrainConfig(mode=mode, steps=STEPS, pool_size=32, batch_size=8, optimizer="adam",
@@ -60,6 +74,24 @@ def environment() -> dict:
     except (TypeError, KeyError):  # numpy before 1.26 has no dict form
         blas = "unknown"
     return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+
+
+def load() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def on_recorded_environment(recorded: dict, instead: str) -> bool:
+    """Whether numpy, the BLAS and the machine are the recorded ones. If not,
+    warns with ``instead``: what the caller does in place of comparing bit
+    for bit."""
+    if recorded["environment"] == environment():
+        return True
+    warnings.warn(f"{environment()} is not the recorded {recorded['environment']}: {instead}")
+    return False
+
+
+def hexes(values) -> str:
+    return " ".join(float(x).hex() for x in values)
 
 
 def params_sha256(params: dict) -> str:
@@ -91,7 +123,7 @@ def run(mode: str) -> tuple[toy.ToyModel, toy.TrainReport, list]:
 def record(model: toy.ToyModel, report: toy.TrainReport, tapes: list) -> dict:
     """One mode's entry of the golden file, from the outputs of :func:`run`."""
     return {
-        "traces": {name: " ".join(float(x).hex() for x in getattr(report, name)) for name in TRACES},
+        "traces": {name: hexes(getattr(report, name)) for name in TRACES},
         "params_sha256": params_sha256(model.params),
         "nodes_per_step": " ".join(str(len(tape.nodes)) for tape in tapes),
     }
@@ -102,6 +134,15 @@ def main() -> None:
         "environment": environment(),
         "tolerance": TOLERANCE,
         "modes": {mode: record(*run(mode)) for mode in MODES},
+        "criterion7_steps_to_threshold": {
+            mode: [toy.train(TASK, toy.TrainConfig(mode=mode, seed=seed))[1].steps_to_threshold
+                   for seed in CRITERION7_SEEDS]
+            for mode in MODES
+        },
+        "criterion4_max_rel_error": {
+            name: hexes(run_check(name, seed=seed, h=1e-5, tol=1e-4).max_rel_error for seed in CRITERION4_SEEDS)
+            for name in CHECKABLE_OPS
+        },
     }
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")

@@ -145,10 +145,6 @@ class Value:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Value({self.data!r})"
 
@@ -178,21 +174,11 @@ class Value:
     def __rtruediv__(self, other):
         return _div(other, self)
 
-    def __neg__(self):
-        return _mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
     def __getitem__(self, key):
         return _getitem(self, key)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 def _accumulate(v, g: np.ndarray) -> None:
@@ -302,15 +288,12 @@ def tanh(x):
 # -- reductions and structure -------------------------------------------
 
 
-def asum(x, axis=None, keepdims: bool = False):
+def asum(x):
+    """The sum of every entry of ``x``."""
     xd = data(x)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, xd.shape).copy())
-
-    return _record("sum", np.sum(xd, axis=axis, keepdims=keepdims), backward, x)
+    return _record(
+        "sum", np.sum(xd), lambda g: _accumulate(x, np.broadcast_to(g, xd.shape).copy()), x
+    )
 
 
 def _scatter(like: np.ndarray, key, g) -> np.ndarray:
@@ -347,15 +330,14 @@ def matmul(a, b):
         if ad.ndim == 2 and bd.ndim == 2:
             _accumulate(a, g @ bd.T)
             _accumulate(b, ad.T @ g)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            _accumulate(a, np.outer(g, bd))
-            _accumulate(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _accumulate(a, bd @ g)
-            _accumulate(b, np.outer(ad, g))
-        else:
-            _accumulate(a, g * bd)
-            _accumulate(b, g * ad)
+            return
+        # A vector is a one-row (left) or one-column (right) matrix. Over its
+        # length-1 axis the product is elementwise, as in np.outer: matmul
+        # would add each product to +0.0 and lose the sign of a zero.
+        a2, b2 = (ad if ad.ndim == 2 else ad[None, :]), (bd if bd.ndim == 2 else bd[:, None])
+        g2 = np.reshape(g, (a2.shape[0], b2.shape[1]))
+        _accumulate(a, (g2 * b2.T if bd.ndim == 1 else g2 @ b2.T).reshape(ad.shape))
+        _accumulate(b, (a2.T * g2 if ad.ndim == 1 else a2.T @ g2).reshape(bd.shape))
 
     return _record("matmul", ad @ bd, backward, a, b)
 
@@ -568,7 +550,7 @@ def monotone_rescale(x, end: float, min_total: float):
     out_data = path * end_data / total
 
     def backward(g):
-        g_path = _scatter(path, -1, _unbroadcast(-g * out_data / total, ())) + g / total * end_data
+        g_path = _scatter(path, -1, np.sum(-g * out_data / total)) + g / total * end_data
         g_d = np.cumsum(g_path[1:][::-1])[::-1] * mask
         _accumulate(x, _scatter(xd, slice(None, -1), -g_d))
         _accumulate(x, _scatter(xd, slice(1, None), g_d))
@@ -617,8 +599,7 @@ def sma_penalty(x, span: float, lambdas: Sequence[float], square: bool = True):
             g_start = g_start * sign_start
         _accumulate(x, _scatter(xd, -1, g_end / span_data))
         _accumulate(x, _scatter(xd, 0, g_start / span_data))
-        g_over = np.broadcast_to(g * l1, d.shape).copy()
-        g_back = np.broadcast_to(g * l0, d.shape).copy()
+        g_over, g_back = g * l1, g * l0
         g_d = g_over + g_over * sign_d1 + -g_back + g_back * sign_d
         _accumulate(x, _scatter(xd, slice(None, -1), -g_d))
         _accumulate(x, _scatter(xd, slice(1, None), g_d))
@@ -634,7 +615,7 @@ def log_l1_distance(pred, target, eps: float):
     sign = np.sign(diff)
 
     def backward(g):
-        g_diff = np.broadcast_to(g, diff.shape).copy() * sign
+        g_diff = g * sign
         if isinstance(target, Value):
             _accumulate(target, _unbroadcast(-g_diff / target_shift, target.shape))
         if isinstance(pred, Value):
@@ -652,7 +633,7 @@ def mean_squared_error(a, b):
     count = np.asarray(float(err.size))
 
     def backward(g):
-        g_sq = np.broadcast_to(g / count, err.shape).copy()
+        g_sq = g / count
         g_err = g_sq * err + g_sq * err
         if isinstance(a, Value):
             _accumulate(a, _unbroadcast(g_err, ad.shape))

@@ -165,7 +165,8 @@ def streaming_hma_step(
     if not abs(total - 1.0) <= COLUMN_SUM_TOL:
         raise AlignmentError(f"column sums to {total:.6g}, expected 1")
     p = _index_grid(t1)
-    raw = float(col.dot(p))
+    # a strided column's dot product would sum in another order
+    raw = float(np.ascontiguousarray(col).dot(p))
     new_pi = _advance(state.pi, raw)
     if not (isfinite(raw) and isfinite(new_pi)):
         raise AlignmentError(f"streaming position is not finite: raw {raw!r}, from {state.pi!r} to {new_pi!r}")

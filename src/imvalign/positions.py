@@ -46,10 +46,6 @@ class AlignedPositions:
         return ad.data(self.e)
 
     @property
-    def t1(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def deltas(self) -> np.ndarray:
         v = self.values
         out = np.empty_like(v)

@@ -1,11 +1,12 @@
 """Reference tapes and primitives that the engine is tested against.
 
 :class:`CheckingTape` is the per-node-checking tape of the finiteness rule.
-The primitives below are the chains the fused ops replace; the library no
-longer calls them. They dispatch like the library's own primitives, through
-the public :meth:`Tape.record`, so a fused op can be compared with its
-chain bit for bit, kink signatures included. The streaming functions at the
-end are the plain forms of :mod:`imvalign.monotonic`'s streaming clamp,
+The primitives below are the chains the fused ops replace, and the earlier
+forms of ``asum`` (along an axis) and of ``matmul``'s backward; the library
+no longer calls them. They dispatch like the library's own primitives,
+through the public :meth:`Tape.record`, so a fused op can be compared with
+its chain bit for bit, kink signatures included. The streaming functions at
+the end are the plain forms of :mod:`imvalign.monotonic`'s streaming clamp,
 step and run, which the library's must match bit for bit.
 """
 
@@ -70,6 +71,40 @@ def absolute(x):
     return _record("abs", np.abs(xd), lambda g: _accumulate(x, g * sign), x, kinks=(sign,))
 
 
+def asum(x, axis=None, keepdims: bool = False):
+    """Sum along ``axis``, or of every entry when it is None (:func:`ad.asum`)."""
+    xd = ad.data(x)
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(x, np.broadcast_to(g, xd.shape).copy())
+
+    return _record("sum", np.sum(xd, axis=axis, keepdims=keepdims), backward, x)
+
+
+def matmul(a, b):
+    """:func:`ad.matmul` with its backward written as one branch per pair of
+    operand ranks."""
+    a_data, b_data = ad.data(a), ad.data(b)
+
+    def backward(g):
+        if a_data.ndim == 2 and b_data.ndim == 2:
+            _accumulate(a, g @ b_data.T)
+            _accumulate(b, a_data.T @ g)
+        elif a_data.ndim == 2 and b_data.ndim == 1:
+            _accumulate(a, np.outer(g, b_data))
+            _accumulate(b, a_data.T @ g)
+        elif a_data.ndim == 1 and b_data.ndim == 2:
+            _accumulate(a, b_data @ g)
+            _accumulate(b, np.outer(a_data, g))
+        else:
+            _accumulate(a, g * b_data)
+            _accumulate(b, g * a_data)
+
+    return _record("matmul", a_data @ b_data, backward, a, b)
+
+
 def amean(x):
     n = ad.data(x).size
     return ad.asum(x) / float(n)
@@ -111,7 +146,7 @@ def softmax_chain(x, axis):
     """Stable softmax as the exp/sum/div chain that :func:`ad.softmax` fuses."""
     m = np.max(ad.data(x), axis=axis, keepdims=True)
     z = ad.exp(x - m)
-    return z / ad.asum(z, axis=axis, keepdims=True)
+    return z / asum(z, axis=axis, keepdims=True)
 
 
 def gaussian_softmax_chain(rows, cols, sigma2, axis):

@@ -101,6 +101,44 @@ def test_nonfinite_softmax_names_the_fused_op():
     assert exc.value.op_name == "softmax"
 
 
+def test_forward_backward_raises_the_nan_node_of_a_function_that_raises():
+    def f(x):
+        ref.log(x - 2.0)  # node 1: the log of a negative number
+        raise KeyError("a later failure")
+
+    with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError) as exc:
+        ad.forward_backward(f, [np.array([1.0])])
+    assert (exc.value.op_name, exc.value.node_index) == ("log", 1)
+
+
+def test_forward_backward_reraises_what_f_raised_without_a_nan_node():
+    failure = KeyError("no non-finite node")
+
+    def f(x):
+        x * 2.0
+        raise failure
+
+    with pytest.raises(KeyError) as exc:
+        ad.forward_backward(f, [np.array([1.0])])
+    assert exc.value is failure
+
+
+def test_forward_backward_of_a_tuple_returns_a_list_and_the_gradients_of_the_sum():
+    x, y = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+    f = lambda u, v: (u * u, ad.exp(v) * u)
+
+    def total(u, v):
+        first, second = f(u, v)
+        return ad.asum(first) + ad.asum(second)
+
+    outs, grads = ad.forward_backward(f, [x, y])
+    assert isinstance(outs, list) and all(type(o) is np.ndarray for o in outs)
+    assert _same_bits(outs[0], x * x) and _same_bits(outs[1], np.exp(y) * x)
+    _, sum_grads = ad.forward_backward(total, [x, y])
+    assert all(_same_bits(g, e) for g, e in zip(grads, sum_grads))
+    assert np.allclose(grads[0], 2.0 * x + np.exp(y)) and np.allclose(grads[1], np.exp(y) * x)
+
+
 def test_nondeterministic_function_rejected():
     state = {"calls": 0}
 
@@ -124,6 +162,10 @@ def test_matmul_shapes_and_gradients():
     v = rng.normal(size=4)
     f_vec = lambda x, y: ad.asum(x @ y)
     report = ad.gradcheck(f_vec, [v, b], op_name="vec@mat")
+    assert report.passed
+
+    u = rng.normal(size=4)
+    report = ad.gradcheck(lambda x, y: x @ y, [u, v], op_name="vec@vec")
     assert report.passed
 
 
@@ -229,7 +271,7 @@ def _unary(op):
 def _asum_case(draw):
     axis = draw(st.sampled_from([None, 0, 1]))
     keepdims = draw(st.booleans())
-    return lambda x: ad.asum(x, axis=axis, keepdims=keepdims), [_matrix(draw)]
+    return lambda x: ref.asum(x, axis=axis, keepdims=keepdims), [_matrix(draw)]
 
 
 def _concat_case(draw):
@@ -293,7 +335,8 @@ _PRIMITIVE_CASES = {
     "tanh": _unary(ad.tanh),
     "relu": _unary(ref.relu),
     "abs": _unary(ref.absolute),
-    "sum": _asum_case,
+    "sum": _unary(ad.asum),
+    "sum_axis": _asum_case,
     "mean": _unary(ref.amean),
     "cumsum": lambda draw: (ref.cumsum, [_array(draw, (draw(_dims),))]),
     "concat": _concat_case,
@@ -338,6 +381,30 @@ def test_matmul_rejects_rank3_on_both_paths():
         ad.matmul(a, b)
     with pytest.raises(ValueError, match="rank-1 and rank-2"):
         ad.matmul(ad.Tape().variable(a), b)
+
+
+@pytest.mark.parametrize(
+    "ranks", [(2, 2), (2, 1), (1, 2), (1, 1)], ids=["mat@mat", "mat@vec", "vec@mat", "vec@vec"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matmul_gradients_equal_the_four_branch_backward(ranks, data):
+    m, k, n = data.draw(_dims), data.draw(_dims), data.draw(_dims)
+    a = _array(data.draw, (m, k)[2 - ranks[0]:])
+    b = _array(data.draw, (k, n)[:ranks[1]])
+    with np.errstate(all="ignore"):
+        shape = (a @ b).shape
+    # drawn in reversed shape and transposed: a non-contiguous 2-D gradient
+    g = _array(data.draw, shape[::-1]).T if data.draw(st.booleans()) else _array(data.draw, shape)
+    grads = []
+    for matmul in (ad.matmul, ref.matmul):
+        tape = ad.Tape()
+        va, vb = tape.variable(a), tape.variable(b)
+        with np.errstate(all="ignore"):
+            matmul(va, vb)
+            tape.nodes[-1].backward(g)
+        grads.append((va.grad, vb.grad))
+    (ga, gb), (ref_ga, ref_gb) = grads
+    assert _same_bits(ga, ref_ga) and _same_bits(gb, ref_gb)
 
 
 def test_relu_nan_propagates_untraced_and_raises_traced():
@@ -601,7 +668,8 @@ def test_band_at_the_smallest_sigma2_with_a_finite_reciprocal(axis):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("case", ["sigma2 1e6", "t1 = 1", "t2 = 1", "sorted equal centres"])
+@pytest.mark.parametrize(
+    "case", ["sigma2 1e6", "t1 = 1", "t2 = 1", "sorted equal centres", "a tight cluster"])
 def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
     rng = np.random.default_rng(18)
     sigma2, rows, cols = 0.25, np.arange(256.0), _jittered_grid(rng, 160)
@@ -611,6 +679,11 @@ def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
         rows, cols = np.array([3.7]), np.arange(20000.0)
     elif case == "t2 = 1":
         rows, cols = np.arange(20000.0), np.array([3.7])
+    elif case == "a tight cluster":
+        # positions 5 apart pass the estimate from their mean spacing, but 80
+        # of them within 0.08 of 400 put about 90 in one window: too many
+        cluster = np.sort(np.concatenate([np.arange(176.0) * 5.0, 400.0 + np.arange(80.0) * 1e-3]))
+        rows, cols = (cluster, np.linspace(0.0, 875.0, 160))[::1 - 2 * axis]
     else:
         cols = np.full(160, 37.25)
     along = rows if axis == 0 else cols

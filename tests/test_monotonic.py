@@ -374,9 +374,25 @@ def test_streaming_step_and_run_match_the_reference_bit_for_bit(t1, t2, seed, si
     state = ref_state = StreamingHmaState(t1=t1, pi=start)
     for j in range(t2):
         state, col = streaming_hma_step(state, alpha[:, j], kernel)
-        ref_state, ref_col = ref.streaming_hma_step(ref_state, alpha[:, j], kernel)
+        # a step sums the column in its contiguous order, whatever its layout
+        ref_state, ref_col = ref.streaming_hma_step(ref_state, alpha[:, j].copy(), kernel)
         assert _bits(state.pi) == _bits(ref_state.pi)
         assert col.tobytes() == ref_col.tobytes()
+
+
+def test_streaming_step_does_not_depend_on_the_column_layout():
+    # BLAS sums a strided column's dot product in another order; on this
+    # alignment that moves one of the twelve positions by an ulp
+    rng = np.random.default_rng(5)
+    alpha = rng.random((7, 12))
+    alpha /= alpha.sum(axis=0)
+    kernel = KernelConfig(sigma2=0.25)
+    strided = contiguous = StreamingHmaState(t1=7)
+    for j in range(12):
+        strided, col = streaming_hma_step(strided, alpha[:, j], kernel)
+        contiguous, expected = streaming_hma_step(contiguous, alpha[:, j].copy(), kernel)
+        assert _bits(strided.pi) == _bits(contiguous.pi)
+        assert col.tobytes() == expected.tobytes()
 
 
 def test_streaming_steps_return_fresh_columns_and_hold_no_input():

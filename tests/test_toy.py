@@ -98,6 +98,7 @@ def test_steps_to_threshold_is_first_step_reaching_it():
     dict(sigma2=float("inf")), dict(optimizer="rmsprop"), dict(pool_size=4, batch_size=8),
     dict(steps=1.5), dict(steps=True), dict(batch_size=2.5, pool_size=4), dict(seed=np.float64(1.0)),
     dict(lr=float("inf")), dict(epsilon=float("inf")), dict(ap_weight=float("inf")),
+    dict(steps=-1), dict(batch_size=0),
 ])
 def test_train_config_rejects_invalid_numeric_settings(setting):
     with pytest.raises(ValueError):

@@ -483,6 +483,9 @@ def _train_step(model, batches, cfg, step):
     if failure is None and np.isfinite(mean_loss.data):
         if cfg.steps > 0:
             tape.backward(mean_loss)
+        # the gradients stay on the parameters; freed of its cycles, the
+        # step's graph goes by reference counting when this step returns
+        tape.release()
         bad = [n for n, v in params.items() if v.grad is not None and not np.isfinite(v.grad).all()]
         if not bad:
             return params, entry

@@ -42,6 +42,8 @@ def _record(name: str, out, backward, *operands, kinks=()):
         if isinstance(x, ad.Value):
             if tape is None:
                 tape = x.tape
+                if tape is None:
+                    raise ValueError("value belongs to a released tape")
             elif x.tape is not tape:
                 raise ValueError("cannot combine values from different tapes")
     if tape is None:

@@ -216,6 +216,76 @@ def test_values_from_different_tapes_rejected():
         ad.Tape().backward(a)
 
 
+def test_release_keeps_the_nodes_gradients_and_first_nonfinite_node():
+    tape = ad.Tape()
+    x = tape.variable(np.array([1.0, 2.0]))
+    tape.backward(ad.asum(ad.exp(x) * 2.0))
+    grad = x.grad.copy()
+    tape.release()
+    assert [n.name for n in tape.nodes] == ["exp", "mul", "sum"]
+    assert all(n.out.tape is None for n in tape.nodes) and x.tape is None
+    assert np.array_equal(x.grad, grad) and tape.first_nonfinite() is None
+
+    tape = ad.Tape()
+    with np.errstate(over="ignore"):
+        ad.exp(tape.variable(np.array([1.0, 2000.0]))) * 2.0
+    tape.release()
+    error = tape.first_nonfinite()
+    assert (error.op_name, error.node_index) == ("exp", 0)
+
+
+def test_release_keeps_the_kink_signatures():
+    tape = ad.Tape()
+    ad.monotone_rescale(tape.variable(np.array([0.0, 2.0, 1.0, 3.0])), 4.0, 1e-9)
+    tape.release()
+    assert [k.tolist() for k in tape.kink_signatures] == [[True, False, True]]
+
+
+def test_backward_from_a_released_root_raises():
+    tape = ad.Tape()
+    y = ad.asum(tape.variable(np.ones(3)) * 2.0)
+    tape.release()
+    with pytest.raises(ValueError, match="does not belong to this tape"):
+        tape.backward(y)
+
+
+@pytest.mark.parametrize("op", [
+    lambda v: v * 2.0,
+    lambda v: 2.0 - v,
+    lambda v: ad.exp(v),
+    lambda v: v[0],
+    lambda v: ad.matmul(np.ones((2, 3)), v),
+    lambda v: ad.softmax(v, axis=0),
+    lambda v: ad.Tape().variable(np.ones(3)) + v,
+], ids=["mul", "rsub", "exp", "getitem", "matmul", "softmax", "with-a-live-value"])
+def test_a_primitive_given_a_released_value_raises(op):
+    # instead of returning an untraced array that no backward pass reaches
+    tape = ad.Tape()
+    x = tape.variable(np.ones(3))
+    y = x * 2.0
+    tape.release()
+    for released in (x, y):
+        with pytest.raises(ValueError, match="tape"):
+            op(released)
+
+
+@pytest.mark.parametrize("f, x", [
+    (lambda v: (np.array([1e-200]) * v) * np.array([1e200]), 1e300),
+    (lambda v: (np.array([1e-300]) / v) * np.array([1e300]), 1e-10),
+    (lambda v: ad.matmul(np.array([[1e-200]]), v) * np.array([1e200]), 1e300),
+], ids=["mul", "div", "matmul"])
+def test_backward_computes_no_gradient_for_an_untraced_operand(f, x):
+    # The constant's gradient (1e200 * 1e300, 1e300 / 1e-10, 1e200 * 1e300)
+    # overflows; the traced operand's does not, so backward must not raise.
+    tape = ad.Tape()
+    v = tape.variable(np.array([x]))
+    with np.errstate(over="raise"):
+        root = ad.asum(f(v))
+        tape.backward(root)
+    _, (expected,) = ad.forward_backward(f, [np.array([x])])
+    assert np.isfinite(v.grad).all() and np.array_equal(v.grad, expected)
+
+
 def _same_bits(a, b) -> bool:
     """Equal shape and bytes: sign bits of zeros included."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)

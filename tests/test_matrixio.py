@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imvalign.matrixio import (
     MatrixFormatError,
@@ -25,6 +28,34 @@ def test_vector_roundtrip_is_exact(tmp_path):
     path = tmp_path / "v.csv"
     write_vector(path, v)
     assert np.array_equal(read_vector(path), v)
+
+
+# every finite float64: -0.0, subnormals and +-1.7976931348623157e308 included
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGES = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1])
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=_FINITE))
+@example(m=_EDGES.reshape(2, 3))
+def test_matrix_roundtrip_keeps_every_bit(tmp_path_factory, m):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    write_matrix(path, m)
+    assert _same_bits(read_matrix(path), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=hnp.arrays(np.float64, st.integers(1, 12), elements=_FINITE))
+@example(v=_EDGES)
+def test_vector_roundtrip_keeps_every_bit(tmp_path_factory, v):
+    path = tmp_path_factory.getbasetemp() / "roundtrip.txt"
+    write_vector(path, v)
+    assert _same_bits(read_vector(path), v)
 
 
 @pytest.mark.parametrize("writer", [write_matrix, write_pgm])

@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imvalign.core import AlignmentError, Imv, compute_imv
 from imvalign.monotonic import KernelConfig
@@ -147,6 +152,23 @@ def test_scale_positions():
     faster = scale_positions(AlignedPositions(np.array([0.0, 5.0])), 1.2)
     assert np.allclose(faster.values, [0.0, 6.0])
     assert infer_t2(faster) == 12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    e=st.lists(st.floats(0.0, 1e4), min_size=2, max_size=20).map(sorted),
+    rate=st.floats(1e-3, 1e3),
+)
+def test_inferred_length_scales_with_the_rate_up_to_rounding(e, rate):
+    e = np.array(e)
+    n = infer_t2(scale_positions(AlignedPositions(e), rate))
+    # rate x the projected length, exactly, and a bound on the rounding of
+    # the scaled positions and of the float projection
+    target = Fraction(rate) * (2 * Fraction(e[-1]) - Fraction(e[-2]))
+    slack = Fraction(8 * np.finfo(float).eps) * Fraction(rate) * (2 * Fraction(e[-1]) + Fraction(e[-2]))
+    lowest = max(1, math.floor(target - slack + Fraction(1, 2)))
+    highest = max(1, math.floor(target + slack + Fraction(1, 2)))
+    assert lowest <= n <= highest
 
 
 def test_scale_positions_rejects_nonpositive_rate():

@@ -30,7 +30,7 @@ def scaled_dot_alignment(queries, keys):
             f"dimension mismatch: queries have d={q_data.shape[1]}, "
             f"keys have d={k_data.shape[1]}"
         )
-    if not (np.all(np.isfinite(q_data)) and np.all(np.isfinite(k_data))):
+    if not (np.isfinite(q_data).all() and np.isfinite(k_data).all()):
         raise AlignmentError("encoded sequences must be finite")
     scale = float(q_data.shape[1]) ** -0.5
     logits = ad.matmul(keys, ad.transpose(queries)) * scale

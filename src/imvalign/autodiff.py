@@ -65,7 +65,7 @@ class NonDeterministicError(RuntimeError):
     """The checked function returned different values on identical inputs."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
     name: str
     out: "Value"
@@ -330,21 +330,13 @@ def asum(x):
     """The sum of every entry of ``x``."""
     xd = data(x)
     return _record(
-        "sum", np.sum(xd), lambda g: _accumulate(x, np.broadcast_to(g, xd.shape).copy()), x
+        "sum", xd.sum(), lambda g: _accumulate(x, np.broadcast_to(g, xd.shape).copy()), x
     )
-
-
-def _scatter(like: np.ndarray, key, g) -> np.ndarray:
-    """The gradient of ``like[key]`` for upstream ``g``: zeros, plus ``g`` at ``key``."""
-    gx = np.zeros_like(like)
-    gx[key] += g
-    return gx
 
 
 def _getitem(x: Value, key):
     """``x[key]``, the one gather. ``np.add.at`` gives an element selected
-    twice (a repeated token's embedding) both contributions; the fused ops'
-    slice and scalar keys select none twice and use the faster :func:`_scatter`."""
+    twice (a repeated token's embedding) both contributions."""
 
     def backward(g):
         gx = np.zeros_like(x.data)
@@ -376,7 +368,7 @@ def matmul(a, b):
         # length-1 axis the product is elementwise, as in np.outer: matmul
         # would add each product to +0.0 and lose the sign of a zero.
         a2, b2 = (ad if ad.ndim == 2 else ad[None, :]), (bd if bd.ndim == 2 else bd[:, None])
-        g2 = np.reshape(g, (a2.shape[0], b2.shape[1]))
+        g2 = g.reshape(a2.shape[0], b2.shape[1])
         if want_a:
             _accumulate(a, (g2 * b2.T if bd.ndim == 1 else g2 @ b2.T).reshape(ad.shape))
         if want_b:
@@ -400,15 +392,24 @@ def _masked_softmax(shifted: np.ndarray, axis: int):
     underflow = shifted < _EXP_UNDERFLOW
     np.exp(shifted, out=shifted, where=~underflow)
     np.copyto(shifted, 0.0, where=underflow)
-    s = np.sum(shifted, axis=axis, keepdims=True)
+    s = shifted.sum(axis=axis, keepdims=True)
     return shifted / s, shifted, s
 
 
 def _softmax_grad(g, y, z, s, axis: int) -> np.ndarray:
     """Gradient of the logits for upstream ``g``, evaluated as
     ``(g/s + sum(-g*y/s)) * z`` in the order an exp/sum/div chain of
-    primitives would, so it equals that chain's bit for bit."""
-    return (g / s + np.sum(-g * y / s, axis=axis, keepdims=True)) * z
+    primitives would, so it equals that chain's bit for bit.
+
+    Works in place on fresh arrays laid out as the chain's would be: the
+    layout decides the order of the sum, and of the sums the result feeds.
+    ``y`` is laid out as ``z``, so ``-g * y`` is laid out as ``(...) * z``.
+    """
+    t = np.multiply(np.negative(g), y)
+    t /= s
+    out = g / s
+    out += t.sum(axis=axis, keepdims=True)
+    return np.multiply(out, z, out=t)
 
 
 def softmax(x, axis: int):
@@ -420,8 +421,20 @@ def softmax(x, axis: int):
     exp/sum/div chain of primitives bit for bit.
     """
     xd = data(x)
-    y, z, s = _masked_softmax(xd - np.max(xd, axis=axis, keepdims=True), axis)
+    y, z, s = _masked_softmax(xd - xd.max(axis=axis, keepdims=True), axis)
     return _record("softmax", y, lambda g: _accumulate(x, _softmax_grad(g, y, z, s, axis)), x)
+
+
+def _diff_grad(g, y, z, s, axis: int, scale: float, diff: np.ndarray) -> np.ndarray:
+    """Gradient of the kernel's ``diff`` (rows - cols) for upstream ``g``:
+    ``half + half`` with ``half = softmax gradient * scale * diff``, as the
+    chain evaluates it. ``z`` and ``diff`` are C-contiguous, so the softmax
+    gradient is too and every step can work in place."""
+    gd = _softmax_grad(g, y, z, s, axis)
+    gd *= scale
+    gd *= diff
+    gd += gd
+    return gd
 
 
 def _dense_gaussian(rd, cd, scale: float, axis: int):
@@ -431,12 +444,11 @@ def _dense_gaussian(rd, cd, scale: float, axis: int):
     diff = rd.reshape(-1, 1) - cd
     logits = diff * diff
     logits *= scale
-    logits -= np.max(logits, axis=axis, keepdims=True)
+    logits -= logits.max(axis=axis, keepdims=True)
     y, z, s = _masked_softmax(logits, axis)
 
     def grads(g, want_rows: bool, want_cols: bool):
-        half = _softmax_grad(g, y, z, s, axis) * scale * diff
-        gd = half + half
+        gd = _diff_grad(g, y, z, s, axis, scale, diff)
         g_rows = _unbroadcast(gd, (rd.size, 1)).reshape(rd.shape) if want_rows else None
         return g_rows, _unbroadcast(-gd, cd.shape) if want_cols else None
 
@@ -527,16 +539,15 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     out.reshape(-1)[flat] = y
 
     def grads(g, want_rows: bool, want_cols: bool):
-        if not np.isfinite(np.sum(g)):
+        if not np.isfinite(g.sum()):
             # a NaN or inf outside the band reaches the dense gradients
             return _dense_gaussian(rd, cd, scale, axis)[1](g, want_rows, want_cols)
-        half = _softmax_grad(np.take(g, flat), y, z, s, axis) * scale * diff
-        gd = half + half
+        gd = _diff_grad(np.take(g, flat), y, z, s, axis, scale, diff)
         if axis == 1:
             g_cols = np.bincount(idx.ravel(), -gd.ravel(), n) if want_cols else None
-            return np.sum(gd, axis=1) if want_rows else None, g_cols
+            return gd.sum(axis=1) if want_rows else None, g_cols
         g_rows = np.bincount(idx.ravel(), gd.ravel(), n) if want_rows else None
-        return g_rows, np.sum(-gd, axis=0) if want_cols else None
+        return g_rows, (-gd).sum(axis=0) if want_cols else None
 
     return out, grads
 
@@ -574,6 +585,27 @@ def gaussian_softmax(rows, cols, sigma2: float, axis: int):
 # the chain's bit for bit.
 
 
+def _accumulate_steps(x: "Value", g_d: np.ndarray, ends=None) -> None:
+    """Accumulate into 1-D ``x`` the gradient of its steps x[1:] - x[:-1]
+    for upstream ``g_d``, after ``ends``, the gradients of x[-1] and x[0]
+    if given, in one array.
+
+    The chain accumulates up to four arrays, each a scattered value added
+    to zeros: x[-1]'s, x[0]'s, then ``-g_d`` on x[:-1] and ``g_d`` on x[1:].
+    Adding zeros only turns -0.0 into 0.0, and once no entry is -0.0 the
+    sign of an added zero makes no difference. So starting from the
+    existing gradient plus 0.0 (or zeros) and adding each part in the
+    chain's order gives the chain's bits.
+    """
+    gx = np.zeros(x.data.shape) if x.grad is None else x.grad + 0.0
+    if ends is not None:
+        gx[-1] += ends[0]
+        gx[0] += ends[1]
+    gx[:-1] -= g_d
+    gx[1:] += g_d
+    x.grad = gx
+
+
 def monotone_rescale(x, end: float, min_total: float):
     """Rectified prefix path of a 1-D ``x``, rescaled to finish at ``end``.
 
@@ -593,10 +625,14 @@ def monotone_rescale(x, end: float, min_total: float):
     out_data = path * end_data / total
 
     def backward(g):
-        g_path = _scatter(path, -1, np.sum(-g * out_data / total)) + g / total * end_data
-        g_d = np.cumsum(g_path[1:][::-1])[::-1] * mask
-        _accumulate(x, _scatter(xd, slice(None, -1), -g_d))
-        _accumulate(x, _scatter(xd, slice(1, None), g_d))
+        # The chain adds p[-1]'s gradient to zeros, which turns each -0.0
+        # into 0.0. Only g_path[-1] needs that, and gets it from the sum
+        # (numpy sums start from 0.0): the reversed cumsum below starts from
+        # it, and a sum onto a value that is not -0.0 cannot tell zeros apart.
+        g_path = g / total
+        g_path *= end_data
+        g_path[-1] += (-g * out_data / total).sum()
+        _accumulate_steps(x, np.cumsum(g_path[1:][::-1])[::-1] * mask)
 
     return _record("monotone_rescale", out_data, backward, x, kinks=(mask,))
 
@@ -625,8 +661,8 @@ def sma_penalty(x, span: float, lambdas: Sequence[float], square: bool = True):
         start_pen, end_pen = np.abs(start), np.abs(end)
         kinks = (sign_d, sign_d1, sign_start, sign_end)
     out_data = (
-        l0 * np.sum(np.abs(d) - d)
-        + l1 * np.sum(np.abs(d1) + d1)
+        l0 * (np.abs(d) - d).sum()
+        + l1 * (np.abs(d1) + d1).sum()
         + l2 * start_pen
         + l3 * end_pen
     )
@@ -640,12 +676,9 @@ def sma_penalty(x, span: float, lambdas: Sequence[float], square: bool = True):
         else:
             g_end = g_end * sign_end
             g_start = g_start * sign_start
-        _accumulate(x, _scatter(xd, -1, g_end / span_data))
-        _accumulate(x, _scatter(xd, 0, g_start / span_data))
         g_over, g_back = g * l1, g * l0
         g_d = g_over + g_over * sign_d1 + -g_back + g_back * sign_d
-        _accumulate(x, _scatter(xd, slice(None, -1), -g_d))
-        _accumulate(x, _scatter(xd, slice(1, None), g_d))
+        _accumulate_steps(x, g_d, (g_end / span_data, g_start / span_data))
 
     return _record("sma_penalty", out_data, backward, x, kinks=kinks)
 
@@ -665,7 +698,7 @@ def log_l1_distance(pred, target, eps: float):
             _accumulate(pred, _unbroadcast(g_diff / pred_shift, pred.shape))
 
     return _record(
-        "log_l1_distance", np.sum(np.abs(diff)), backward, pred, target, kinks=(sign,)
+        "log_l1_distance", np.abs(diff).sum(), backward, pred, target, kinks=(sign,)
     )
 
 
@@ -683,7 +716,7 @@ def mean_squared_error(a, b):
         if isinstance(b, Value):
             _accumulate(b, _unbroadcast(-g_err, bd.shape))
 
-    return _record("mean_squared_error", np.sum(err * err) / count, backward, a, b)
+    return _record("mean_squared_error", (err * err).sum() / count, backward, a, b)
 
 
 # -- driver and gradient checking ---------------------------------------
@@ -762,8 +795,12 @@ class GradCheckReport:
 
 
 def _traced_objective(f, arrays):
+    """The objective of ``f`` at ``arrays`` and the kink signatures of its
+    evaluation. The tape is released: nothing differentiates it."""
     tape, _, _, objective = _trace(f, arrays)
-    return float(data(objective)), tape.kink_signatures
+    value = float(data(objective))
+    tape.release()
+    return value, tape.kink_signatures
 
 
 def _signatures_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:

@@ -111,10 +111,10 @@ def check_alignment(alpha) -> None:
     data = ad.data(alpha)
     if data.ndim != 2:
         raise AlignmentError(f"alignment must be 2-D, got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise AlignmentError("alignment contains non-finite entries")
     sums = data.sum(axis=0)
-    worst = np.max(np.abs(sums - 1.0)) if sums.size else 0.0
+    worst = np.abs(sums - 1.0).max() if sums.size else 0.0
     if worst > COLUMN_SUM_TOL:
         j = int(np.argmax(np.abs(sums - 1.0)))
         raise AlignmentError(

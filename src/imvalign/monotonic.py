@@ -65,7 +65,7 @@ class KernelConfig:
     sigma2: float = 0.25
 
     def __post_init__(self):
-        if not (0 < self.sigma2 < np.inf and np.isfinite(1.0 / self.sigma2)):
+        if not (0 < self.sigma2 < np.inf and isfinite(1.0 / self.sigma2)):
             raise ValueError(f"sigma2 must be positive and finite with a finite reciprocal, got {self.sigma2}")
 
 

@@ -93,7 +93,7 @@ def ap_loss(pred_delta, target_delta, cfg: ApLossConfig = ApLossConfig()):
         raise AlignmentError(
             f"delta shapes differ: {pred_data.shape} vs {target_data.shape}"
         )
-    if np.any(pred_data < 0) or np.any(target_data < 0):
+    if (pred_data < 0).any() or (target_data < 0).any():
         raise AlignmentError("position increments must be non-negative")
     return ad.log_l1_distance(pred_delta, target_delta, cfg.epsilon)
 

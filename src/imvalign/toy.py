@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -269,14 +270,20 @@ _TRACE_FIELDS = tuple(f.name for f in fields(TrainReport) if f.type == "np.ndarr
 
 class ToyModel:
     """Parameter container: embeddings, frame projection, linear decoder,
-    and the two-layer increment predictor."""
+    and the two-layer increment predictor.
+
+    Every entry of ``params`` is a view into the one float64 vector
+    ``flat``, which the optimizers update in one pass. Write into an entry
+    in place (``params["embed"][:] = 0.0``); rebinding an entry to another
+    array detaches it from ``flat`` and is not supported.
+    """
 
     def __init__(self, task: ToyTask, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
         d, f, h = task.embed_dim, task.frame_dim, task.embed_dim
         scale = d**-0.5
         self.task = task
-        self.params: dict[str, np.ndarray] = {
+        initial = {
             "embed": rng.normal(size=(task.vocab, d)),
             "frame_proj": rng.normal(size=(f, d)) * f**-0.5,
             "decoder": rng.normal(size=(d, f)) * scale,
@@ -286,6 +293,12 @@ class ToyModel:
             "pred_w2": rng.normal(size=h) * h**-0.5,
             "pred_b2": np.zeros(()),
         }
+        self.flat = np.concatenate(list(initial.values()), axis=None)
+        self.params: dict[str, np.ndarray] = {}
+        start = 0
+        for name, value in initial.items():
+            self.params[name] = self.flat[start:start + value.size].reshape(value.shape)
+            start += value.size
         self.trained = False
 
     def variables(self, tape: ad.Tape) -> dict[str, ad.Value]:
@@ -365,17 +378,24 @@ def sequence_forward(
 def alignment_accuracy(alpha: np.ndarray, e_star: np.ndarray) -> float:
     """Fraction of tokens whose attended span midpoint lands within one
     frame of the true token centre."""
-    t1, t2 = alpha.shape
-    owner = np.argmax(alpha, axis=0)
-    # first and last column of every token; a token owning none keeps -1
-    cols = np.arange(t2)
-    first = np.full(t1, t2)
-    last = np.full(t1, -1)
-    np.minimum.at(first, owner, cols)
-    np.maximum.at(last, owner, cols)
-    owned = last >= 0
-    midpoint = (first[owned] + last[owned]) / 2.0
-    return np.count_nonzero(np.abs(midpoint - e_star[owned]) <= 1.0) / t1
+    # first and last column of every token that owns one
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for col, token in enumerate(alpha.argmax(axis=0).tolist()):
+        first.setdefault(token, col)
+        last[token] = col
+    centre = e_star.tolist()
+    hits = sum(abs((first[i] + last[i]) / 2.0 - centre[i]) <= 1.0 for i in first)
+    return hits / alpha.shape[0]
+
+
+@lru_cache(maxsize=64)
+def _centred_index(n: int) -> tuple[np.ndarray, float]:
+    """arange(n) minus its mean, read-only, and its squared norm: the index
+    side of :func:`_rank_correlation`, which the sequences of one length share."""
+    y = np.arange(n) - (n - 1) / 2.0
+    y.flags.writeable = False
+    return y, y @ y
 
 
 def _rank_correlation(owner: np.ndarray) -> float:
@@ -387,17 +407,21 @@ def _rank_correlation(owner: np.ndarray) -> float:
     # value v takes ranks below+1 .. below+count, averaging cumsum - (count-1)/2
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[owner]
     x = ranks - (n + 1) / 2.0
-    y = np.arange(n) - (n - 1) / 2.0
-    return float(x @ y / np.sqrt((x @ x) * (y @ y)))
+    y, yy = _centred_index(n)
+    return float(x @ y / math.sqrt((x @ x) * yy))
 
 
 def diagonality_score(alpha: np.ndarray) -> float:
     """Column sharpness times the rank correlation between attended token
-    and output step; near 1 for a clean diagonal, near 0 for mush."""
-    sharpness = float(alpha.max(axis=0).mean())
-    owner = np.argmax(alpha, axis=0)
-    if np.all(owner == owner[0]) or alpha.shape[1] < 2:
+    and output step; near 1 for a clean diagonal, near 0 for mush. An
+    alignment with fewer than two output steps scores 0."""
+    if alpha.shape[1] < 2:
         return 0.0
+    owner = alpha.argmax(axis=0)
+    if (owner == owner[0]).all():
+        return 0.0
+    # the mean as ndarray.mean computes it: the sum over the count
+    sharpness = float(alpha.max(axis=0).sum() / alpha.shape[1])
     return sharpness * _rank_correlation(owner)
 
 
@@ -405,28 +429,29 @@ class _Sgd:
     def __init__(self, lr):
         self.lr = lr
 
-    def step(self, params, grads):
-        for name, g in grads.items():
-            params[name] -= self.lr * g
+    def step(self, flat, grad):
+        flat -= self.lr * grad
 
 
 class _Adam:
+    """Adam over the flat parameter vector; the moments are flat too."""
+
     def __init__(self, lr):
         self.lr = lr
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: Optional[np.ndarray] = None
+        self.v: Optional[np.ndarray] = None
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, flat, grad):
         self.t += 1
-        for name, g in grads.items():
-            m = self.m.setdefault(name, np.zeros_like(g))
-            v = self.v.setdefault(name, np.zeros_like(g))
-            m += (1 - 0.9) * (g - m)
-            v += (1 - 0.999) * (g * g - v)
-            m_hat = m / (1 - 0.9**self.t)
-            v_hat = v / (1 - 0.999**self.t)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(grad), np.zeros_like(grad)
+        m, v = self.m, self.v
+        m += (1 - 0.9) * (grad - m)
+        v += (1 - 0.999) * (grad * grad - v)
+        m_hat = m / (1 - 0.9**self.t)
+        v_hat = v / (1 - 0.999**self.t)
+        flat -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def _evaluate_step(model, batches, cfg, tape):
@@ -469,10 +494,12 @@ def _evaluate_step(model, batches, cfg, tape):
 def _train_step(model, batches, cfg, step):
     """One step's forward pass, and its backward pass when training.
 
-    The loss and every gradient are checked once. When a check fails, or
+    The loss and the gradient are checked once each. When a check fails, or
     the forward raises, the error names the tape's first non-finite node
-    (:meth:`ad.Tape.first_nonfinite`) if there is one; a non-finite loss
-    is such a node. Returns (traced parameters, trace entry).
+    (:meth:`ad.Tape.first_nonfinite`) if there is one, else the first
+    parameter with a non-finite gradient; a non-finite loss is such a node.
+    Returns (gradient, trace entry): the gradient is laid out like
+    ``model.flat``, or None when ``cfg.steps`` is 0.
     """
     tape = ad.Tape()
     failure = None
@@ -480,16 +507,19 @@ def _train_step(model, batches, cfg, step):
         mean_loss, params, entry = _evaluate_step(model, batches, cfg, tape)
     except Exception as exc:
         failure = exc
-    if failure is None and np.isfinite(mean_loss.data):
+    if failure is None and math.isfinite(mean_loss.data):
         if cfg.steps > 0:
             tape.backward(mean_loss)
         # the gradients stay on the parameters; freed of its cycles, the
         # step's graph goes by reference counting when this step returns
         tape.release()
-        bad = [n for n, v in params.items() if v.grad is not None and not np.isfinite(v.grad).all()]
-        if not bad:
-            return params, entry
-        failure = TrainDivergenceError(step, f"non-finite gradient of parameter '{bad[0]}'")
+        if cfg.steps == 0:
+            return None, entry
+        grad = np.concatenate([v.grad for v in params.values()], axis=None)
+        if np.isfinite(grad).all():
+            return grad, entry
+        bad = next(n for n, v in params.items() if not np.isfinite(v.grad).all())
+        failure = TrainDivergenceError(step, f"non-finite gradient of parameter '{bad}'")
     failure = tape.first_nonfinite() or failure
     if isinstance(failure, (ad.NonFiniteError, DegenerateImvError)):
         raise TrainDivergenceError(step, str(failure)) from failure
@@ -515,11 +545,10 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
             pool[(step * cfg.batch_size + b) % cfg.pool_size]
             for b in range(cfg.batch_size)
         ]
-        params, entry = _train_step(model, batches, cfg, step)
+        grad, entry = _train_step(model, batches, cfg, step)
         trace.append(entry)
-        if cfg.steps > 0:
-            grads = {name: v.grad for name, v in params.items() if v.grad is not None}
-            optimizer.step(model.params, grads)
+        if grad is not None:
+            optimizer.step(model.flat, grad)
 
     model.trained = cfg.steps > 0
     columns = {name: np.array([entry[name] for entry in trace]) for name in _TRACE_FIELDS}

@@ -7,7 +7,9 @@ no longer calls them. They dispatch like the library's own primitives,
 through the public :meth:`Tape.record`, so a fused op can be compared with
 its chain bit for bit, kink signatures included. The streaming functions at
 the end are the plain forms of :mod:`imvalign.monotonic`'s streaming clamp,
-step and run, which the library's must match bit for bit.
+step and run, which the library's must match bit for bit. :class:`Sgd` and
+:class:`Adam` are the toy trainer's optimizers as they were before the
+parameters shared one flat vector: one update per parameter array.
 """
 
 from typing import Sequence
@@ -197,3 +199,35 @@ def streaming_hma_run(
     for j, target in enumerate(raw.values.tolist()):
         pos = pi_path[j] = _advance(pos, target)
     return pi_path, align_from_imv(Imv(pi_path, raw.t1), kernel)
+
+
+class Sgd:
+    """Plain gradient descent, one parameter array at a time."""
+
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, params, grads):
+        for name, g in grads.items():
+            params[name] -= self.lr * g
+
+
+class Adam:
+    """Adam with per-parameter moments, one parameter array at a time."""
+
+    def __init__(self, lr):
+        self.lr = lr
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, g in grads.items():
+            m = self.m.setdefault(name, np.zeros_like(g))
+            v = self.v.setdefault(name, np.zeros_like(g))
+            m += (1 - 0.9) * (g - m)
+            v += (1 - 0.999) * (g * g - v)
+            m_hat = m / (1 - 0.9**self.t)
+            v_hat = v / (1 - 0.999**self.t)
+            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imvalign import autodiff as ad
+from imvalign.checks import CHECKABLE_OPS, run_check
 from imvalign.core import Imv
 from imvalign.monotonic import hma_transform
 import reference_tape as ref
@@ -925,6 +926,39 @@ def test_fused_sma_penalty_is_bit_identical_to_chain(pi, square):
         _assert_fused_matches_chain(f, ref, [pi], [True])
 
 
+# steps of exactly 0 and 1, and upstream weights of both zero signs, give the
+# gradients -0.0 entries; the extra consumer's gradient reaches x first
+_STEP_VALUES = [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 3.0]
+_SIGNED_WEIGHTS = [0.0, -0.0, 1.0, -2.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_step_gradients_keep_the_zero_signs_of_the_chain(data):
+    n = data.draw(st.integers(2, 7))
+    x = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from(_STEP_VALUES)))
+    w = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from(_SIGNED_WEIGHTS)))
+    extra = data.draw(st.none() | hnp.arrays(np.float64, n, elements=st.sampled_from(_SIGNED_WEIGHTS)))
+    square = data.draw(st.booleans())
+    cases = [(lambda v: ad.sma_penalty(v, 3.0, (0.7, 1.3, 0.9, 1.1), square),
+              lambda v: _chain_sma_penalty(v, 3.0, (0.7, 1.3, 0.9, 1.1), square))]
+    if np.maximum(np.diff(x), 0.0).sum() > 1e-8:
+        cases.append((lambda v: ad.monotone_rescale(v, 4.0, 1e-8),
+                       lambda v: _chain_monotone_rescale(v, 4.0, 1e-8)))
+    for fused, chain in cases:
+        grads = []
+        for f in (fused, chain):
+            tape = ad.Tape()
+            v = tape.variable(x)
+            out = f(v)
+            loss = ad.asum(out * (w if out.shape else w[0]))
+            if extra is not None:
+                loss = loss + ad.asum(v * extra)
+            tape.backward(loss)
+            grads.append(v.grad)
+        assert _same_bits(*grads)
+
+
 @pytest.mark.parametrize("traced", [(True, False), (False, True), (True, True)])
 def test_fused_log_l1_distance_is_bit_identical_to_chain(traced):
     rng = np.random.default_rng(14)
@@ -992,6 +1026,25 @@ def test_gradcheck_replay_names_the_nonfinite_node():
         with pytest.raises(ad.NonFiniteError) as exc:
             ad.gradcheck(f, [np.array([1.0])])
     assert exc.value.op_name == "log" and exc.value.node_index == 2
+
+
+@pytest.mark.parametrize("name", sorted(CHECKABLE_OPS))
+def test_run_check_leaves_at_most_the_forward_backward_tape_to_the_cycle_collector(name):
+    # gradcheck releases the tape of every objective it evaluates;
+    # forward_backward keeps its one tape (see there)
+    import gc
+
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_check(name, 0)
+        gc.collect()
+        tapes = sum(isinstance(o, ad.Tape) for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert tapes <= 1
 
 
 # -- the tape scan against the per-node-checking reference ---------------

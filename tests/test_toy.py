@@ -1,5 +1,10 @@
+import warnings
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imvalign import autodiff as ad
 from imvalign.core import AlignmentError, validate_imv, Imv, compute_imv
@@ -9,6 +14,8 @@ from imvalign.toy import (
     ToyTask,
     TrainConfig,
     UntrainedModelError,
+    _Adam,
+    _Sgd,
     _rank_correlation,
     sequence_forward,
     alignment_accuracy,
@@ -252,6 +259,28 @@ def test_gradient_only_divergence_names_the_parameter(monkeypatch):
     assert exc.value.__cause__ is None
 
 
+def test_the_first_parameter_with_a_non_finite_gradient_is_named(monkeypatch):
+    from imvalign.toy import TrainDivergenceError
+
+    traced = []
+    variables, backward = ToyModel.variables, ad.Tape.backward
+
+    def keep(model, tape):
+        traced.append(variables(model, tape))
+        return traced[-1]
+
+    def spoil(tape, root):
+        backward(tape, root)
+        for name in ("pred_w2", "pred_b2"):
+            traced[-1][name].grad = np.full(traced[-1][name].shape, np.nan)
+
+    monkeypatch.setattr(ToyModel, "variables", keep)
+    monkeypatch.setattr(ad.Tape, "backward", spoil)
+    with pytest.raises(TrainDivergenceError, match="parameter 'pred_w2'") as exc:
+        train(ToyTask(seed=0), TrainConfig(mode="NM", **FAST))
+    assert exc.value.step == 0 and exc.value.__cause__ is None
+
+
 def test_all_degenerate_batch_diverges_at_step_zero():
     from imvalign.monotonic import DegenerateImvError
     from imvalign.toy import TrainDivergenceError, _train_step
@@ -334,6 +363,10 @@ def test_metric_helpers():
     assert diagonality_score(np.array([[0.9, 0.2], [0.1, 0.8]])) == pytest.approx(0.85, abs=1e-15)
     assert diagonality_score(np.array([[0.2, 0.9], [0.8, 0.1]])) == pytest.approx(-0.85, abs=1e-15)
     assert diagonality_score(np.array([[0.3], [0.7]])) == 0.0
+    # no output step at all: 0.0, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert diagonality_score(np.zeros((3, 0))) == 0.0
 
 
 def _loop_alignment_accuracy(alpha, e_star):
@@ -363,6 +396,27 @@ def test_alignment_accuracy_matches_per_token_loop():
         if rng.random() < 0.5:
             alpha[np.repeat(np.arange(t1), durations), np.arange(t2)] += rng.random(t2)
         assert alignment_accuracy(alpha, e_star) == _loop_alignment_accuracy(alpha, e_star)
+
+
+@st.composite
+def _alignments(draw):
+    """An alignment with few distinct values (so argmax ties), any t2 from 1
+    (often below t1), and token centres on the half-frame grid, where a
+    midpoint lands exactly one frame away."""
+    t1 = draw(st.integers(1, 8))
+    t2 = draw(st.integers(1, 12))
+    alpha = draw(hnp.arrays(np.float64, (t1, t2), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    e_star = draw(hnp.arrays(np.float64, t1, elements=st.integers(-4, 2 * t2 + 4).map(lambda k: k / 2)))
+    return alpha, e_star
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_alignments())
+@example(case=(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]), np.array([1.0, 2.0])))  # all on one token
+@example(case=(np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]), np.array([0.5, 1.5, 2.5])))  # ties, t2 < t1
+def test_alignment_accuracy_equals_the_per_token_loop(case):
+    alpha, e_star = case
+    assert alignment_accuracy(alpha, e_star) == _loop_alignment_accuracy(alpha, e_star)
 
 
 def _owner_cases(rng):
@@ -462,3 +516,42 @@ def test_untraced_forward_equals_traced_data(mode):
         assert (plain.sma is None) == (mode != "SMA")
         if mode == "SMA":
             assert plain.sma == traced.sma.data
+
+
+# gradients with the values an update must not round differently: zeros of
+# both signs, subnormals, and magnitudes whose squares are near the top of
+# the float64 range
+_GRADIENT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150]),
+    st.floats(-1e150, 1e150),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_flat_optimizers_equal_the_per_parameter_updates(data):
+    # a small model: 28 parameters in 8 arrays, one of them 0-d
+    task = ToyTask(vocab=2, embed_dim=2, frame_dim=3)
+    name = data.draw(st.sampled_from(["adam", "sgd"]))
+    lr = data.draw(st.sampled_from([1e-2, 0.3]))
+    model = ToyModel(task, seed=data.draw(st.integers(0, 3)))
+    params = {k: v.copy() for k, v in model.params.items()}
+    flat, reference = (_Adam(lr), ref.Adam(lr)) if name == "adam" else (_Sgd(lr), ref.Sgd(lr))
+    for _ in range(data.draw(st.integers(1, 4))):
+        grads = {k: data.draw(hnp.arrays(np.float64, v.shape, elements=_GRADIENT_ENTRIES))
+                 for k, v in params.items()}
+        flat.step(model.flat, np.concatenate(list(grads.values()), axis=None))
+        reference.step(params, grads)
+        for k, v in params.items():
+            assert model.params[k].tobytes() == v.tobytes(), k
+
+
+def test_parameters_are_views_of_the_flat_vector():
+    model = ToyModel(ToyTask(seed=0), seed=1)
+    assert model.flat.shape == (sum(v.size for v in model.params.values()),)
+    for value in model.params.values():
+        assert np.shares_memory(value, model.flat)
+    model.params["embed"][:] = 0.0
+    assert not model.flat[: model.params["embed"].size].any()
+    model.flat[-1] = 2.5
+    assert model.params["pred_b2"] == 2.5

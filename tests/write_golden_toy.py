@@ -24,10 +24,21 @@ environment only.
 
 Rewrite the file only for a change that moves the numbers on purpose, and
 report the largest deviation from the old file with it.
+
+To find where a change leaves the file without rewriting it:
+
+    PYTHONPATH=src python3 tests/write_golden_toy.py --check
+
+trains the three 420-step runs again (about 4 s) and prints, per mode, the
+first step at which a trace differs from the file (with the traces that
+differ there, as recorded and as run), whether the final parameters hash the
+same, and the first step whose node count differs. It exits 1 when anything
+differs, and never writes.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import platform
@@ -129,6 +140,58 @@ def record(model: toy.ToyModel, report: toy.TrainReport, tapes: list) -> dict:
     }
 
 
+def first_difference(got: str, want: str):
+    """Index of the first differing entry of two space-separated lists (the
+    shorter length when one is a prefix of the other), or None."""
+    a, b = got.split(), want.split()
+    for k, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return k
+    return None if len(a) == len(b) else min(len(a), len(b))
+
+
+def _entry(trace: str, step: int) -> str:
+    """A trace's entry at ``step`` as hex and decimal, or "(none)" past its end."""
+    entries = trace.split()
+    return f"{entries[step]} ({float.fromhex(entries[step])!r})" if step < len(entries) else "(none)"
+
+
+def compare(mode: str, got: dict, want: dict) -> list[str]:
+    """What :func:`check` prints for one mode: the first step where its
+    traces leave the file, the parameter hash and the node counts."""
+    steps = {name: first_difference(got["traces"][name], want["traces"][name]) for name in TRACES}
+    differing = [k for k in steps.values() if k is not None]
+    if not differing:
+        lines = [f"{mode}: traces match ({STEPS} steps)"]
+    else:
+        step = min(differing)
+        lines = [f"{mode}: traces leave the file at step {step}"]
+        for name in TRACES:
+            if steps[name] == step:
+                run_value, recorded_value = (_entry(trace[name], step) for trace in (got["traces"], want["traces"]))
+                lines.append(f"  {name}: recorded {recorded_value}, run {run_value}")
+    same_hash = got["params_sha256"] == want["params_sha256"]
+    lines.append(f"  params_sha256 {'matches' if same_hash else 'differs'}")
+    node_step = first_difference(got["nodes_per_step"], want["nodes_per_step"])
+    lines.append("  nodes_per_step " + ("match" if node_step is None else f"differ from step {node_step}"))
+    return lines
+
+
+def check() -> bool:
+    """Train every mode and print where each leaves the file; True when all
+    three match it bit for bit."""
+    recorded = load()
+    if recorded["environment"] != environment():
+        print(f"note: {environment()} is not the recorded {recorded['environment']}")
+    same = True
+    for mode in MODES:
+        want = recorded["modes"][mode]
+        got = record(*run(mode))
+        same &= got == want
+        print("\n".join(compare(mode, got, want)))
+    return same
+
+
 def main() -> None:
     doc = {
         "environment": environment(),
@@ -149,4 +212,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Write or check golden_toy.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="compare fresh 420-step runs with the file and print where they leave it; write nothing")
+    if parser.parse_args().check:
+        raise SystemExit(0 if check() else 1)
     main()

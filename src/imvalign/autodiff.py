@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,33 +65,27 @@ class NonDeterministicError(RuntimeError):
     """The checked function returned different values on identical inputs."""
 
 
-@dataclass(slots=True)
-class _Node:
-    name: str
-    out: "Value"
-    backward: Callable[[np.ndarray], None]
-
-
 class Tape:
     """Append-only record of primitive operations.
 
-    Nodes are appended at execution time, so the list is topologically
-    ordered by construction; the backward pass walks it once in reverse.
-    One tape serves one computation and is not shared across threads.
-    Recording does not check values: a NaN or infinite output is recorded
-    like any other, and :meth:`first_nonfinite` names the first one.
+    Each node is the :class:`Value` an operation returned. Nodes are
+    appended at execution time, so the list is topologically ordered by
+    construction; the backward pass walks it once in reverse. One tape
+    serves one computation and is not shared across threads. Recording
+    does not check values: a NaN or infinite output is recorded like any
+    other, and :meth:`first_nonfinite` names the first one.
 
-    A tape and its values form a reference cycle (tape -> node -> value ->
-    tape), so the graph outlives its last user until the cycle collector
-    runs. :meth:`release` breaks the cycle once the gradients are read. The
-    toy trainer releases each step's tape: freeing ~1,700 small objects
+    A tape and its values form a reference cycle (tape -> value -> tape),
+    so the graph outlives its last user until the cycle collector runs.
+    :meth:`release` breaks the cycle once the gradients are read. The toy
+    trainer releases each step's tape: freeing ~1,500-1,700 small objects
     per step by reference counting saves the full collections that would
     otherwise free them. :func:`forward_backward` does not release its tape
     (see there).
     """
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[Value] = []
         self._variables: list[Value] = []
         # Sign snapshots at the kinks of the fused ops (the HMA rectifier in
         # monotone_rescale, the absolute values of the SMA penalty and the
@@ -105,8 +99,8 @@ class Tape:
         return v
 
     def record(self, name: str, out_data: np.ndarray, backward) -> "Value":
-        out = Value(out_data, self)
-        self.nodes.append(_Node(name, out, backward))
+        out = Value(out_data, self, name, backward)
+        self.nodes.append(out)
         return out
 
     def release(self) -> None:
@@ -120,15 +114,15 @@ class Tape:
         """
         for v in self._variables:
             v.tape = None
-        for node in self.nodes:
-            node.out.tape = None
+        for v in self.nodes:
+            v.tape = None
 
     def first_nonfinite(self) -> "NonFiniteError | None":
         """The error naming the first recorded node whose output is NaN or
         infinite (where checking each output would have stopped), or None."""
-        for index, node in enumerate(self.nodes):
-            if not np.isfinite(node.out.data).all():
-                return NonFiniteError(node.name, index)
+        for index, v in enumerate(self.nodes):
+            if not np.isfinite(v.data).all():
+                return NonFiniteError(v.name, index)
         return None
 
     def backward(self, root: "Value") -> None:
@@ -139,29 +133,32 @@ class Tape:
         """
         if root.tape is not self:
             raise ValueError("root value does not belong to this tape")
-        for node in self.nodes:
-            node.out.grad = None
+        for v in self.nodes:
+            v.grad = None
         for v in self._variables:
             v.grad = None
         root.grad = np.ones_like(root.data)
-        for node in reversed(self.nodes):
-            if node.out.grad is not None:
-                node.backward(node.out.grad)
+        for v in reversed(self.nodes):
+            if v.grad is not None:
+                v.backward(v.grad)
 
 
 class Value:
-    """A float64 array plus its position in a tape's computation graph."""
+    """A float64 array plus its place in a tape's graph. A recorded value is
+    its own tape node, holding its operation's ``name`` and ``backward``."""
 
-    __slots__ = ("data", "grad", "tape")
+    __slots__ = ("data", "grad", "tape", "name", "backward")
 
     # Make numpy defer mixed ndarray-Value arithmetic to the reflected
     # operators below instead of coercing Value into an object array.
     __array_ufunc__ = None
 
-    def __init__(self, data: np.ndarray, tape: Tape):
+    def __init__(self, data: np.ndarray, tape: Tape, name: str | None = None, backward=None):
         self.data = data
         self.grad: np.ndarray | None = None
         self.tape = tape
+        self.name = name
+        self.backward = backward
 
     @property
     def shape(self):
@@ -756,11 +753,10 @@ def forward_backward(f, inputs: Sequence[np.ndarray]):
     intermediate that is NaN or infinite, if any; one that leaves the sum
     finite is allowed.
     """
-    # The tape is not released (Tape.release). Its arrays are large at the
-    # sizes this serves, and freeing them all as the call returns hands the
-    # heap back to the system, which the next call faults in again: released
-    # here, a grad-long sequence (benchmark seed 1, 2-vCPU host) took 0.79-0.88
-    # ms instead of 0.56 ms, with 549 minor page faults instead of 50.
+    # The tape is not released (Tape.release): its arrays are large at the
+    # sizes this serves, and freeing them as the call returns hands the heap
+    # back to the system, which the next call faults in again. Released here,
+    # grad-long (seed 11, 2 vCPUs) ran a median 490 sequences/s, not 500.
     tape, variables, out, objective = _trace(f, inputs)
     if isinstance(objective, Value):
         tape.backward(objective)

@@ -92,9 +92,11 @@ def hma_transform(imv: Imv) -> Imv:
     """Rebuild a raw IMV into a strictly monotone, boundary-complete one.
 
     Differences of the raw IMV are rectified, re-accumulated from zero,
-    and rescaled so the final entry lands exactly on t1-1. Raises
-    :class:`DegenerateImvError` when the rectified IMV never moves
-    forward (the rescaling would divide by ~0).
+    and rescaled so the final entry lands on t1-1 (within an ulp). Raises
+    :class:`DegenerateImvError` when the rectified total is at most
+    ``DEGENERATE_EPS``. The output is invariant to the raw IMV's scale,
+    so the gradient grows as 1/total: just above ``DEGENERATE_EPS`` it is
+    ~1e8 times that of a unit total.
     """
     if imv.t2 < 2:
         raise AlignmentError("hma_transform needs at least 2 output steps")

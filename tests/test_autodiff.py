@@ -224,7 +224,7 @@ def test_release_keeps_the_nodes_gradients_and_first_nonfinite_node():
     grad = x.grad.copy()
     tape.release()
     assert [n.name for n in tape.nodes] == ["exp", "mul", "sum"]
-    assert all(n.out.tape is None for n in tape.nodes) and x.tape is None
+    assert all(n.tape is None for n in tape.nodes) and x.tape is None
     assert np.array_equal(x.grad, grad) and tape.first_nonfinite() is None
 
     tape = ad.Tape()
@@ -233,6 +233,27 @@ def test_release_keeps_the_nodes_gradients_and_first_nonfinite_node():
     tape.release()
     error = tape.first_nonfinite()
     assert (error.op_name, error.node_index) == ("exp", 0)
+
+
+@pytest.mark.parametrize("name, op", [
+    ("mul", lambda v: v * v),
+    ("exp", ad.exp),
+    ("matmul", lambda v: ad.matmul(np.ones((2, 3)), v)),
+    ("getitem", lambda v: v[1:]),
+    ("monotone_rescale", lambda v: ad.monotone_rescale(v, 2.0, 1e-8)),
+])
+def test_a_primitive_returns_its_tape_node(name, op):
+    # a recorded value is its own node, holding its op's name and backward
+    tape = ad.Tape()
+    x = tape.variable(np.array([0.0, 1.0, 3.0]))
+    out = op(x)
+    assert len(tape.nodes) == 1 and tape.nodes[-1] is out
+    assert out.name == name and callable(out.backward)
+    assert x.name is None and x.backward is None
+
+
+def test_a_value_shows_its_data():
+    assert repr(ad.Tape().variable([1.0, 2.0])) == "Value(array([1., 2.]))"
 
 
 def test_release_keeps_the_kink_signatures():

@@ -3,24 +3,33 @@
 ``perfbench/tracer.py`` wraps the functions in its ``TRACED_FUNCTIONS`` by
 module and attribute name, and the toy-train step clock marks a step each
 time the trainer calls ``ToyModel.variables``. A rename or a second call per
-step would break the benchmark without failing a library test.
+step would break the benchmark without failing a library test. The
+benchmark's toy config (``perfbench/workloads.py``) is the ``TrainConfig``
+default cut to fewer steps, which the tests and the golden file rely on.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import imvalign
 import imvalign.cli  # noqa: F401  (the tracer wraps cli.main)
 from imvalign import toy
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced_functions():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.TRACED_FUNCTIONS
+    return _load("tracer").TRACED_FUNCTIONS
 
 
 def test_every_traced_function_is_a_library_callable():
@@ -43,3 +52,11 @@ def test_train_asks_for_tape_variables_once_per_step(monkeypatch):
     toy.train(toy.ToyTask(seed=0), toy.TrainConfig(steps=7, pool_size=8, batch_size=4))
     assert len(calls) == 7
     assert len({id(tape) for tape in calls}) == 7
+
+
+@pytest.mark.parametrize("mode", toy.MODES)
+def test_the_benchmark_toy_config_is_the_default_cut_to_its_steps(mode, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # for workloads' sibling imports
+    workloads = _load("workloads")
+    assert workloads.toy_config(mode, 420) == toy.TrainConfig(mode=mode, steps=420)
+    assert workloads.TOY_TASK == toy.ToyTask(seed=0)

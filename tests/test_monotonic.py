@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from imvalign import autodiff as ad
 from imvalign import monotonic
-from imvalign.core import AlignmentError, Imv, compute_imv, index_vector, validate_imv
+from imvalign.core import AlignmentError, Imv, check_alignment, compute_imv, index_vector, validate_imv
 from imvalign.monotonic import (
+    DEGENERATE_EPS,
     DegenerateImvError,
     KernelConfig,
     SmaWeights,
@@ -94,6 +95,55 @@ def test_hma_output_satisfies_constraints():
         loss = sma_loss(out, SmaWeights(lambda1=0.0))
         assert loss < 1e-10
         assert validate_imv(out).complete
+
+
+def _rectified_total(raw):
+    return np.maximum(np.diff(raw), 0.0).sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40).map(np.array),
+    t1=st.integers(1, 4096),
+)
+def test_hma_contract_holds_for_any_raw_imv_that_is_not_degenerate(raw, t1):
+    try:
+        out = hma_transform(Imv(raw, t1)).values
+    except DegenerateImvError:
+        assert _rectified_total(raw) <= DEGENERATE_EPS
+        return
+    assert out[0] == 0.0 and (np.diff(out) >= 0.0).all()
+    # p[-1] * (t1 - 1) / p[-1] rounds twice, so the end can miss t1 - 1 by an ulp
+    assert abs(out[-1] - (t1 - 1)) <= np.spacing(float(t1 - 1))
+
+
+def test_near_degenerate_hma_scales_its_gradient_as_one_over_the_total():
+    # the lowest raw IMV of the pattern: rectified total 1.1 * DEGENERATE_EPS
+    bottom = np.array([0.0, 0.3, 0.2, 1.0]) * np.nextafter(DEGENERATE_EPS, 1.0)
+    assert DEGENERATE_EPS < _rectified_total(bottom) < 2 * DEGENERATE_EPS
+    f = lambda v: hma_transform(Imv(v, 5)).pi
+    out0, (grad0,) = ad.forward_backward(f, [bottom])
+    assert np.array_equal(out0, [0.0, 12 / 11, 12 / 11, 4.0])
+    for k in range(27):
+        # powers of two scale exactly: the output keeps its bits, and the
+        # gradient, ~6 / total at the bottom, shrinks by exactly 2**k
+        out, (grad,) = ad.forward_backward(f, [bottom * 2.0**k])
+        assert out.tobytes() == out0.tobytes()
+        assert (grad * 2.0**k).tobytes() == grad0.tobytes()
+    for raw in ([0.0, DEGENERATE_EPS], [0.0, np.nextafter(DEGENERATE_EPS, 0.0)], bottom / 2.0):
+        with pytest.raises(DegenerateImvError):
+            hma_transform(Imv(np.array(raw), 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pi=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=40).map(np.array),
+    t1=st.integers(1, 40),
+    sigma2=st.floats(1e-3, 1e3),
+)
+def test_align_from_imv_of_any_finite_imv_is_an_alignment(pi, t1, sigma2):
+    # (|pi| up to 1e100: beyond about 1.3e154 * sqrt(sigma2) the logits overflow)
+    check_alignment(align_from_imv(Imv(pi, t1), KernelConfig(sigma2=sigma2)))
 
 
 def test_align_from_imv_concentrates_at_small_sigma():

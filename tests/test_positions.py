@@ -190,6 +190,14 @@ def test_deltas_anchor_first_position():
     assert np.allclose(np.cumsum(pos.deltas), pos.values)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64).map(np.array))
+def test_positions_are_the_cumulative_sum_of_their_deltas(values):
+    p = AlignedPositions(values)
+    back = AlignedPositions(np.cumsum(p.deltas)).values
+    assert np.all(np.abs(back - p.values) <= 1e-12 * np.abs(p.values).max())
+
+
 def test_scale_positions_gradient():
     from imvalign import autodiff as ad
 

@@ -96,6 +96,8 @@ def test_steps_to_threshold_is_first_step_reaching_it():
     _, never = train(task, TrainConfig(mode="HMA", seed=3, accuracy_threshold=1.5, **FAST))
     assert never.steps_to_threshold is None
     assert np.array_equal(never.accuracy, reached.accuracy)
+    best = never.best_accuracy
+    assert type(best) is float and best == reached.accuracy.max() >= 0.8
 
 
 @pytest.mark.parametrize("setting", [
@@ -321,8 +323,7 @@ def test_tape_nodes_per_benchmark_step(mode, nodes):
     from imvalign.toy import _evaluate_step
 
     task = ToyTask(seed=0)
-    cfg = TrainConfig(mode=mode, steps=420, pool_size=32, batch_size=8, optimizer="adam",
-                      lr=1e-2, sigma2=0.25, seed=1, accuracy_threshold=0.9)
+    cfg = TrainConfig(mode=mode, steps=420)
     model = ToyModel(task, cfg.seed)
     batches = [make_batch(task, s) for s in range(cfg.batch_size)]
     tape = ad.Tape()

@@ -73,8 +73,7 @@ CRITERION4_SEEDS = range(10)
 
 
 def config(mode: str) -> toy.TrainConfig:
-    return toy.TrainConfig(mode=mode, steps=STEPS, pool_size=32, batch_size=8, optimizer="adam",
-                           lr=1e-2, sigma2=0.25, seed=1, accuracy_threshold=0.9)
+    return toy.TrainConfig(mode=mode, steps=STEPS)
 
 
 def environment() -> dict:

@@ -175,26 +175,11 @@ class Value:
     def __radd__(self, other):
         return _add(other, self)
 
-    def __sub__(self, other):
-        return _sub(self, other)
-
-    def __rsub__(self, other):
-        return _sub(other, self)
-
     def __mul__(self, other):
         return _mul(self, other)
 
     def __rmul__(self, other):
         return _mul(other, self)
-
-    def __truediv__(self, other):
-        return _div(self, other)
-
-    def __rtruediv__(self, other):
-        return _div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -268,18 +253,6 @@ def _add(a, b):
     return _record("add", ad + bd, backward, a, b)
 
 
-def _sub(a, b):
-    ad, bd = data(a), data(b)
-
-    def backward(g):
-        if isinstance(a, Value):
-            _accumulate(a, _unbroadcast(g, ad.shape))
-        if isinstance(b, Value):
-            _accumulate(b, _unbroadcast(-g, bd.shape))
-
-    return _record("sub", ad - bd, backward, a, b)
-
-
 def _mul(a, b):
     ad, bd = data(a), data(b)
 
@@ -290,19 +263,6 @@ def _mul(a, b):
             _accumulate(b, _unbroadcast(g * ad, bd.shape))
 
     return _record("mul", ad * bd, backward, a, b)
-
-
-def _div(a, b):
-    ad, bd = data(a), data(b)
-    out_data = ad / bd
-
-    def backward(g):
-        if isinstance(a, Value):
-            _accumulate(a, _unbroadcast(g / bd, ad.shape))
-        if isinstance(b, Value):
-            _accumulate(b, _unbroadcast(-g * out_data / bd, bd.shape))
-
-    return _record("div", out_data, backward, a, b)
 
 
 # -- unary primitives ---------------------------------------------------

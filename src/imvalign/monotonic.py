@@ -111,8 +111,18 @@ def align_from_imv(imv: Imv, kernel: KernelConfig = KernelConfig()):
     """Alignment matrix whose column j is a Gaussian bump centered on pi_j.
 
     Columns are normalized over the input axis, so the result is a valid
-    alignment regardless of where the centers fall.
+    alignment for any finite centers, except one so far from every row that
+    the nearest row's kernel logit overflows (its column would be NaN): that
+    raises :class:`AlignmentError`, as :func:`streaming_hma_step` does.
     """
+    finite = imv.values[np.isfinite(imv.values)]
+    # A position's largest logit is at its nearest row (fl(i - p) is monotone in
+    # i), and none overflows within half a row of a row: only the positions
+    # farthest below row 0 and above row t1 - 1 can overflow.
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
+    d = max(-lo, hi - (imv.t1 - 1.0), 0.0)
+    if not isfinite(d * d * (-1.0 / kernel.sigma2)):
+        raise AlignmentError(f"position {lo if d == -lo else hi!r} is too far from rows 0..{imv.t1 - 1}")
     return ad.gaussian_softmax(index_vector(imv.t1), imv.pi, kernel.sigma2, axis=0)
 
 

@@ -1,11 +1,15 @@
 """Reference tapes and primitives that the engine is tested against.
 
 :class:`CheckingTape` is the per-node-checking tape of the finiteness rule.
-The primitives below are the chains the fused ops replace, and the earlier
-forms of ``asum`` (along an axis) and of ``matmul``'s backward; the library
-no longer calls them. They dispatch like the library's own primitives,
-through the public :meth:`Tape.record`, so a fused op can be compared with
-its chain bit for bit, kink signatures included. The streaming functions at
+The primitives below (``sub``, ``div``, ``log``, ``relu``, ``absolute``,
+``cumsum``, ``concat``, ``reshape``, ``amean``) are the ops of the chains the
+fused ops replace, and the earlier forms of ``asum`` (along an axis) and of
+``matmul``'s backward; the library no longer calls them. They dispatch like
+the library's own primitives, through the public :meth:`Tape.record`, so a
+fused op can be compared with its chain bit for bit, kink signatures
+included. A chain spells ``a - b`` and ``a / b`` as ``sub(a, b)`` and
+``div(a, b)``: a :class:`~imvalign.autodiff.Value` has only the ``+``, ``*``
+and ``x[key]`` operators the library applies. The streaming functions at
 the end are the plain forms of :mod:`imvalign.monotonic`'s streaming clamp,
 step and run, which the library's must match bit for bit. :class:`Sgd` and
 :class:`Adam` are the toy trainer's optimizers as they were before the
@@ -52,6 +56,31 @@ def _record(name: str, out, backward, *operands, kinks=()):
         return out
     tape.kink_signatures.extend(kinks)
     return tape.record(name, out, backward)
+
+
+def sub(a, b):
+    a_data, b_data = ad.data(a), ad.data(b)
+
+    def backward(g):
+        if isinstance(a, ad.Value):
+            _accumulate(a, ad._unbroadcast(g, a_data.shape))
+        if isinstance(b, ad.Value):
+            _accumulate(b, ad._unbroadcast(-g, b_data.shape))
+
+    return _record("sub", a_data - b_data, backward, a, b)
+
+
+def div(a, b):
+    a_data, b_data = ad.data(a), ad.data(b)
+    out_data = a_data / b_data
+
+    def backward(g):
+        if isinstance(a, ad.Value):
+            _accumulate(a, ad._unbroadcast(g / b_data, a_data.shape))
+        if isinstance(b, ad.Value):
+            _accumulate(b, ad._unbroadcast(-g * out_data / b_data, b_data.shape))
+
+    return _record("div", out_data, backward, a, b)
 
 
 def log(x):
@@ -111,7 +140,7 @@ def matmul(a, b):
 
 def amean(x):
     n = ad.data(x).size
-    return ad.asum(x) / float(n)
+    return div(ad.asum(x), float(n))
 
 
 def cumsum(x):
@@ -149,14 +178,14 @@ def reshape(x, shape):
 def softmax_chain(x, axis):
     """Stable softmax as the exp/sum/div chain that :func:`ad.softmax` fuses."""
     m = np.max(ad.data(x), axis=axis, keepdims=True)
-    z = ad.exp(x - m)
-    return z / asum(z, axis=axis, keepdims=True)
+    z = ad.exp(sub(x, m))
+    return div(z, asum(z, axis=axis, keepdims=True))
 
 
 def gaussian_softmax_chain(rows, cols, sigma2, axis):
     """The dense reshape/sub/mul/mul chain and softmax that
     :func:`ad.gaussian_softmax` fuses."""
-    diff = reshape(rows, (-1, 1)) - cols
+    diff = sub(reshape(rows, (-1, 1)), cols)
     return softmax_chain(diff * diff * (-1.0 / sigma2), axis)
 
 

@@ -77,6 +77,15 @@ def test_reconstruct_near_identity(tmp_path):
     assert np.allclose(read_matrix(out), np.eye(2), atol=1e-10)
 
 
+def test_reconstruct_rejects_a_position_too_far_from_every_row(tmp_path, capsys):
+    # the kernel logit of 1e160 overflows at every row: its column would be NaN
+    imv = _vector_file(tmp_path, [0.0, 1e160])
+    out = tmp_path / "alpha.csv"
+    assert main(["reconstruct", "--imv", imv, "--t1", "3", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "position 1e+160 is too far from rows 0..2" in capsys.readouterr().err
+
+
 def test_positions_roundtrip(tmp_path):
     imv = _vector_file(tmp_path, [0.0, 0.0, 1.0, 1.0])
     out = tmp_path / "e.csv"

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,49 @@ def test_near_degenerate_hma_scales_its_gradient_as_one_over_the_total():
 def test_align_from_imv_of_any_finite_imv_is_an_alignment(pi, t1, sigma2):
     # (|pi| up to 1e100: beyond about 1.3e154 * sqrt(sigma2) the logits overflow)
     check_alignment(align_from_imv(Imv(pi, t1), KernelConfig(sigma2=sigma2)))
+
+
+# the smallest sigma2 whose reciprocal is finite
+_SMALLEST_SIGMA2 = float(np.nextafter(1.0 / np.finfo(np.float64).max, 1.0))
+
+
+def _a_largest_logit_overflows(pi, t1, sigma2) -> bool:
+    """Whether the largest kernel logit over every row is infinite for some
+    finite position: its column would be NaN."""
+    with np.errstate(over="ignore"):
+        diff = index_vector(t1)[:, None] - pi
+        largest = (diff * diff * (-1.0 / sigma2)).max(axis=0)
+    return bool((np.isfinite(pi) & np.isinf(largest)).any())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pi=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40).map(np.array),
+    t1=st.integers(1, 40),
+    sigma2=st.floats(1e-3, 1e3) | st.sampled_from([1e-300, 1e300, _SMALLEST_SIGMA2]),
+)
+@example(pi=np.array([0.0, 1e160]), t1=3, sigma2=0.25)
+@example(pi=np.array([0.0, 1e150]), t1=3, sigma2=0.25)
+@example(pi=np.array([4.0, -1e10]), t1=3, sigma2=1e-300)
+@example(pi=np.array([19.0]), t1=40, sigma2=_SMALLEST_SIGMA2)  # 19 rows from either end
+def test_align_from_imv_raises_exactly_where_a_position_is_too_far(pi, t1, sigma2):
+    imv, kernel = Imv(pi, t1), KernelConfig(sigma2=sigma2)
+    if not _a_largest_logit_overflows(pi, t1, sigma2):
+        with np.errstate(over="ignore"):  # the logits of far rows may overflow
+            check_alignment(align_from_imv(imv, kernel))
+        return
+    # the check itself warns of no overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match=f"too far from rows 0..{t1 - 1}"):
+            align_from_imv(imv, kernel)
+
+
+@pytest.mark.parametrize("pi", [np.nan, np.inf, -np.inf])
+def test_align_from_imv_gives_a_nonfinite_position_a_nan_column(pi):
+    with np.errstate(invalid="ignore"):
+        alpha = align_from_imv(Imv(np.array([0.0, pi]), 3))
+    assert np.array_equal(alpha[:, :1], align_from_imv(Imv(np.zeros(1), 3))) and np.isnan(alpha[:, 1]).all()
 
 
 def test_align_from_imv_concentrates_at_small_sigma():

@@ -715,8 +715,9 @@ def forward_backward(f, inputs: Sequence[np.ndarray]):
     """
     # The tape is not released (Tape.release): its arrays are large at the
     # sizes this serves, and freeing them as the call returns hands the heap
-    # back to the system, which the next call faults in again. Released here,
-    # grad-long (seed 11, 2 vCPUs) ran a median 490 sequences/s, not 500.
+    # back to the system, which the next call faults in again. With a
+    # Tape.backward that released its tape, grad-long (seeds 101-104, 4
+    # alternating pairs, 2 vCPUs) ran a median 470 ops/s (422-484), not 496.
     tape, variables, out, objective = _trace(f, inputs)
     if isinstance(objective, Value):
         tape.backward(objective)

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
 
 from .autodiff import NonDeterministicError, NonFiniteError
 from .checks import CHECKABLE_OPS, run_check
-from .core import MAX_ALIGNMENT_ENTRIES, AlignmentError, Imv, compute_imv, enumerate_monotonic_paths, validate_imv
+from .core import AlignmentError, Imv, compute_imv, enumerate_monotonic_paths, validate_imv
 from .matrixio import read_matrix, read_vector, write_matrix, write_pgm, write_vector
 from .monotonic import (
     DegenerateImvError,
@@ -149,15 +148,6 @@ def cmd_sma(args) -> int:
 def cmd_oracle(args) -> int:
     if not 2 <= args.t1 <= args.t2:
         raise ValueError(f"the oracle needs 2 <= t1 <= t2, got t1={args.t1}, t2={args.t2}")
-    size = args.t1 * args.t2
-    # one matrix alone over the cap: the count is not worth computing
-    count = math.comb(args.t2 - 1, args.t1 - 1) if size <= MAX_ALIGNMENT_ENTRIES else None
-    if count is None or count * size > MAX_ALIGNMENT_ENTRIES:
-        paths = f"C({args.t2 - 1}, {args.t1 - 1})" if count is None else count
-        raise ValueError(
-            f"{args.t1}x{args.t2} has {paths} monotonic paths; the oracle "
-            f"builds at most {MAX_ALIGNMENT_ENTRIES} matrix entries"
-        )
     paths = enumerate_monotonic_paths(args.t1, args.t2)
     # a path's IMV is integer, so the exact step constraint allows steps of 0 or 1 only
     reports = [validate_imv(compute_imv(m), tol=0.0) for m in paths]

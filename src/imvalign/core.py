@@ -170,12 +170,20 @@ def enumerate_monotonic_paths(t1: int, t2: int) -> list[np.ndarray]:
     Each path is a (t1, t2) matrix of one-hot columns: the attended index
     starts at 0, ends at t1-1, and advances by 0 or 1 per step. There are
     exactly C(t2-1, t1-1) such paths (choose which transitions advance).
+    Raises :class:`ValueError`, before building any, when together they would
+    hold more than ``MAX_ALIGNMENT_ENTRIES`` entries.
     """
     if t1 < 2:
         raise AlignmentError(f"need at least 2 input tokens, got t1={t1}")
     if t1 > t2:
-        raise AlignmentError(
-            f"no complete monotonic path exists for t1={t1} > t2={t2}"
+        raise AlignmentError(f"no complete monotonic path exists for t1={t1} > t2={t2}")
+    # one matrix alone over the cap: the count is not worth computing
+    count = math.comb(t2 - 1, t1 - 1) if t1 * t2 <= MAX_ALIGNMENT_ENTRIES else None
+    if count is None or count * t1 * t2 > MAX_ALIGNMENT_ENTRIES:
+        named = f"C({t2 - 1}, {t1 - 1})" if count is None else count
+        raise ValueError(
+            f"{t1}x{t2} has {named} monotonic paths; the oracle builds at most "
+            f"{MAX_ALIGNMENT_ENTRIES} matrix entries"
         )
     paths = []
     for advance_steps in combinations(range(1, t2), t1 - 1):
@@ -185,5 +193,5 @@ def enumerate_monotonic_paths(t1: int, t2: int) -> list[np.ndarray]:
         matrix = np.zeros((t1, t2))
         matrix[rows, np.arange(t2)] = 1.0
         paths.append(matrix)
-    assert len(paths) == math.comb(t2 - 1, t1 - 1)
+    assert len(paths) == count
     return paths

@@ -112,8 +112,10 @@ def align_from_imv(imv: Imv, kernel: KernelConfig = KernelConfig()):
 
     Columns are normalized over the input axis, so the result is a valid
     alignment for any finite centers, except one so far from every row that
-    the nearest row's kernel logit overflows (its column would be NaN): that
-    raises :class:`AlignmentError`, as :func:`streaming_hma_step` does.
+    the nearest row's kernel logit overflows (its column would be NaN), or
+    one at least 2**52 in magnitude, where float64 spacing reaches 1 and rows'
+    distances round together: those raise :class:`AlignmentError`, as
+    :func:`streaming_hma_step` does.
     """
     finite = imv.values[np.isfinite(imv.values)]
     # A position's largest logit is at its nearest row (fl(i - p) is monotone in
@@ -123,6 +125,8 @@ def align_from_imv(imv: Imv, kernel: KernelConfig = KernelConfig()):
     d = max(-lo, hi - (imv.t1 - 1.0), 0.0)
     if not isfinite(d * d * (-1.0 / kernel.sigma2)):
         raise AlignmentError(f"position {lo if d == -lo else hi!r} is too far from rows 0..{imv.t1 - 1}")
+    if max(-lo, hi) >= 2.0**52:
+        raise AlignmentError(f"position {lo if -lo >= hi else hi!r} is too far from rows 0..{imv.t1 - 1}")
     return ad.gaussian_softmax(index_vector(imv.t1), imv.pi, kernel.sigma2, axis=0)
 
 

@@ -75,9 +75,17 @@ def extract_positions(
     imv: Imv, kernel: KernelConfig = KernelConfig()
 ) -> AlignedPositions:
     """Expected output step per token: the density-weighted mean of the
-    output index vector. Differentiable end to end."""
+    output index vector. Differentiable end to end. Raises
+    :class:`AlignmentError` when a finite IMV lies so far from a token that
+    the token's kernel logits overflow at every step (its position is NaN)."""
     gamma = density_matrix(imv, kernel)
     e = ad.matmul(gamma, index_vector(imv.t2))
+    values = ad.data(e)
+    if not np.isfinite(values).all() and np.isfinite(imv.values).all():
+        i = int(np.argmin(np.isfinite(values)))
+        raise AlignmentError(
+            f"token {i} is too far from every IMV position: its aligned position is {float(values[i])!r}"
+        )
     return AlignedPositions(e)
 
 

@@ -76,8 +76,15 @@ MUTANTS = (
         "src/imvalign/monotonic.py",
         "    if not isfinite(d * d * (-1.0 / kernel.sigma2)):\n",
         "    if False:\n",
+        ("tests/test_monotonic.py::test_align_from_imv_raises_exactly_where_a_position_is_too_far",),
+    ),
+    Mutant(
+        "far-position-row-resolution-bound-dropped",
+        "src/imvalign/monotonic.py",
+        "    if max(-lo, hi) >= 2.0**52:\n",
+        "    if False:\n",
         ("tests/test_monotonic.py::test_align_from_imv_raises_exactly_where_a_position_is_too_far",
-         "tests/test_cli.py::test_reconstruct_rejects_a_position_too_far_from_every_row"),
+         "tests/test_cli.py::test_reconstruct_rejects_a_position_past_float64_row_resolution"),
     ),
     Mutant(
         "far-position-distance-not-clamped-inside-the-rows",
@@ -85,6 +92,43 @@ MUTANTS = (
         "d = max(-lo, hi - (imv.t1 - 1.0), 0.0)",
         "d = max(-lo, hi - (imv.t1 - 1.0))",
         ("tests/test_monotonic.py::test_align_from_imv_raises_exactly_where_a_position_is_too_far",),
+    ),
+    Mutant(
+        "nonfinite-positions-check-dropped",
+        "src/imvalign/positions.py",
+        "    if not np.isfinite(values).all() and np.isfinite(imv.values).all():\n",
+        "    if False:\n",
+        ("tests/test_positions.py::test_extract_positions_rejects_a_finite_imv_too_far_from_a_token",
+         "tests/test_cli.py::test_positions_rejects_a_finite_imv_too_far_from_every_token"),
+    ),
+    Mutant(
+        "nonfinite-positions-check-refuses-a-nonfinite-imv",
+        "src/imvalign/positions.py",
+        ".all() and np.isfinite(imv.values).all():",
+        ".all():",
+        ("tests/test_positions.py::test_extract_positions_passes_a_nonfinite_imv_through",),
+    ),
+    Mutant(
+        "oracle-cap-refuses-exactly-its-entries",
+        "src/imvalign/core.py",
+        "count * t1 * t2 > MAX_ALIGNMENT_ENTRIES",
+        "count * t1 * t2 >= MAX_ALIGNMENT_ENTRIES",
+        ("tests/test_core.py::test_enumerate_cap_admits_exactly_its_entries",),
+    ),
+    Mutant(
+        "oracle-count-computed-for-any-size",
+        "src/imvalign/core.py",
+        "math.comb(t2 - 1, t1 - 1) if t1 * t2 <= MAX_ALIGNMENT_ENTRIES else None",
+        "math.comb(t2 - 1, t1 - 1)",
+        ("tests/test_core.py::test_enumerate_refuses_sizes_over_its_cap_before_building_a_path",
+         "tests/test_cli.py::test_oracle_refuses_sizes_over_its_cap"),
+    ),
+    Mutant(
+        "oracle-count-skipped-at-one-matrix-of-exactly-the-cap",
+        "src/imvalign/core.py",
+        "if t1 * t2 <= MAX_ALIGNMENT_ENTRIES else None",
+        "if t1 * t2 < MAX_ALIGNMENT_ENTRIES else None",
+        ("tests/test_core.py::test_enumerate_cap_admits_exactly_its_entries",),
     ),
     Mutant(
         "reference-sub-gradient-sign",

@@ -86,6 +86,27 @@ def test_reconstruct_rejects_a_position_too_far_from_every_row(tmp_path, capsys)
     assert "position 1e+160 is too far from rows 0..2" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_a_position_past_float64_row_resolution(tmp_path, capsys):
+    # from 2**52 on, fl(i - pi) rounds neighbouring rows together: the column
+    # of 1e17 would be uniform instead of one-hot at the last row
+    imv = _vector_file(tmp_path, [0.0, 1e17])
+    out = tmp_path / "alpha.csv"
+    assert main(["reconstruct", "--imv", imv, "--t1", "4", "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "position 1e+17 is too far from rows 0..3" in capsys.readouterr().err
+
+
+def test_positions_rejects_a_finite_imv_too_far_from_every_token(tmp_path, capsys):
+    # every squared distance to 1e200 overflows: each position would be NaN
+    imv = _vector_file(tmp_path, [1e200, 1e200])
+    out = tmp_path / "e.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["positions", "--imv", imv, "--t1", "4", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "token 0 is too far from every IMV position" in captured.err
+
+
 def test_positions_roundtrip(tmp_path):
     imv = _vector_file(tmp_path, [0.0, 0.0, 1.0, 1.0])
     out = tmp_path / "e.csv"

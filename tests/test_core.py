@@ -1,8 +1,11 @@
 import math
+import re
+import time
 
 import numpy as np
 import pytest
 
+from imvalign import core
 from imvalign.core import (
     AlignmentError,
     Imv,
@@ -50,6 +53,16 @@ def test_validate_flags_negative_step():
     assert not report.monotone_continuous
     # the negative step at index 1 and the compensating jump of 2 at index 2
     assert report.violations == ((1, -1.0), (2, 2.0))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.1])
+def test_validate_allows_steps_within_tol_of_the_unit_interval(tol):
+    for step in (1.0 + tol / 2, -tol / 2):
+        report = validate_imv(Imv(np.array([0.0, step]), 2), tol=tol)
+        assert report.monotone_continuous and report.violations == ()
+    for step in (1.0 + 2 * tol, -2 * tol):
+        report = validate_imv(Imv(np.array([0.0, step]), 2), tol=tol)
+        assert not report.monotone_continuous and report.violations == ((1, step),)
 
 
 def test_summary_names_at_most_five_violations():
@@ -112,6 +125,38 @@ def test_enumerate_rejects_infeasible():
         enumerate_monotonic_paths(4, 3)
     with pytest.raises(AlignmentError, match="at least 2 input tokens"):
         enumerate_monotonic_paths(1, 3)
+
+
+def test_enumerate_refuses_sizes_over_its_cap_before_building_a_path(monkeypatch):
+    def no_paths(*args):
+        raise AssertionError("a path was enumerated")
+
+    monkeypatch.setattr(core, "combinations", no_paths)
+    # the 40x80 paths would fill memory long before the enumeration ended
+    for t1, t2, named in [(12, 40, "1676056044"), (40, 80, str(math.comb(79, 39))),
+                          (100000, 200000, "C(199999, 99999)")]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^{t1}x{t2} has {re.escape(named)} monotonic paths") as info:
+            enumerate_monotonic_paths(t1, t2)
+        assert time.perf_counter() - start < 1.0
+        # a plain ValueError, not an AlignmentError: `imvalign oracle` exits 2 on it
+        assert type(info.value) is ValueError
+
+
+def test_enumerate_cap_admits_exactly_its_entries(monkeypatch):
+    # 126 paths of 5x10: 6300 entries together
+    monkeypatch.setattr(core, "MAX_ALIGNMENT_ENTRIES", 6300)
+    assert len(enumerate_monotonic_paths(5, 10)) == 126
+    monkeypatch.setattr(core, "MAX_ALIGNMENT_ENTRIES", 6299)
+    with pytest.raises(ValueError, match="has 126 monotonic paths; the oracle builds at most 6299 matrix entries"):
+        enumerate_monotonic_paths(5, 10)
+    # the count is named, not computed, only once one matrix alone is over the cap
+    monkeypatch.setattr(core, "MAX_ALIGNMENT_ENTRIES", 50)
+    with pytest.raises(ValueError, match="has 126 monotonic paths"):
+        enumerate_monotonic_paths(5, 10)
+    monkeypatch.setattr(core, "MAX_ALIGNMENT_ENTRIES", 49)
+    with pytest.raises(ValueError, match=r"has C\(9, 4\) monotonic paths"):
+        enumerate_monotonic_paths(5, 10)
 
 
 def test_path_imvs_satisfy_exact_constraints():

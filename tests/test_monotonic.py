@@ -138,12 +138,14 @@ def test_near_degenerate_hma_scales_its_gradient_as_one_over_the_total():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    pi=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=40).map(np.array),
+    pi=st.lists(
+        st.floats(-(2.0**52), 2.0**52, exclude_min=True, exclude_max=True), min_size=1, max_size=40
+    ).map(np.array),
     t1=st.integers(1, 40),
     sigma2=st.floats(1e-3, 1e3),
 )
 def test_align_from_imv_of_any_finite_imv_is_an_alignment(pi, t1, sigma2):
-    # (|pi| up to 1e100: beyond about 1.3e154 * sqrt(sigma2) the logits overflow)
+    # (|pi| below 2**52, float64 row resolution, which align_from_imv enforces)
     check_alignment(align_from_imv(Imv(pi, t1), KernelConfig(sigma2=sigma2)))
 
 
@@ -168,11 +170,14 @@ def _a_largest_logit_overflows(pi, t1, sigma2) -> bool:
 )
 @example(pi=np.array([0.0, 1e160]), t1=3, sigma2=0.25)
 @example(pi=np.array([0.0, 1e150]), t1=3, sigma2=0.25)
+@example(pi=np.array([0.0, 1e17]), t1=4, sigma2=0.25)  # past row resolution, no overflow
+@example(pi=np.array([2.0**52 - 1, -(2.0**52 - 1)]), t1=4, sigma2=0.25)  # just inside it
 @example(pi=np.array([4.0, -1e10]), t1=3, sigma2=1e-300)
 @example(pi=np.array([19.0]), t1=40, sigma2=_SMALLEST_SIGMA2)  # 19 rows from either end
 def test_align_from_imv_raises_exactly_where_a_position_is_too_far(pi, t1, sigma2):
     imv, kernel = Imv(pi, t1), KernelConfig(sigma2=sigma2)
-    if not _a_largest_logit_overflows(pi, t1, sigma2):
+    # from 2**52 on, float64 spacing reaches 1 and fl(i - p) rounds neighbouring rows together
+    if not (_a_largest_logit_overflows(pi, t1, sigma2) or (np.abs(pi) >= 2.0**52).any()):
         with np.errstate(over="ignore"):  # the logits of far rows may overflow
             check_alignment(align_from_imv(imv, kernel))
         return

@@ -64,6 +64,22 @@ def test_extract_positions_preserves_order():
         assert np.all(np.diff(pos.values) >= -1e-9)
 
 
+def test_extract_positions_rejects_a_finite_imv_too_far_from_a_token():
+    # every squared distance to 1e200 overflows: each density row would be NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(AlignmentError, match="token 0 is too far from every IMV position"):
+            extract_positions(Imv(np.array([1e200, 1e200]), 4))
+        # one step near the tokens keeps every density row finite
+        pos = extract_positions(Imv(np.array([0.0, 1e200]), 4))
+    assert np.array_equal(pos.values, np.zeros(4))
+
+
+def test_extract_positions_passes_a_nonfinite_imv_through():
+    with np.errstate(invalid="ignore"):
+        pos = extract_positions(Imv(np.array([0.0, np.nan]), 3))
+    assert np.isnan(pos.values).all()
+
+
 def test_ap_loss_zero_on_equal_inputs():
     d = np.array([1.0, 2.0, 0.5])
     assert ap_loss(d, d) == 0.0

@@ -22,7 +22,6 @@ from .monotonic import (
     sma_loss,
 )
 from .positions import AlignedPositions, ApLossConfig, align_from_positions, ap_loss, density_matrix, extract_positions
-from .toy import ToyModel, ToyTask, TrainConfig, make_batch, sequence_forward
 
 __all__ = ["CHECKABLE_OPS", "run_check"]
 
@@ -76,6 +75,8 @@ def _check_toy_forward(rng):
     probe would measure a different function than the one the analytic
     gradient differentiates.
     """
+    from .toy import ToyModel, ToyTask, TrainConfig, make_batch, sequence_forward
+
     while True:
         seed = int(rng.integers(1, 2**31))
         task = ToyTask(

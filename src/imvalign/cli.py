@@ -2,19 +2,27 @@
 
 A command exits 0, or 4 when the check it runs (oracle, gradcheck) fails.
 A library error exits with the code :data:`EXIT_CODES` gives its class.
+Only ``train-toy`` (and ``gradcheck --op toy_forward``) imports the trainer.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields
 
 from .autodiff import NonDeterministicError, NonFiniteError
 from .checks import CHECKABLE_OPS, run_check
-from .core import AlignmentError, Imv, compute_imv, enumerate_monotonic_paths, validate_imv
+from .core import (
+    AlignmentError,
+    Imv,
+    TrainDivergenceError,
+    UntrainedModelError,
+    compute_imv,
+    enumerate_monotonic_paths,
+    validate_imv,
+)
 from .matrixio import read_matrix, read_vector, write_matrix, write_pgm, write_vector
 from .monotonic import (
     DegenerateImvError,
@@ -25,7 +33,6 @@ from .monotonic import (
     sma_loss,
 )
 from .positions import extract_positions
-from .toy import ToyTask, TrainConfig, TrainDivergenceError, UntrainedModelError, make_batch, sequence_forward, train
 
 __all__ = ["main", "load_run_config", "ConfigError", "EXIT_CODES"]
 
@@ -65,6 +72,10 @@ def load_run_config(path) -> tuple[ToyTask, TrainConfig, str | None, str]:
     raise :class:`ConfigError`. Returns (task, trainer settings, report
     path, heatmap path).
     """
+    import json
+
+    from .toy import ToyTask, TrainConfig
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -163,6 +174,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
+    from .toy import make_batch, sequence_forward, train
+
     task, cfg, report_path, heatmap_path = load_run_config(args.config)
     model, report = train(task, cfg)
     if report_path:

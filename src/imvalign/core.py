@@ -4,7 +4,8 @@ exhaustive monotonic-path oracle.
 An alignment matrix has shape (T1, T2): rows index input tokens, columns
 index output steps, and every column is a probability distribution over
 the input. The index mapping vector (IMV) of an alignment gives, for each
-output step, the expected input position.
+output step, the expected input position. The trainer's errors are defined
+here too, so the CLI maps them to exit codes without importing the trainer.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from . import autodiff as ad
 
 __all__ = [
     "AlignmentError",
+    "TrainDivergenceError",
+    "UntrainedModelError",
     "Imv",
     "ImvValidationReport",
     "index_vector",
@@ -40,6 +43,18 @@ MAX_ALIGNMENT_ENTRIES = 10_000_000
 
 class AlignmentError(ValueError):
     """An alignment-matrix or IMV contract was violated."""
+
+
+class TrainDivergenceError(RuntimeError):
+    """Training produced a non-finite loss or gradient."""
+
+    def __init__(self, step: int, cause: str):
+        super().__init__(f"training diverged at step {step}: {cause}")
+        self.step = step
+
+
+class UntrainedModelError(RuntimeError):
+    """Inference was requested from a model that was never trained."""
 
 
 def index_vector(length: int) -> np.ndarray:

@@ -11,6 +11,7 @@ output exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -76,17 +77,31 @@ def extract_positions(
 ) -> AlignedPositions:
     """Expected output step per token: the density-weighted mean of the
     output index vector. Differentiable end to end. Raises
-    :class:`AlignmentError` when a finite IMV lies so far from a token that
-    the token's kernel logits overflow at every step (its position is NaN)."""
-    gamma = density_matrix(imv, kernel)
-    e = ad.matmul(gamma, index_vector(imv.t2))
-    values = ad.data(e)
-    if not np.isfinite(values).all() and np.isfinite(imv.values).all():
-        i = int(np.argmin(np.isfinite(values)))
-        raise AlignmentError(
-            f"token {i} is too far from every IMV position: its aligned position is {float(values[i])!r}"
-        )
-    return AlignedPositions(e)
+    :class:`AlignmentError`, before the kernel runs, when a finite IMV lies
+    so far from a token that the token's kernel logits overflow at every
+    step (its position would be NaN)."""
+    p, t1, scale = imv.values, imv.t1, -1.0 / kernel.sigma2
+    # no token is farther than `reach` from a position: if its logit is finite, none overflows
+    reach = float(np.abs(p).max()) + (t1 - 1)
+    if isfinite(reach) and not isfinite(reach * reach * scale):
+        # A token's largest logit is at its nearest position, and none overflows
+        # within 1 of the token (1/sigma2 is finite). Beyond 1, token i's nearest
+        # position is the largest whose floor is at most i or the smallest whose
+        # floor is at least i: bucket the positions by floor, clipped to -1..t1.
+        k = np.clip(np.floor(p), -1, t1).astype(np.intp) + 1
+        below, above = np.full(t1 + 2, -np.inf), np.full(t1 + 2, np.inf)
+        np.maximum.at(below, k, p)
+        np.minimum.at(above, k, p)
+        tokens = index_vector(t1)
+        under = np.maximum.accumulate(below)[1:-1]
+        over = np.minimum.accumulate(above[::-1])[::-1][1:-1]
+        near = np.minimum(tokens - under, over - tokens)
+        with np.errstate(over="ignore"):
+            far = np.isinf(near * near * scale)
+        if far.any():
+            i = int(far.argmax())
+            raise AlignmentError(f"token {i} is too far from every IMV position: its aligned position is nan")
+    return AlignedPositions(ad.matmul(density_matrix(imv, kernel), index_vector(imv.t2)))
 
 
 def ap_loss(pred_delta, target_delta, cfg: ApLossConfig = ApLossConfig()):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import scaled_dot_alignment
-from .core import MAX_ALIGNMENT_ENTRIES, AlignmentError, compute_imv, context_map
+from .core import MAX_ALIGNMENT_ENTRIES, AlignmentError, TrainDivergenceError, UntrainedModelError, compute_imv, context_map
 from .monotonic import DegenerateImvError, KernelConfig, SmaWeights, hma_transform, sma_loss
 from .positions import ApLossConfig, AlignedPositions, align_from_positions, ap_loss, extract_positions, infer_t2, scale_positions
 
@@ -45,18 +45,6 @@ __all__ = [
 ]
 
 MODES = ("NM", "SMA", "HMA")
-
-
-class TrainDivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
-
-    def __init__(self, step: int, cause: str):
-        super().__init__(f"training diverged at step {step}: {cause}")
-        self.step = step
-
-
-class UntrainedModelError(RuntimeError):
-    """Inference was requested from a model that was never trained."""
 
 
 def _require_integer_fields(config) -> None:

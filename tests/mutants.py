@@ -96,7 +96,7 @@ MUTANTS = (
     Mutant(
         "nonfinite-positions-check-dropped",
         "src/imvalign/positions.py",
-        "    if not np.isfinite(values).all() and np.isfinite(imv.values).all():\n",
+        "    if isfinite(reach) and not isfinite(reach * reach * scale):\n",
         "    if False:\n",
         ("tests/test_positions.py::test_extract_positions_rejects_a_finite_imv_too_far_from_a_token",
          "tests/test_cli.py::test_positions_rejects_a_finite_imv_too_far_from_every_token"),
@@ -104,9 +104,38 @@ MUTANTS = (
     Mutant(
         "nonfinite-positions-check-refuses-a-nonfinite-imv",
         "src/imvalign/positions.py",
-        ".all() and np.isfinite(imv.values).all():",
-        ".all():",
+        "if isfinite(reach) and not",
+        "if not",
         ("tests/test_positions.py::test_extract_positions_passes_a_nonfinite_imv_through",),
+    ),
+    Mutant(
+        "far-token-scan-replaced-by-the-reach-bound",
+        "src/imvalign/positions.py",
+        "far = np.isinf(near * near * scale)",
+        "far = np.isinf(np.full(t1, reach * reach * scale))",
+        ("tests/test_positions.py::test_extract_positions_rejects_a_finite_imv_too_far_from_a_token",
+         "tests/test_positions.py::test_extract_positions_raises_exactly_where_a_token_is_too_far"),
+    ),
+    Mutant(
+        "cli-imports-the-trainer-at-module-level",
+        "src/imvalign/cli.py",
+        "from .positions import extract_positions\n",
+        "from .positions import extract_positions\nfrom .toy import train\n",
+        ("tests/test_imports.py::test_importing_the_cli_loads_neither_the_trainer_nor_json",),
+    ),
+    Mutant(
+        "package-getattr-imports-an-unknown-name",
+        "src/imvalign/__init__.py",
+        "    if module is None and name not in _EXPORTS:\n",
+        "    if False:\n",
+        ("tests/test_imports.py::test_an_unknown_name_raises_attribute_error",),
+    ),
+    Mutant(
+        "exit-code-looked-up-by-exact-class",
+        "src/imvalign/cli.py",
+        "return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)",
+        "return EXIT_CODES[type(exc)]",
+        ("tests/test_cli.py::test_a_library_exception_raised_by_a_command_exits_with_its_code",),
     ),
     Mutant(
         "oracle-cap-refuses-exactly-its-entries",

@@ -1,12 +1,13 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import reference_tape as ref
 from imvalign import autodiff as ad
-from imvalign import cli
+from imvalign import cli, toy
 from imvalign.checks import CHECKABLE_OPS, run_check
 from imvalign.cli import main
 from imvalign.matrixio import read_matrix, read_vector, write_matrix, write_vector
@@ -100,7 +101,8 @@ def test_positions_rejects_a_finite_imv_too_far_from_every_token(tmp_path, capsy
     # every squared distance to 1e200 overflows: each position would be NaN
     imv = _vector_file(tmp_path, [1e200, 1e200])
     out = tmp_path / "e.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the kernel, which would overflow
         assert main(["positions", "--imv", imv, "--t1", "4", "--out", str(out)]) == 3
     assert not out.exists()
     captured = capsys.readouterr()
@@ -197,7 +199,7 @@ def test_train_toy_command(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main(["train-toy", "--config", str(path)]) == 0
-    _, report = cli.train(*cli.load_run_config(str(path))[:2])
+    _, report = toy.train(*cli.load_run_config(str(path))[:2])
     report.write_jsonl(str(tmp_path / "expected.jsonl"))
     assert (tmp_path / "report.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
     assert (tmp_path / "final.pgm").read_text().startswith("P2")
@@ -315,7 +317,7 @@ def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
 
 def test_train_toy_refuses_an_oversized_task(tmp_path, monkeypatch, capsys):
     # refused while the config is read: training, which would allocate, never starts
-    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train was called"))
+    monkeypatch.setattr(toy, "train", lambda *args: pytest.fail("train was called"))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"steps": 2, "report_path": None, "t1_max": 100000}))
     assert main(["train-toy", "--config", str(path)]) == 2
@@ -375,12 +377,12 @@ def test_train_toy_heatmap_equals_inline_chain(tmp_path, monkeypatch, mode):
     captured = {}
 
     def train(task, cfg):
-        model, report = cli_train(task, cfg)
+        model, report = toy_train(task, cfg)
         captured.update(task=task, cfg=cfg, model=model)
         return model, report
 
-    cli_train = cli.train
-    monkeypatch.setattr(cli, "train", train)
+    toy_train = toy.train
+    monkeypatch.setattr(toy, "train", train)
     monkeypatch.setattr(cli, "write_pgm", lambda path, alpha: captured.update(alpha=alpha))
     config = {"mode": mode, "steps": 20, "batch_size": 4, "pool_size": 8, "sigma2": 0.3,
               "report_path": str(tmp_path / "report.jsonl")}
@@ -427,7 +429,7 @@ def test_run_config_routes_keys(tmp_path):
     {"report_path": 7}, {"report_path": True}, {"report_path": {"path": "r.jsonl"}},
 ])
 def test_train_toy_rejects_bad_output_paths_before_training(tmp_path, monkeypatch, capsys, paths):
-    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train was called"))
+    monkeypatch.setattr(toy, "train", lambda *args: pytest.fail("train was called"))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"steps": 1, **paths}))
     assert main(["train-toy", "--config", str(path)]) == 2
@@ -555,7 +557,7 @@ def _tree(root):
 @pytest.mark.parametrize("kind", ["directory", "missing parent"])
 @pytest.mark.parametrize("name", sorted(_PATH_ARGUMENTS))
 def test_an_unusable_path_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, name, kind):
-    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train was called"))
+    monkeypatch.setattr(toy, "train", lambda *args: pytest.fail("train was called"))
     argv = _fault_argv(tmp_path, name, kind)
     before = _tree(tmp_path)
     assert main(argv) == 2

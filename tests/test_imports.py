@@ -1,8 +1,69 @@
 import ast
+import importlib
 import os
+import subprocess
+import sys
+
+import pytest
 
 import imvalign
 from imvalign import autodiff
+
+# The public names the package exported when it imported its submodules
+# eagerly, by the submodule each was imported from.
+_EXPORTED = {
+    "autodiff": "GradCheckReport NonDeterministicError NonFiniteError Tape Value forward_backward gradcheck",
+    "attention": "scaled_dot_alignment",
+    "checks": "CHECKABLE_OPS run_check",
+    "core": "AlignmentError Imv ImvValidationReport check_alignment compute_imv context_map "
+    "enumerate_monotonic_paths index_vector validate_imv",
+    "monotonic": "DegenerateImvError KernelConfig SmaWeights StreamingHmaState align_from_imv hma_transform "
+    "sma_loss streaming_hma_run streaming_hma_step",
+    "positions": "AlignedPositions ApLossConfig align_from_positions ap_loss density_matrix extract_positions "
+    "infer_t2 scale_positions",
+    "toy": "MODES SequenceForward ToyBatch ToyModel ToyTask TrainConfig TrainDivergenceError TrainReport "
+    "UntrainedModelError alignment_accuracy diagonality_score infer make_batch positions_from_durations "
+    "sequence_forward token_patterns train",
+}
+
+
+def _fresh_interpreter(code: str) -> str:
+    """The output of ``code`` run by a new interpreter on this imvalign."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imvalign.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_a_bare_import_loads_no_submodule():
+    out = _fresh_interpreter("import sys, imvalign; print([m for m in sys.modules if m.startswith('imvalign.')])")
+    assert out == "[]\n"
+
+
+def test_importing_the_cli_loads_neither_the_trainer_nor_json():
+    out = _fresh_interpreter("import sys, imvalign.cli; print('imvalign.toy' in sys.modules, 'json' in sys.modules)")
+    assert out == "False False\n"
+
+
+@pytest.mark.parametrize("module", sorted(_EXPORTED))
+def test_every_exported_name_is_its_modules_object(module):
+    source = importlib.import_module(f"imvalign.{module}")
+    for name in _EXPORTED[module].split():
+        assert getattr(imvalign, name) is getattr(source, name), name
+
+
+def test_the_star_import_and_dir_list_every_exported_name():
+    exported = {name for names in _EXPORTED.values() for name in names.split()}
+    assert sorted(exported) == imvalign.__all__
+    namespace = {}
+    exec("from imvalign import *", namespace)
+    assert exported <= set(namespace) and exported <= set(dir(imvalign))
+    assert imvalign.toy.train is imvalign.train
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        imvalign.no_such_name
+    assert not hasattr(imvalign, "matrixio_reader")
 
 
 def test_no_private_names_imported_across_modules():

@@ -1,9 +1,10 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imvalign.core import AlignmentError, Imv, compute_imv
@@ -65,13 +66,47 @@ def test_extract_positions_preserves_order():
 
 
 def test_extract_positions_rejects_a_finite_imv_too_far_from_a_token():
-    # every squared distance to 1e200 overflows: each density row would be NaN
-    with np.errstate(over="ignore", invalid="ignore"):
+    # every squared distance to 1e200 overflows: each density row would be NaN;
+    # the check runs before the kernel, so nothing overflows and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(AlignmentError, match="token 0 is too far from every IMV position"):
             extract_positions(Imv(np.array([1e200, 1e200]), 4))
-        # one step near the tokens keeps every density row finite
+    # one step near the tokens keeps every density row finite
+    with np.errstate(over="ignore", invalid="ignore"):
         pos = extract_positions(Imv(np.array([0.0, 1e200]), 4))
     assert np.array_equal(pos.values, np.zeros(4))
+
+
+# the smallest sigma2 whose reciprocal is finite: a logit overflows beyond ~1 token
+_SMALLEST_SIGMA2 = float(np.nextafter(1.0 / np.finfo(np.float64).max, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pi=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 43), min_size=1, max_size=40)
+    .map(np.array),
+    t1=st.integers(1, 40),
+    sigma2=st.floats(1e-3, 1e3) | st.sampled_from([1e-300, _SMALLEST_SIGMA2]),
+)
+@example(pi=np.array([-1e200]), t1=3, sigma2=0.25)
+@example(pi=np.array([0.0, 39.0]), t1=40, sigma2=_SMALLEST_SIGMA2)  # tokens 2..37 are far
+@example(pi=np.array([2.5, 2.5]), t1=8, sigma2=_SMALLEST_SIGMA2)  # 1.5 from tokens 1 and 4
+@example(pi=np.array([3.0, 1e308, -1e308]), t1=8, sigma2=1e-300)
+def test_extract_positions_raises_exactly_where_a_token_is_too_far(pi, t1, sigma2):
+    imv, kernel = Imv(pi, t1), KernelConfig(sigma2=sigma2)
+    # the oracle: the largest kernel logit of each token, over every position
+    with np.errstate(over="ignore"):
+        diff = np.arange(t1, dtype=np.float64)[:, None] - pi
+        far = np.isinf((diff * diff * (-1.0 / sigma2)).max(axis=1))
+    if not far.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(extract_positions(imv, kernel).values).all()
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match=f"token {int(far.argmax())} is too far from every IMV position"):
+            extract_positions(imv, kernel)
 
 
 def test_extract_positions_passes_a_nonfinite_imv_through():

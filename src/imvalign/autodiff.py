@@ -43,6 +43,7 @@ __all__ = [
     "matmul",
     "softmax",
     "gaussian_softmax",
+    "first_far_entry",
     "monotone_rescale",
     "sma_penalty",
     "log_l1_distance",
@@ -425,6 +426,30 @@ def _band_pays(n: int, m: int, width) -> bool:
     return (n - _BAND_ENTRY_COST * width) * m >= _BAND_FIXED_COST
 
 
+def _nearest_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distance from each b to the nearest entry of sorted ``a``, up to
+    sign (beyond an end of ``a`` both neighbours are that end)."""
+    k = np.searchsorted(a, b)
+    return np.minimum(b - a.take(k - 1, mode="clip"), a.take(k, mode="clip") - b)
+
+
+def first_far_entry(a: np.ndarray, b: np.ndarray, sigma2: float) -> int | None:
+    """The index of the first finite entry of ``b`` whose nearest finite entry
+    of ``a`` is so far that their kernel logit -(a - b)**2 / sigma2
+    overflows, or None. That logit is the largest of the entry's slice in
+    :func:`gaussian_softmax` along ``a``, so the slice would be NaN. Nothing warns."""
+    scale = -1.0 / sigma2
+    # no finite pair is farther apart than the sum of the largest magnitudes
+    reach = float(np.abs(a).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
+    if math.isfinite(reach * reach * scale):
+        return None
+    a, idx = np.sort(a[np.isfinite(a)]), np.flatnonzero(np.isfinite(b))
+    with np.errstate(over="ignore"):
+        near = _nearest_gap(a, b[idx]) if a.size else np.zeros(0)
+        far = np.isinf(near * near * scale)
+    return int(idx[far.argmax()]) if far.any() else None
+
+
 def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     """:func:`_dense_gaussian` evaluated only where an entry can be non-zero,
     or None where the dense kernel must run.
@@ -454,10 +479,7 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
         return None
     if not ((a[1:] >= a[:-1]).all() and np.isfinite(b).all()):
         return None
-    # the signed distance to the nearest a (beyond an end of a both
-    # neighbours are that end, and the smaller difference is minus it)
-    k = np.searchsorted(a, b)
-    near = np.minimum(b - a.take(k - 1, mode="clip"), a.take(k, mode="clip") - b)
+    near = _nearest_gap(a, b)
     dmin2 = near * near
     radius = np.sqrt(dmin2 + reach2)
     lo = np.searchsorted(a, b - radius)

@@ -110,10 +110,8 @@ class ImvValidationReport:
         line = ", ".join(parts)
         if self.violations:
             worst = ", ".join(f"delta[{j}]={d:.6g}" for j, d in self.violations[:5])
-            line += f" ({len(self.violations)} step violation(s): {worst}"
-            if len(self.violations) > 5:
-                line += ", ..."
-            line += ")"
+            more = ", ..." if len(self.violations) > 5 else ""
+            line += f" ({len(self.violations)} step violation(s): {worst}{more})"
         return line
 
 
@@ -126,15 +124,15 @@ def check_alignment(alpha) -> None:
     data = ad.data(alpha)
     if data.ndim != 2:
         raise AlignmentError(f"alignment must be 2-D, got shape {data.shape}")
-    if not np.isfinite(data).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = data.sum(axis=0)
+    # a NaN or infinite entry makes its column sum non-finite: scan only then
+    if not np.isfinite(sums).all() and not np.isfinite(data).all():
         raise AlignmentError("alignment contains non-finite entries")
-    sums = data.sum(axis=0)
     worst = np.abs(sums - 1.0).max() if sums.size else 0.0
-    if worst > COLUMN_SUM_TOL:
+    if not worst <= COLUMN_SUM_TOL:
         j = int(np.argmax(np.abs(sums - 1.0)))
-        raise AlignmentError(
-            f"column {j} sums to {sums[j]:.6g}; expected 1 within {COLUMN_SUM_TOL:g}"
-        )
+        raise AlignmentError(f"column {j} sums to {sums[j]:.6g}; expected 1 within {COLUMN_SUM_TOL:g}")
 
 
 def compute_imv(alpha) -> Imv:
@@ -159,12 +157,7 @@ def validate_imv(imv: Imv, tol: float = 1e-6) -> ImvValidationReport:
     violations = tuple((int(j + 1), float(deltas[j])) for j in bad)
     monotone = bad.size == 0
     complete = abs(pi[0]) <= tol and abs(pi[-1] - (imv.t1 - 1)) <= tol
-    return ImvValidationReport(
-        monotone_continuous=monotone,
-        complete=bool(complete),
-        violations=violations,
-        tol=tol,
-    )
+    return ImvValidationReport(monotone, bool(complete), violations, tol)
 
 
 def context_map(alpha, h):
@@ -172,10 +165,7 @@ def context_map(alpha, h):
     alpha_data = ad.data(alpha)
     h_data = ad.data(h)
     if alpha_data.shape[0] != h_data.shape[0]:
-        raise AlignmentError(
-            f"alignment has {alpha_data.shape[0]} tokens but features have "
-            f"{h_data.shape[0]} rows"
-        )
+        raise AlignmentError(f"alignment has {alpha_data.shape[0]} tokens but features have {h_data.shape[0]} rows")
     return ad.matmul(ad.transpose(alpha), h)
 
 

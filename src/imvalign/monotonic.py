@@ -117,17 +117,12 @@ def align_from_imv(imv: Imv, kernel: KernelConfig = KernelConfig()):
     distances round together: those raise :class:`AlignmentError`, as
     :func:`streaming_hma_step` does.
     """
-    finite = imv.values[np.isfinite(imv.values)]
-    # A position's largest logit is at its nearest row (fl(i - p) is monotone in
-    # i), and none overflows within half a row of a row: only the positions
-    # farthest below row 0 and above row t1 - 1 can overflow.
-    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
-    d = max(-lo, hi - (imv.t1 - 1.0), 0.0)
-    if not isfinite(d * d * (-1.0 / kernel.sigma2)):
-        raise AlignmentError(f"position {lo if d == -lo else hi!r} is too far from rows 0..{imv.t1 - 1}")
-    if max(-lo, hi) >= 2.0**52:
-        raise AlignmentError(f"position {lo if -lo >= hi else hi!r} is too far from rows 0..{imv.t1 - 1}")
-    return ad.gaussian_softmax(index_vector(imv.t1), imv.pi, kernel.sigma2, axis=0)
+    rows, p = index_vector(imv.t1), imv.values
+    j = ad.first_far_entry(rows, p, kernel.sigma2)
+    huge = np.flatnonzero(np.isfinite(p) & (np.abs(p) >= 2.0**52))
+    if j is not None or huge.size:
+        raise AlignmentError(f"position {float(p[huge[0] if j is None else j])!r} is too far from rows 0..{imv.t1 - 1}")
+    return ad.gaussian_softmax(rows, imv.pi, kernel.sigma2, axis=0)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ output exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
@@ -77,30 +76,12 @@ def extract_positions(
 ) -> AlignedPositions:
     """Expected output step per token: the density-weighted mean of the
     output index vector. Differentiable end to end. Raises
-    :class:`AlignmentError`, before the kernel runs, when a finite IMV lies
-    so far from a token that the token's kernel logits overflow at every
-    step (its position would be NaN)."""
-    p, t1, scale = imv.values, imv.t1, -1.0 / kernel.sigma2
-    # no token is farther than `reach` from a position: if its logit is finite, none overflows
-    reach = float(np.abs(p).max()) + (t1 - 1)
-    if isfinite(reach) and not isfinite(reach * reach * scale):
-        # A token's largest logit is at its nearest position, and none overflows
-        # within 1 of the token (1/sigma2 is finite). Beyond 1, token i's nearest
-        # position is the largest whose floor is at most i or the smallest whose
-        # floor is at least i: bucket the positions by floor, clipped to -1..t1.
-        k = np.clip(np.floor(p), -1, t1).astype(np.intp) + 1
-        below, above = np.full(t1 + 2, -np.inf), np.full(t1 + 2, np.inf)
-        np.maximum.at(below, k, p)
-        np.minimum.at(above, k, p)
-        tokens = index_vector(t1)
-        under = np.maximum.accumulate(below)[1:-1]
-        over = np.minimum.accumulate(above[::-1])[::-1][1:-1]
-        near = np.minimum(tokens - under, over - tokens)
-        with np.errstate(over="ignore"):
-            far = np.isinf(near * near * scale)
-        if far.any():
-            i = int(far.argmax())
-            raise AlignmentError(f"token {i} is too far from every IMV position: its aligned position is nan")
+    :class:`AlignmentError`, before the kernel runs, where a token's position
+    would be NaN because its nearest finite IMV position is so far that their
+    kernel logit overflows (:func:`autodiff.first_far_entry`)."""
+    i = ad.first_far_entry(imv.values, index_vector(imv.t1), kernel.sigma2)
+    if i is not None:
+        raise AlignmentError(f"token {i} is too far from every IMV position: its aligned position is nan")
     return AlignedPositions(ad.matmul(density_matrix(imv, kernel), index_vector(imv.t2)))
 
 
@@ -125,10 +106,16 @@ def align_from_positions(
     positions: AlignedPositions, t2: int, kernel: KernelConfig = KernelConfig()
 ):
     """Alignment matrix whose column j is a Gaussian bump over the tokens
-    whose aligned positions fall near output step j."""
+    whose aligned positions fall near output step j. Raises
+    :class:`AlignmentError`, before the kernel runs, where a column would be
+    NaN, as :func:`extract_positions` does where a position would be."""
     if t2 < 1:
         raise AlignmentError(f"t2 must be >= 1, got {t2}")
-    return ad.gaussian_softmax(positions.e, index_vector(t2), kernel.sigma2, axis=0)
+    steps = index_vector(t2)
+    j = ad.first_far_entry(positions.values, steps, kernel.sigma2)
+    if j is not None:
+        raise AlignmentError(f"output step {j} is too far from every aligned position: its column is nan")
+    return ad.gaussian_softmax(positions.e, steps, kernel.sigma2, axis=0)
 
 
 def infer_t2(positions: AlignedPositions) -> int:

@@ -74,47 +74,62 @@ MUTANTS = (
     Mutant(
         "far-position-check-removed",
         "src/imvalign/monotonic.py",
-        "    if not isfinite(d * d * (-1.0 / kernel.sigma2)):\n",
-        "    if False:\n",
+        "    j = ad.first_far_entry(rows, p, kernel.sigma2)\n",
+        "    j = None\n",
         ("tests/test_monotonic.py::test_align_from_imv_raises_exactly_where_a_position_is_too_far",),
     ),
     Mutant(
         "far-position-row-resolution-bound-dropped",
         "src/imvalign/monotonic.py",
-        "    if max(-lo, hi) >= 2.0**52:\n",
-        "    if False:\n",
+        "if j is not None or huge.size:",
+        "if j is not None:",
         ("tests/test_monotonic.py::test_align_from_imv_raises_exactly_where_a_position_is_too_far",
          "tests/test_cli.py::test_reconstruct_rejects_a_position_past_float64_row_resolution"),
     ),
     Mutant(
-        "far-position-distance-not-clamped-inside-the-rows",
-        "src/imvalign/monotonic.py",
-        "d = max(-lo, hi - (imv.t1 - 1.0), 0.0)",
-        "d = max(-lo, hi - (imv.t1 - 1.0))",
-        ("tests/test_monotonic.py::test_align_from_imv_raises_exactly_where_a_position_is_too_far",),
+        "far-bound-takes-the-larger-magnitude-not-their-sum",
+        "src/imvalign/autodiff.py",
+        "reach = float(np.abs(a).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))",
+        "reach = max(float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))",
+        ("tests/test_positions.py::test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far",),
+    ),
+    Mutant(
+        "far-nearest-search-takes-one-neighbour",
+        "src/imvalign/autodiff.py",
+        'np.minimum(b - a.take(k - 1, mode="clip"), a.take(k, mode="clip") - b)',
+        'a.take(k, mode="clip") - b',
+        ("tests/test_positions.py::test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far",),
     ),
     Mutant(
         "nonfinite-positions-check-dropped",
         "src/imvalign/positions.py",
-        "    if isfinite(reach) and not isfinite(reach * reach * scale):\n",
-        "    if False:\n",
+        "    i = ad.first_far_entry(imv.values, index_vector(imv.t1), kernel.sigma2)\n",
+        "    i = None\n",
         ("tests/test_positions.py::test_extract_positions_rejects_a_finite_imv_too_far_from_a_token",
          "tests/test_cli.py::test_positions_rejects_a_finite_imv_too_far_from_every_token"),
     ),
     Mutant(
         "nonfinite-positions-check-refuses-a-nonfinite-imv",
-        "src/imvalign/positions.py",
-        "if isfinite(reach) and not",
-        "if not",
-        ("tests/test_positions.py::test_extract_positions_passes_a_nonfinite_imv_through",),
+        "src/imvalign/autodiff.py",
+        "np.flatnonzero(np.isfinite(b))",
+        "np.arange(b.size)",
+        ("tests/test_monotonic.py::test_align_from_imv_gives_a_nonfinite_position_a_nan_column",),
     ),
     Mutant(
         "far-token-scan-replaced-by-the-reach-bound",
-        "src/imvalign/positions.py",
+        "src/imvalign/autodiff.py",
         "far = np.isinf(near * near * scale)",
-        "far = np.isinf(np.full(t1, reach * reach * scale))",
-        ("tests/test_positions.py::test_extract_positions_rejects_a_finite_imv_too_far_from_a_token",
-         "tests/test_positions.py::test_extract_positions_raises_exactly_where_a_token_is_too_far"),
+        "far = np.ones(near.shape, dtype=bool)",
+        ("tests/test_positions.py::test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far",
+         "tests/test_monotonic.py::test_align_from_imv_raises_exactly_where_a_position_is_too_far"),
+    ),
+    Mutant(
+        "align-from-positions-far-check-dropped",
+        "src/imvalign/positions.py",
+        "    j = ad.first_far_entry(positions.values, steps, kernel.sigma2)\n",
+        "    j = None\n",
+        ("tests/test_positions.py::test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far",
+         "tests/test_toy.py::test_infer_refuses_positions_too_far_from_every_output_step"),
     ),
     Mutant(
         "cli-imports-the-trainer-at-module-level",
@@ -129,6 +144,13 @@ MUTANTS = (
         "    if module is None and name not in _EXPORTS:\n",
         "    if False:\n",
         ("tests/test_imports.py::test_an_unknown_name_raises_attribute_error",),
+    ),
+    Mutant(
+        "run-config-accepts-a-directory-as-an-output-path",
+        "src/imvalign/cli.py",
+        "if out and (os.path.isdir(out) or not",
+        "if out and (not",
+        ("tests/test_cli.py::test_an_unusable_path_exits_2_with_one_error_line",),
     ),
     Mutant(
         "exit-code-looked-up-by-exact-class",
@@ -215,6 +237,13 @@ MUTANTS = (
         "abs(pi[0]) <= tol and abs(pi[-1] - (imv.t1 - 1)) <= tol",
         "pi[0] == 0.0 and pi[-1] == imv.t1 - 1",
         ("tests/test_core.py", "tests/test_acceptance.py::test_criterion_2_constraint_equivalence"),
+    ),
+    Mutant(
+        "step-gradient-keeps-a-negative-zero",
+        "src/imvalign/autodiff.py",
+        "x.grad + 0.0",
+        "x.grad.copy()",
+        ("tests/test_autodiff.py::test_step_gradients_keep_the_zero_signs_of_the_chain",),
     ),
     Mutant(
         "first-nonfinite-needs-every-entry-bad",

@@ -7,7 +7,7 @@ import pytest
 
 import reference_tape as ref
 from imvalign import autodiff as ad
-from imvalign import cli, toy
+from imvalign import checks, cli, toy
 from imvalign.checks import CHECKABLE_OPS, run_check
 from imvalign.cli import main
 from imvalign.matrixio import read_matrix, read_vector, write_matrix, write_vector
@@ -169,7 +169,9 @@ def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--op", "sma_loss", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert main(["gradcheck", "--op", "hma_transform"]) == 0
+    capsys.readouterr()
     assert main(["gradcheck", "--op", "not_an_op"]) == 2
+    assert capsys.readouterr().err == f"error: unknown op 'not_an_op'; known: {', '.join(sorted(CHECKABLE_OPS))}\n"
 
 
 def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
@@ -490,7 +492,7 @@ def test_a_library_exception_raised_by_a_command_exits_with_its_code(monkeypatch
         # bypasses subclass __init__ signatures; str(exc) is the message
         raise cls.__new__(cls, "injected failure")
 
-    monkeypatch.setattr(cli, "run_check", run_check)
+    monkeypatch.setattr(checks, "run_check", run_check)
     assert main(["gradcheck", "--op", "sma_loss"]) == _resolved_code(cls)
     assert capsys.readouterr().err == "error: injected failure\n"
 
@@ -500,7 +502,7 @@ def test_an_unlisted_exception_is_not_swallowed(monkeypatch):
     def run_check(*args, **kwargs):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(cli, "run_check", run_check)
+    monkeypatch.setattr(checks, "run_check", run_check)
     with pytest.raises(RuntimeError, match="bug"):
         main(["gradcheck", "--op", "sma_loss"])
 

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from imvalign import core
 from imvalign.core import (
     AlignmentError,
     Imv,
+    check_alignment,
     compute_imv,
     context_map,
     enumerate_monotonic_paths,
@@ -76,6 +78,30 @@ def test_summary_names_at_most_five_violations():
 def test_check_alignment_rejects_1d_input():
     with pytest.raises(AlignmentError, match="2-D"):
         compute_imv(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_alignment_rejects_a_nonfinite_entry_without_a_warning(bad):
+    alpha = np.full((2, 3), 0.5)
+    alpha[1, 2] = bad
+    alpha[0, 2] = -bad  # inf - inf in one column sum: the sum is NaN, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match="alignment contains non-finite entries"):
+            check_alignment(alpha)
+
+
+@pytest.mark.parametrize("column, total", [
+    ([1e308, 1e308], "inf"),
+    # a contiguous column is summed pairwise: (1e308 + 1e308) + (-1e308 + -1e308) is inf - inf
+    ([1e308, 1e308, 0, 0, -1e308, -1e308, 0, 0], "nan"),
+])
+def test_check_alignment_names_a_column_whose_finite_entries_overflow_its_sum(column, total):
+    alpha = np.array(column)[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match=f"column 0 sums to {total}; expected 1 within"):
+            check_alignment(alpha)
 
 
 def test_imv_rejects_empty_input_and_one_step_validation():

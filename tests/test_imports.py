@@ -44,6 +44,14 @@ def test_importing_the_cli_loads_neither_the_trainer_nor_json():
     assert out == "False False\n"
 
 
+def test_importing_the_cli_loads_neither_the_checks_nor_attention():
+    # only gradcheck runs them; it imports them when it runs
+    out = _fresh_interpreter(
+        "import sys, imvalign.cli; print('imvalign.checks' in sys.modules, 'imvalign.attention' in sys.modules)"
+    )
+    assert out == "False False\n"
+
+
 @pytest.mark.parametrize("module", sorted(_EXPORTED))
 def test_every_exported_name_is_its_modules_object(module):
     source = importlib.import_module(f"imvalign.{module}")

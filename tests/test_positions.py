@@ -82,37 +82,59 @@ def test_extract_positions_rejects_a_finite_imv_too_far_from_a_token():
 _SMALLEST_SIGMA2 = float(np.nextafter(1.0 / np.finfo(np.float64).max, 1.0))
 
 
+def _extract(pi, n, kernel):
+    """The kernel over the IMV ``pi`` for each of ``n`` tokens."""
+    return extract_positions(Imv(pi, n), kernel).values
+
+
+def _align(pi, n, kernel):
+    """The kernel over the aligned positions ``pi`` for each of ``n`` output steps."""
+    return align_from_positions(AlignedPositions(pi), n, kernel)
+
+
+@pytest.mark.parametrize("wrapper, entry", [(_extract, "token"), (_align, "output step")], ids=["extract", "align"])
 @settings(max_examples=300, deadline=None)
 @given(
     pi=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 43), min_size=1, max_size=40)
     .map(np.array),
-    t1=st.integers(1, 40),
+    n=st.integers(1, 40),
     sigma2=st.floats(1e-3, 1e3) | st.sampled_from([1e-300, _SMALLEST_SIGMA2]),
 )
-@example(pi=np.array([-1e200]), t1=3, sigma2=0.25)
-@example(pi=np.array([0.0, 39.0]), t1=40, sigma2=_SMALLEST_SIGMA2)  # tokens 2..37 are far
-@example(pi=np.array([2.5, 2.5]), t1=8, sigma2=_SMALLEST_SIGMA2)  # 1.5 from tokens 1 and 4
-@example(pi=np.array([3.0, 1e308, -1e308]), t1=8, sigma2=1e-300)
-def test_extract_positions_raises_exactly_where_a_token_is_too_far(pi, t1, sigma2):
-    imv, kernel = Imv(pi, t1), KernelConfig(sigma2=sigma2)
-    # the oracle: the largest kernel logit of each token, over every position
+@example(pi=np.array([-1e200]), n=3, sigma2=0.25)
+@example(pi=np.array([0.0, 39.0]), n=40, sigma2=_SMALLEST_SIGMA2)  # entries 2..37 are far
+@example(pi=np.array([2.5, 2.5]), n=8, sigma2=_SMALLEST_SIGMA2)  # 1.5 from entries 1 and 4
+@example(pi=np.array([3.0, 1e308, -1e308]), n=8, sigma2=1e-300)
+@example(pi=np.array([-13390.0]), n=40, sigma2=1e-300)  # entries 18..39 are far; no magnitude alone is
+def test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far(wrapper, entry, pi, n, sigma2):
+    kernel = KernelConfig(sigma2=sigma2)
+    # the oracle: the largest kernel logit of each token or step, over every entry of pi
     with np.errstate(over="ignore"):
-        diff = np.arange(t1, dtype=np.float64)[:, None] - pi
+        diff = np.arange(n, dtype=np.float64)[:, None] - pi
         far = np.isinf((diff * diff * (-1.0 / sigma2)).max(axis=1))
     if not far.any():
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isfinite(extract_positions(imv, kernel).values).all()
+            assert np.isfinite(wrapper(pi, n, kernel)).all()
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(AlignmentError, match=f"token {int(far.argmax())} is too far from every IMV position"):
-            extract_positions(imv, kernel)
+        with pytest.raises(AlignmentError, match=f"{entry} {int(far.argmax())} is too far from every"):
+            wrapper(pi, n, kernel)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extract_positions_skips_a_nonfinite_entry_and_refuses_a_far_finite_one(bad):
+    # the non-finite entry is skipped, as align_from_imv skips one
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match="token 0 is too far from every IMV position"):
+            extract_positions(Imv(np.array([bad, 1e200]), 4))
 
 
 def test_extract_positions_passes_a_nonfinite_imv_through():
     with np.errstate(invalid="ignore"):
         pos = extract_positions(Imv(np.array([0.0, np.nan]), 3))
-    assert np.isnan(pos.values).all()
+        no_finite_entry = extract_positions(Imv(np.array([np.nan, np.inf]), 3))
+    assert np.isnan(pos.values).all() and np.isnan(no_finite_entry.values).all()
 
 
 def test_ap_loss_zero_on_equal_inputs():

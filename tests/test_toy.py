@@ -459,6 +459,16 @@ def test_infer_requires_training_and_tokens(trained):
             infer(model, [0, 1, 2], rate=rate)
 
 
+def test_infer_refuses_positions_too_far_from_every_output_step(trained):
+    # stretched by 1e300, every position is so far from step 0 that the step's
+    # logits overflow (its frame would be NaN); the check runs before the kernel
+    _, _, model, _ = trained
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match="output step 0 is too far from every aligned position"):
+            infer(model, [0, 1, 2], rate=1e300, t2=5)
+
+
 def test_infer_generalizes_on_training_sequence(trained):
     task, cfg, model, report = trained
     batch = make_batch(task, 0)

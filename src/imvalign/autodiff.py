@@ -14,10 +14,13 @@ and their softmax in one node) write every entry whose shifted logit is
 below -746 as 0.0 without calling ``exp``: ``exp`` returns exactly 0.0
 there, so the values are unchanged, and it is slow on such inputs.
 :func:`gaussian_softmax` goes further at TTS lengths: when the operand
-along the softmax axis is finite, sorted and long, it evaluates only the
-band of entries that can be non-zero, about 2 sqrt(746 sigma2) rows per
-column. Axis-0 values and the ``cols`` gradient stay bit for bit; the
-other results sum in another order and agree to 1e-12.
+along the softmax axis is finite, sorted and long, it evaluates only a
+band: the entries whose shifted logit is at least ln 2**-53 (about -36.7),
+below which a term is under half an ulp of its slice's peak, about
+2 sqrt(36.7 sigma2) + 2 rows per column (8 at unit spacing and sigma2
+0.25). Its values and gradients are within 1e-12 of the dense kernel's
+(the bound in :func:`gaussian_softmax`), not bit for bit. Toy sizes never
+band.
 """
 
 from __future__ import annotations
@@ -338,16 +341,22 @@ def matmul(a, b):
 # exp(x) is exactly 0.0 in float64 for every x below this (ln 2**-1075 is
 # about -745.13), and numpy's exp takes a slow path on such inputs.
 _EXP_UNDERFLOW = -746.0
+# exp(x) is below 2**-53, half an ulp of 1, for every x below this (about
+# -36.74). After the shift a slice's peak term is 1 and its sum at least 1,
+# so the band drops such entries: n of them change a slice's sum by less
+# than n 2**-53 of it.
+_BAND_CUTOFF = math.log(2.0 ** -53)
 
 
-def _masked_softmax(shifted: np.ndarray, axis: int):
-    """Softmax along ``axis`` of logits shifted to a per-slice max of 0.
+def _masked_softmax(shifted: np.ndarray, axis: int, cutoff: float = _EXP_UNDERFLOW):
+    """Softmax along ``axis`` of logits shifted to a per-slice max of 0,
+    with every entry below ``cutoff`` written as 0.0 without calling ``exp``.
 
     Overwrites ``shifted`` with the exponentials and returns (y, z, s): the
     softmax, the exponentials and their per-slice sums. The mask is written
     so that a NaN is not masked and still propagates through ``exp``.
     """
-    underflow = shifted < _EXP_UNDERFLOW
+    underflow = shifted < cutoff
     np.exp(shifted, out=shifted, where=~underflow)
     np.copyto(shifted, 0.0, where=underflow)
     s = shifted.sum(axis=axis, keepdims=True)
@@ -414,11 +423,11 @@ def _dense_gaussian(rd, cd, scale: float, axis: int):
 
 
 # Fitted to the kernel calls of two align-long corpora (CHANGES.md): an entry
-# of the band costs about 2.2 entries of the dense kernel, and finding and
-# scattering the band about 11,000. With some margin, the band runs where it
-# saves more than that.
+# of the band costs about 0.9-1.4 entries of the dense kernel, and finding
+# and scattering the band about 7,600-9,200. With some margin, the band runs
+# where it saves more than that.
 _BAND_ENTRY_COST = 2.5
-_BAND_FIXED_COST = 16_000
+_BAND_FIXED_COST = 10_000
 
 
 def _band_pays(n: int, m: int, width) -> bool:
@@ -451,27 +460,30 @@ def first_far_entry(a: np.ndarray, b: np.ndarray, sigma2: float) -> int | None:
 
 
 def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
-    """:func:`_dense_gaussian` evaluated only where an entry can be non-zero,
-    or None where the dense kernel must run.
+    """:func:`_dense_gaussian` evaluated only where an entry's shifted logit
+    is at least ``_BAND_CUTOFF`` (ln 2**-53), with every other entry 0; or
+    None where the dense kernel must run.
 
     Call ``a`` the operand along ``axis`` and ``b`` the other. With ``a``
-    sorted ascending, an entry is exactly 0 unless its shifted logit is at
-    least -746, that is, unless |a_i - b_j| <= sqrt(dmin_j^2 + 746 sigma2),
-    where dmin_j is the distance from b_j to the nearest a_i. So each b_j
-    needs a window of about 2 sqrt(746 sigma2) / spacing of ``a``, and the
-    kernel is evaluated on a block: the dense matrix with its ``axis`` cut to
-    that window, starting at row ``lo_j`` of ``a``. On axis 0 the block's
-    sums run row by row in the dense order. The band runs when ``a`` and
-    ``b`` are finite, ``a`` is sorted, ``b`` has two entries or more and
-    :func:`_band_pays`, which is decided from shapes and the ends of ``a``
-    before any O(n) work.
+    sorted ascending, an entry's shifted logit is at least the cutoff only
+    if |a_i - b_j| <= sqrt(dmin_j^2 + 36.7 sigma2), where dmin_j is the
+    distance from b_j to the nearest a_i. So each b_j needs a window of about
+    2 sqrt(36.7 sigma2) / spacing of ``a`` rows, plus one either side to
+    check its edges (8 in all at unit spacing and sigma2 0.25), and the
+    kernel is evaluated on a block: the dense matrix with its ``axis`` cut
+    to that window, starting at row ``lo_j`` of ``a``. On axis 0 the block's
+    sums run row by row in the dense order, so the values and the ``b``
+    gradient are, bit for bit, those of the dense kernel with the same
+    cutoff. The band runs when ``a`` and ``b`` are finite, ``a`` is sorted,
+    ``b`` has two entries or more and :func:`_band_pays`, which is decided
+    from shapes and the ends of ``a`` before any O(n) work.
     """
     a, b = (rd, cd) if axis == 0 else (cd, rd)
     n, m = a.size, b.size
     # (with a single b the dense axis-0 sums run pairwise, not row by row)
     if n * m < _BAND_FIXED_COST or m < 2 or a.ndim != 1 or b.ndim != 1:
         return None
-    reach2 = -_EXP_UNDERFLOW * float(sigma2)
+    reach2 = -_BAND_CUTOFF * float(sigma2)
     span = float(a[-1] - a[0])
     # the window at the mean spacing of a, two rows of margin included
     if not (math.isfinite(span) and span > 0 and reach2 > 0
@@ -503,7 +515,7 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     # each b's peak is at its nearest a, whose logit is dmin2 * scale
     dmin2 *= scale
     logits -= dmin2.reshape(across)
-    y, z, s = _masked_softmax(logits, axis)
+    y, z, s = _masked_softmax(logits, axis, _BAND_CUTOFF)
     # Rounding can move an entry across the window's edge. The logits fall
     # away from their peak along sorted a, so a zero exponential at both ends
     # of each window (where that is not the end of a) makes every entry
@@ -540,11 +552,12 @@ def gaussian_softmax(rows, cols, sigma2: float, axis: int):
     those of a reshape/sub/mul/mul chain followed by :func:`softmax`, bit
     for bit, except where the band applies (:func:`_banded_gaussian`: the
     operand along ``axis`` finite, sorted and long enough to pay, the other
-    finite). There axis-0 values and the ``cols`` gradient are still bit
-    for bit. The ``rows`` gradient on axis 0, and everything on axis 1, sum
-    in another order: each entry is within 1e-12 times the largest
-    magnitude of its array (or 1, if larger) of the chain's. A NaN or inf
-    input or upstream gradient gives the chain's result.
+    finite). The band drops every entry below 2**-53 of its slice's peak,
+    so a slice's sum changes by less than n 2**-53 of itself for a softmax
+    axis of length n (1.1e-13 at n = 1024), and it sums in another order.
+    Bound: each value and gradient entry of the band is within 1e-12 times
+    the largest magnitude of its array (or 1, if larger) of the chain's. A
+    NaN or inf input or upstream gradient gives the chain's result.
     """
     rd, cd = data(rows), data(cols)
     scale = -1.0 / sigma2

@@ -10,6 +10,7 @@ output exists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +131,14 @@ def infer_t2(positions: AlignedPositions) -> int:
 
 def scale_positions(positions: AlignedPositions, rate: float) -> AlignedPositions:
     """Uniformly stretch (rate > 1) or compress (rate < 1) the positions;
-    the inferred output length scales with the rate up to rounding."""
+    the inferred output length scales with the rate up to rounding. Raises
+    :class:`AlignmentError`, before anything is scaled, where a finite
+    position would overflow to an infinite one."""
     if not 0 < rate < np.inf:
         raise AlignmentError(f"rate must be positive and finite, got {rate}")
+    values = positions.values
+    largest = float(np.abs(values[np.isfinite(values)]).max(initial=0.0))
+    # (a product of Python floats overflows to inf without a warning)
+    if math.isinf(largest * float(rate)):
+        raise AlignmentError(f"a position of magnitude {largest:g} overflows when scaled by rate {rate:g}")
     return AlignedPositions(positions.e * rate)

@@ -210,6 +210,28 @@ MUTANTS = (
         ("tests/test_autodiff.py::test_band_falls_back_where_rounding_widens_the_window",),
     ),
     Mutant(
+        "band-mask-left-at-the-exp-underflow-constant",
+        "src/imvalign/autodiff.py",
+        "_masked_softmax(logits, axis, _BAND_CUTOFF)",
+        "_masked_softmax(logits, axis)",
+        ("tests/test_autodiff.py::test_banded_gaussian_softmax_matches_the_dense_chain",),
+    ),
+    Mutant(
+        "band-cutoff-loosened",
+        "src/imvalign/autodiff.py",
+        "_BAND_CUTOFF = math.log(2.0 ** -53)",
+        "_BAND_CUTOFF = -20.0",
+        ("tests/test_autodiff.py::test_band_is_within_its_stated_bound_of_the_dense_kernel",),
+    ),
+    Mutant(
+        "scale-positions-overflow-guard-dropped",
+        "src/imvalign/positions.py",
+        "    if math.isinf(largest * float(rate)):\n",
+        "    if False:\n",
+        ("tests/test_positions.py::test_scale_positions_refuses_a_finite_position_that_would_overflow",
+         "tests/test_toy.py::test_infer_refuses_a_rate_that_stretches_every_position_to_inf"),
+    ),
+    Mutant(
         "gradcheck-kink-exclusion-dropped",
         "src/imvalign/autodiff.py",
         "            if not _signatures_equal(plus_sig, minus_sig):\n",

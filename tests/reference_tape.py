@@ -175,18 +175,24 @@ def reshape(x, shape):
     )
 
 
-def softmax_chain(x, axis):
-    """Stable softmax as the exp/sum/div chain that :func:`ad.softmax` fuses."""
+def softmax_chain(x, axis, cutoff=None):
+    """Stable softmax as the exp/sum/div chain that :func:`ad.softmax` fuses.
+
+    With a ``cutoff``, the exponential of every shifted logit below it is
+    multiplied by 0.0 (a NaN logit is not below it and stays NaN)."""
     m = np.max(ad.data(x), axis=axis, keepdims=True)
-    z = ad.exp(sub(x, m))
+    shifted = sub(x, m)
+    z = ad.exp(shifted)
+    if cutoff is not None:
+        z = z * np.where(ad.data(shifted) < cutoff, 0.0, 1.0)
     return div(z, asum(z, axis=axis, keepdims=True))
 
 
-def gaussian_softmax_chain(rows, cols, sigma2, axis):
+def gaussian_softmax_chain(rows, cols, sigma2, axis, cutoff=None):
     """The dense reshape/sub/mul/mul chain and softmax that
-    :func:`ad.gaussian_softmax` fuses."""
+    :func:`ad.gaussian_softmax` fuses; ``cutoff`` as in :func:`softmax_chain`."""
     diff = sub(reshape(rows, (-1, 1)), cols)
-    return softmax_chain(diff * diff * (-1.0 / sigma2), axis)
+    return softmax_chain(diff * diff * (-1.0 / sigma2), axis, cutoff)
 
 
 def _advance(pos: float, raw: float) -> float:

@@ -663,13 +663,16 @@ def _jittered_grid(rng, n):
 
 def _threshold_centres():
     """(sigma2, centre) pairs at which the shifted logit of some row of
-    arange(n), n >= 200, is exactly the exp mask threshold -746 or one ulp
-    either side of it, found by stepping sigma2 by ulps. The centre -186
-    lies beyond the rows."""
-    targets = [-746.0, np.nextafter(-746.0, 0.0), np.nextafter(-746.0, -np.inf)]
+    arange(n), n >= 200, is exactly the band's cutoff or one ulp either
+    side of it. Each search steps sigma2 by ulps from the value at which row
+    ``far`` is at the cutoff relative to the centre's nearest row, in exact
+    arithmetic. The centre -2.5 lies below the rows."""
+    cutoff = ad._BAND_CUTOFF
+    targets = [cutoff, np.nextafter(cutoff, 0.0), np.nextafter(cutoff, -np.inf)]
     rows = np.arange(200.0)
     found, hit = [], set()
-    for centre, start in [(100.33928571428571, 0.25), (150.3392857142857, 0.25), (-186.0, 0.5)]:
+    for centre, nearest, far in [(100.25, 100, 103), (50.3, 50, 48), (-2.5, 0, 2)]:
+        start = ((far - centre) ** 2 - (nearest - centre) ** 2) / -cutoff
         for direction in (np.inf, -np.inf):
             sigma2 = start
             for _ in range(300):
@@ -689,19 +692,21 @@ _THRESHOLD_CENTRES = _threshold_centres()
 
 
 def _close(x, expected):
-    """Within the band's stated tolerance: 1e-12 of the largest magnitude
-    in ``expected``, or of 1 if that is smaller."""
+    """Within the band's bound stated in gaussian_softmax's docstring: 1e-12
+    of the largest magnitude in ``expected``, or of 1 if that is smaller."""
     scale = max(1.0, float(np.abs(expected).max()))
     return x.shape == expected.shape and bool(np.all(np.abs(x - expected) <= 1e-12 * scale))
 
 
 def _assert_band_matches_chain(rows, cols, sigma2, axis, traced):
-    """Values and the cols gradient of an axis-0 band bit for bit, the
-    other results within :func:`_close`, traced and untraced."""
+    """Against the chain with the band's cutoff: values and the cols
+    gradient of an axis-0 band bit for bit, the other results within
+    :func:`_close`, traced and untraced."""
     fused = lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis)
     out, grads, _ = _traced_grads(fused, [rows, cols], traced)
     expected, expected_grads, _ = _traced_grads(
-        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis), [rows, cols], traced)
+        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis, ad._BAND_CUTOFF),
+        [rows, cols], traced)
     assert _same_bits(fused(rows, cols), out)
     assert _same_bits(out, expected) if axis == 0 else _close(out, expected)
     operands = [name for name, t in zip(("rows", "cols"), traced) if t]
@@ -709,22 +714,26 @@ def _assert_band_matches_chain(rows, cols, sigma2, axis, traced):
         assert _same_bits(g, e) if (axis, name) == (0, "cols") else _close(g, e)
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_banded_gaussian_softmax_matches_the_dense_chain(data):
+def _draw_band_case(data, kinds):
+    """(rows, cols, sigma2, axis, kind): a kernel call at TTS sizes of one
+    of ``kinds``."""
     axis = data.draw(st.integers(0, 1))
     n, m = data.draw(st.integers(230, 300)), data.draw(st.integers(160, 220))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    kind = data.draw(st.sampled_from(["index", "centres", "nm"]))
+    kind = data.draw(st.sampled_from(kinds))
     if kind == "index":
         # Unit-spaced rows, a few of them repeated, along the softmax axis;
         # across it centres in and beyond their range, three of them where
-        # a row's shifted logit is at the exp mask threshold.
+        # a row's shifted logit is at the band's cutoff.
         sigma2, centre = data.draw(st.sampled_from(_THRESHOLD_CENTRES))
         repeats = rng.choice(n, data.draw(st.integers(0, 3))).astype(float)
         a = np.sort(np.concatenate([np.arange(float(n)), repeats]))
         b = rng.uniform(-60.0, n + 60.0, m)
         b[rng.choice(m, 3, replace=False)] = centre
+    elif kind == "equal centres":
+        # every slice the same: each gradient sums m equal dropped terms
+        sigma2 = data.draw(st.floats(0.1, 0.3))
+        a, b = np.arange(float(n)), np.full(m, rng.uniform(-60.0, n + 60.0))
     else:
         # Centres along the softmax axis (the density matrix), some below
         # the index vector's range. NM centres are unsorted and run dense.
@@ -734,6 +743,13 @@ def test_banded_gaussian_softmax_matches_the_dense_chain(data):
             i, j = sorted(rng.choice(n, 2, replace=False))
             a[i], a[j] = a[j], a[i]
     rows, cols = (a, b) if axis == 0 else (b, a)
+    return rows, cols, sigma2, axis, kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_banded_gaussian_softmax_matches_the_dense_chain(data):
+    rows, cols, sigma2, axis, kind = _draw_band_case(data, ["index", "centres", "nm"])
     traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
     assert _band_engages(rows, cols, sigma2, axis) == (kind != "nm")
     if kind == "nm":
@@ -742,6 +758,22 @@ def test_banded_gaussian_softmax_matches_the_dense_chain(data):
             lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis), [rows, cols], traced)
     else:
         _assert_band_matches_chain(rows, cols, sigma2, axis, traced)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_band_is_within_its_stated_bound_of_the_dense_kernel(data):
+    """Every value and gradient entry of the band within the bound stated
+    in gaussian_softmax's docstring of the dense kernel's, whose cutoff is
+    -746: the change the band's cutoff makes, not only its summation order."""
+    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "equal centres"])
+    assert _band_engages(rows, cols, sigma2, axis)
+    out, grads, _ = _traced_grads(
+        lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis), [rows, cols], (True, True))
+    expected, expected_grads, _ = _traced_grads(
+        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis), [rows, cols], (True, True))
+    for x, e in zip([out, *grads], [expected, *expected_grads]):
+        assert _close(x, e)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -774,7 +806,7 @@ def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
         rows, cols = np.arange(20000.0), np.array([3.7])
     elif case == "a tight cluster":
         # positions 5 apart pass the estimate from their mean spacing, but 80
-        # of them within 0.08 of 400 put about 90 in one window: too many
+        # of them within 0.08 of 400 put 82 in one window: too many
         cluster = np.sort(np.concatenate([np.arange(176.0) * 5.0, 400.0 + np.arange(80.0) * 1e-3]))
         rows, cols = (cluster, np.linspace(0.0, 875.0, 160))[::1 - 2 * axis]
     else:
@@ -792,13 +824,17 @@ def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
 
 
 def test_band_falls_back_where_rounding_widens_the_window():
-    # Centres 1.35e9 below rows 8.3e-8 apart: the logits, about -1.8e18,
-    # are rounded to multiples of 256, and entries beyond the window of
-    # radius sqrt(dmin^2 + 746) are non-zero.
-    rows = np.concatenate([np.arange(12.0) * 8.330601273198334e-08, np.arange(1.0, 300.0)])
-    cols = -1354275769.6264634 - np.arange(160.0) * 1e-3
+    # Centres 1.35e9 below rows 3e-8 apart: rows - cols is rounded to a
+    # multiple of 2.4e-7, so four or more of the first rows share the
+    # nearest row's logit and their entries are non-zero, while the window
+    # of radius sqrt(dmin^2 + 36.7), in which dmin^2 ~ 1.8e18 absorbs the
+    # 36.7, holds only the nearest row.
+    rows = np.concatenate([np.arange(12.0) * 3e-8, np.arange(1.0, 300.0)])
+    cols = -1.35e9 - np.arange(160.0) * 1e-3
     assert not _band_engages(rows, cols, 1.0, 0)
-    _assert_band_matches_chain(rows, cols, 1.0, 0, (True, True))
+    fused = lambda r, c: ad.gaussian_softmax(r, c, 1.0, 0)
+    chain = lambda r, c: ref.gaussian_softmax_chain(r, c, 1.0, 0)
+    _assert_fused_matches_chain(fused, chain, [rows, cols], (True, True))
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -827,7 +863,7 @@ def test_band_gradient_with_a_nan_outside_the_band_is_the_dense_one(axis):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_banded_gaussian_softmax_gradcheck(axis):
     # 120 centres about 2 apart along the softmax axis against 480 steps
-    # 0.5 apart over the same range: about 28 of the 120 in each window,
+    # 0.5 apart over the same range: about 7 of the 120 in each window,
     # and no one-hot softmax whose tiny gradients drown in rounding
     rng = np.random.default_rng(20)
     along, index = np.arange(120.0) * 2.0 + rng.uniform(-0.5, 0.5, 120), np.arange(480.0) * 0.5

@@ -257,6 +257,16 @@ def test_scale_positions_rejects_nonfinite_rate(rate):
         scale_positions(AlignedPositions(np.array([1.0, 2.0])), rate)
 
 
+def test_scale_positions_refuses_a_finite_position_that_would_overflow():
+    pos = AlignedPositions(np.array([0.0, 1.5, 2.0, np.inf]))
+    top = np.finfo(float).max
+    assert scale_positions(pos, top / 2.0).values[2] == top  # the largest finite one fits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match="magnitude 2 overflows when scaled by rate"):
+            scale_positions(pos, top)
+
+
 def test_deltas_anchor_first_position():
     pos = AlignedPositions(np.array([1.5, 2.0, 4.0]))
     assert np.allclose(pos.deltas, [1.5, 0.5, 2.0])

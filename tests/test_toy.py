@@ -469,6 +469,17 @@ def test_infer_refuses_positions_too_far_from_every_output_step(trained):
             infer(model, [0, 1, 2], rate=1e300, t2=5)
 
 
+def test_infer_refuses_a_rate_that_stretches_every_position_to_inf(trained):
+    # at the largest finite rate no stretched position is finite, so no
+    # output step has a finite position to be refused from; the frames
+    # would be NaN
+    _, _, model, _ = trained
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match="overflows when scaled by rate"):
+            infer(model, [0, 1, 2], rate=np.finfo(float).max, t2=5)
+
+
 def test_infer_generalizes_on_training_sequence(trained):
     task, cfg, model, report = trained
     batch = make_batch(task, 0)

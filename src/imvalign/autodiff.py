@@ -629,13 +629,11 @@ def monotone_rescale(x, end: float, min_total: float):
     return _record("monotone_rescale", out_data, backward, x, kinks=(mask,))
 
 
-def sma_penalty(x, span: float, lambdas: Sequence[float], square: bool = True):
+def sma_penalty(x, span: float, lambdas: Sequence[float]):
     """Soft monotonic penalty of a 1-D ``x`` with steps d = x[1:] - x[:-1]:
 
         l0 * sum(|d| - d) + l1 * sum(|d - 1| + (d - 1))
-            + l2 * b(x[0] / span) + l3 * b(x[-1] / span - 1)
-
-    with b(v) = v * v when ``square``, else |v|.
+            + l2 * (x[0] / span)^2 + l3 * (x[-1] / span - 1)^2
     """
     l0, l1, l2, l3 = (np.asarray(w, dtype=np.float64) for w in lambdas)
     xd = data(x)
@@ -646,33 +644,23 @@ def sma_penalty(x, span: float, lambdas: Sequence[float], square: bool = True):
     span_data = np.asarray(span, dtype=np.float64)
     start = xd[0] / span_data
     end = xd[-1] / span_data - 1.0
-    if square:
-        start_pen, end_pen, kinks = start * start, end * end, (sign_d, sign_d1)
-    else:
-        sign_start, sign_end = np.sign(start), np.sign(end)
-        start_pen, end_pen = np.abs(start), np.abs(end)
-        kinks = (sign_d, sign_d1, sign_start, sign_end)
     out_data = (
         l0 * (np.abs(d) - d).sum()
         + l1 * (np.abs(d1) + d1).sum()
-        + l2 * start_pen
-        + l3 * end_pen
+        + l2 * (start * start)
+        + l3 * (end * end)
     )
 
     def backward(g):
         g_end = g * l3
         g_start = g * l2
-        if square:
-            g_end = g_end * end + g_end * end
-            g_start = g_start * start + g_start * start
-        else:
-            g_end = g_end * sign_end
-            g_start = g_start * sign_start
+        g_end = g_end * end + g_end * end
+        g_start = g_start * start + g_start * start
         g_over, g_back = g * l1, g * l0
         g_d = g_over + g_over * sign_d1 + -g_back + g_back * sign_d
         _accumulate_steps(x, g_d, (g_end / span_data, g_start / span_data))
 
-    return _record("sma_penalty", out_data, backward, x, kinks=kinks)
+    return _record("sma_penalty", out_data, backward, x, kinks=(sign_d, sign_d1))
 
 
 def log_l1_distance(pred, target, eps: float):

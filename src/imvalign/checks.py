@@ -132,7 +132,7 @@ def run_check(
     try:
         builder = CHECKABLE_OPS[name]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"unknown op {name!r}; known: {', '.join(sorted(CHECKABLE_OPS))}"
         ) from None
     rng = np.random.default_rng(seed)

@@ -37,8 +37,14 @@ __all__ = [
 COLUMN_SUM_TOL = 1e-3
 
 # The most float64 alignment entries one computation may build (80 MB): the
-# oracle's path matrices together, or one toy sequence's t1 x t2 alignment.
+# oracle's path matrices together, one toy alignment, or one Gaussian kernel.
 MAX_ALIGNMENT_ENTRIES = 10_000_000
+
+
+def check_alignment_size(t1: int, t2: int) -> None:
+    """Raise :class:`ValueError` if a t1 x t2 alignment is over the cap."""
+    if int(t1) * int(t2) > MAX_ALIGNMENT_ENTRIES:  # a numpy integer product could wrap
+        raise ValueError(f"a {t1}x{t2} alignment is over the cap of {MAX_ALIGNMENT_ENTRIES} entries")
 
 
 class AlignmentError(ValueError):

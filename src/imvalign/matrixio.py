@@ -50,6 +50,8 @@ def read_matrix(path) -> np.ndarray:
     body = lines[1:]
     if len(body) != rows:
         raise MatrixFormatError(f"{path}: header says {rows} rows, found {len(body)}")
+    if body[0].count(",") != cols - 1:  # before allocating the size the header claims
+        raise MatrixFormatError(f"{path}: row 0 has {body[0].count(',') + 1} fields, header says {cols}")
     data = np.empty((rows, cols))
     for i, line in enumerate(body):
         fields = line.split(",")

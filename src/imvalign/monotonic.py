@@ -18,7 +18,7 @@ from math import isfinite
 import numpy as np
 
 from . import autodiff as ad
-from .core import COLUMN_SUM_TOL, AlignmentError, Imv, compute_imv, index_vector
+from .core import COLUMN_SUM_TOL, AlignmentError, Imv, check_alignment_size, compute_imv, index_vector
 
 __all__ = [
     "DegenerateImvError",
@@ -69,23 +69,19 @@ class KernelConfig:
             raise ValueError(f"sigma2 must be positive and finite with a finite reciprocal, got {self.sigma2}")
 
 
-def sma_loss(imv: Imv, weights: SmaWeights = SmaWeights(), boundary: str = "square"):
+def sma_loss(imv: Imv, weights: SmaWeights = SmaWeights()):
     """Soft monotonic alignment penalty.
 
     Sums four terms: L1 of the negative parts of the IMV steps, L1 of the
-    step excess over one, and the two boundary offsets normalized by t1-1.
-    The boundary penalty is squared by default; ``boundary="abs"`` uses the
-    absolute value instead (the magnitude reading of a scalar norm). Zero
-    exactly when every constraint holds.
+    step excess over one, and the squares of the two boundary offsets
+    normalized by t1-1. Zero exactly when every constraint holds.
     """
     if imv.t1 < 2:
         raise AlignmentError("sma_loss needs t1 >= 2 (boundary terms divide by t1-1)")
     if imv.t2 < 2:
         raise AlignmentError("sma_loss needs at least 2 output steps")
-    if boundary not in ("square", "abs"):
-        raise ValueError(f"boundary must be 'square' or 'abs', got {boundary!r}")
     lambdas = (weights.lambda0, weights.lambda1, weights.lambda2, weights.lambda3)
-    return ad.sma_penalty(imv.pi, float(imv.t1 - 1), lambdas, square=boundary == "square")
+    return ad.sma_penalty(imv.pi, float(imv.t1 - 1), lambdas)
 
 
 def hma_transform(imv: Imv) -> Imv:
@@ -115,9 +111,11 @@ def align_from_imv(imv: Imv, kernel: KernelConfig = KernelConfig()):
     the nearest row's kernel logit overflows (its column would be NaN), or
     one at least 2**52 in magnitude, where float64 spacing reaches 1 and rows'
     distances round together: those raise :class:`AlignmentError`, as
-    :func:`streaming_hma_step` does.
+    :func:`streaming_hma_step` does. Over the size cap: :class:`ValueError`.
     """
-    rows, p = index_vector(imv.t1), imv.values
+    p = imv.values
+    check_alignment_size(imv.t1, p.shape[0])
+    rows = index_vector(imv.t1)
     j = ad.first_far_entry(rows, p, kernel.sigma2)
     huge = np.flatnonzero(np.isfinite(p) & (np.abs(p) >= 2.0**52))
     if j is not None or huge.size:

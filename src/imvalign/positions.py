@@ -5,7 +5,8 @@ aligned-position vector ``e`` maps each input token to an expected output
 step. It is extracted from an IMV through a row-normalized Gaussian
 density, trained through a log-scale loss on its increments, and used to
 rebuild the alignment (and to infer the output length) when no reference
-output exists.
+output exists. Each kernel here raises :class:`ValueError`, before building
+anything, over the size cap (:func:`~imvalign.core.check_alignment_size`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import AlignmentError, Imv, index_vector
+from .core import AlignmentError, Imv, check_alignment_size, index_vector
 from .monotonic import KernelConfig
 
 __all__ = [
@@ -69,6 +70,7 @@ class ApLossConfig:
 def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
     """Row-normalized Gaussian density (t1, t2): how much of token i's
     alignment mass falls on each output step."""
+    check_alignment_size(imv.t1, imv.t2)
     return ad.gaussian_softmax(index_vector(imv.t1), imv.pi, kernel.sigma2, axis=1)
 
 
@@ -80,7 +82,9 @@ def extract_positions(
     :class:`AlignmentError`, before the kernel runs, where a token's position
     would be NaN because its nearest finite IMV position is so far that their
     kernel logit overflows (:func:`autodiff.first_far_entry`)."""
-    i = ad.first_far_entry(imv.values, index_vector(imv.t1), kernel.sigma2)
+    pi = imv.values
+    check_alignment_size(imv.t1, pi.shape[0])
+    i = ad.first_far_entry(pi, index_vector(imv.t1), kernel.sigma2)
     if i is not None:
         raise AlignmentError(f"token {i} is too far from every IMV position: its aligned position is nan")
     return AlignedPositions(ad.matmul(density_matrix(imv, kernel), index_vector(imv.t2)))
@@ -112,8 +116,10 @@ def align_from_positions(
     NaN, as :func:`extract_positions` does where a position would be."""
     if t2 < 1:
         raise AlignmentError(f"t2 must be >= 1, got {t2}")
+    e = positions.values
+    check_alignment_size(e.shape[0], t2)
     steps = index_vector(t2)
-    j = ad.first_far_entry(positions.values, steps, kernel.sigma2)
+    j = ad.first_far_entry(e, steps, kernel.sigma2)
     if j is not None:
         raise AlignmentError(f"output step {j} is too far from every aligned position: its column is nan")
     return ad.gaussian_softmax(positions.e, steps, kernel.sigma2, axis=0)

@@ -101,10 +101,6 @@ class ToyBatch:
     e_star: np.ndarray
 
     @property
-    def t1(self) -> int:
-        return self.token_ids.shape[0]
-
-    @property
     def t2(self) -> int:
         return self.frames.shape[0]
 
@@ -190,8 +186,8 @@ class TrainConfig:
         _require_integer_fields(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
+        if self.optimizer != "adam":
+            raise ValueError(f"optimizer must be 'adam', got {self.optimizer!r}")
         if self.steps < 0 or self.batch_size < 1:
             raise ValueError("steps must be >= 0, batch_size >= 1")
         if not 0 < self.lr < np.inf:
@@ -261,7 +257,7 @@ class ToyModel:
     and the two-layer increment predictor.
 
     Every entry of ``params`` is a view into the one float64 vector
-    ``flat``, which the optimizers update in one pass. Write into an entry
+    ``flat``, which the optimizer updates in one pass. Write into an entry
     in place (``params["embed"][:] = 0.0``); rebinding an entry to another
     array detaches it from ``flat`` and is not supported.
     """
@@ -413,14 +409,6 @@ def diagonality_score(alpha: np.ndarray) -> float:
     return sharpness * _rank_correlation(owner)
 
 
-class _Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, flat, grad):
-        flat -= self.lr * grad
-
-
 class _Adam:
     """Adam over the flat parameter vector; the moments are flat too."""
 
@@ -524,7 +512,7 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
     loss or a gradient goes non-finite.
     """
     model = ToyModel(task, cfg.seed)
-    optimizer = _Adam(cfg.lr) if cfg.optimizer == "adam" else _Sgd(cfg.lr)
+    optimizer = _Adam(cfg.lr)
     pool = [make_batch(task, s) for s in range(cfg.pool_size)]
 
     trace = []

@@ -103,7 +103,7 @@ MUTANTS = (
     Mutant(
         "nonfinite-positions-check-dropped",
         "src/imvalign/positions.py",
-        "    i = ad.first_far_entry(imv.values, index_vector(imv.t1), kernel.sigma2)\n",
+        "    i = ad.first_far_entry(pi, index_vector(imv.t1), kernel.sigma2)\n",
         "    i = None\n",
         ("tests/test_positions.py::test_extract_positions_rejects_a_finite_imv_too_far_from_a_token",
          "tests/test_cli.py::test_positions_rejects_a_finite_imv_too_far_from_every_token"),
@@ -126,7 +126,7 @@ MUTANTS = (
     Mutant(
         "align-from-positions-far-check-dropped",
         "src/imvalign/positions.py",
-        "    j = ad.first_far_entry(positions.values, steps, kernel.sigma2)\n",
+        "    j = ad.first_far_entry(e, steps, kernel.sigma2)\n",
         "    j = None\n",
         ("tests/test_positions.py::test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far",
          "tests/test_toy.py::test_infer_refuses_positions_too_far_from_every_output_step"),
@@ -280,6 +280,48 @@ MUTANTS = (
         "        for v in self.nodes:\n            v.tape = None\n",
         "        for v in self.nodes:\n            pass\n",
         ("tests/test_autodiff.py::test_release_keeps_the_nodes_gradients_and_first_nonfinite_node",),
+    ),
+    Mutant(
+        "train-config-accepts-sgd",
+        "src/imvalign/toy.py",
+        'if self.optimizer != "adam":',
+        'if self.optimizer not in ("sgd", "adam"):',
+        ("tests/test_toy.py::test_train_config_rejects_invalid_numeric_settings",),
+    ),
+    Mutant(
+        "run-check-refusal-dropped",
+        "src/imvalign/checks.py",
+        "    try:\n        builder = CHECKABLE_OPS[name]\n    except KeyError:\n",
+        "    builder = CHECKABLE_OPS[name]\n    if False:\n",
+        ("tests/test_cli.py::test_run_check_rejects_unknown_op", "tests/test_cli.py::test_gradcheck_command"),
+    ),
+    Mutant(
+        "kernel-cap-refuses-exactly-the-cap",
+        "src/imvalign/core.py",
+        "if int(t1) * int(t2) > MAX_ALIGNMENT_ENTRIES:",
+        "if int(t1) * int(t2) >= MAX_ALIGNMENT_ENTRIES:",
+        ("tests/test_positions.py::test_every_gaussian_kernel_is_built_at_the_size_cap_and_refused_over_it",),
+    ),
+    Mutant(
+        "kernel-cap-product-wraps-in-numpy-integers",
+        "src/imvalign/core.py",
+        "if int(t1) * int(t2) > MAX_ALIGNMENT_ENTRIES:",
+        "if t1 * t2 > MAX_ALIGNMENT_ENTRIES:",
+        ("tests/test_positions.py::test_every_gaussian_kernel_is_built_at_the_size_cap_and_refused_over_it",),
+    ),
+    Mutant(
+        "read-matrix-header-precheck-dropped",
+        "src/imvalign/matrixio.py",
+        'if body[0].count(",") != cols - 1:',
+        "if False:",
+        ("tests/test_cli.py::test_imv_refuses_a_header_wider_than_row_0_before_allocating",),
+    ),
+    Mutant(
+        "hma-transform-check-redraw-dropped",
+        "src/imvalign/checks.py",
+        "    while np.all(np.diff(pi) <= 0):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_run_check_redraws_a_non_increasing_hma_transform_input",),
     ),
 )
 

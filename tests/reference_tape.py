@@ -11,9 +11,9 @@ included. A chain spells ``a - b`` and ``a / b`` as ``sub(a, b)`` and
 ``div(a, b)``: a :class:`~imvalign.autodiff.Value` has only the ``+``, ``*``
 and ``x[key]`` operators the library applies. The streaming functions at
 the end are the plain forms of :mod:`imvalign.monotonic`'s streaming clamp,
-step and run, which the library's must match bit for bit. :class:`Sgd` and
-:class:`Adam` are the toy trainer's optimizers as they were before the
-parameters shared one flat vector: one update per parameter array.
+step and run, which the library's must match bit for bit. :class:`Adam` is
+the toy trainer's optimizer as it was before the parameters shared one flat
+vector: one update per parameter array.
 """
 
 from typing import Sequence
@@ -234,17 +234,6 @@ def streaming_hma_run(
     for j, target in enumerate(raw.values.tolist()):
         pos = pi_path[j] = _advance(pos, target)
     return pi_path, align_from_imv(Imv(pi_path, raw.t1), kernel)
-
-
-class Sgd:
-    """Plain gradient descent, one parameter array at a time."""
-
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, grads):
-        for name, g in grads.items():
-            params[name] -= self.lr * g
 
 
 class Adam:

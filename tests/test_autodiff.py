@@ -413,9 +413,8 @@ def _gaussian_softmax_case(draw):
 
 
 def _sma_penalty_case(draw):
-    square = draw(st.booleans())
     x = _array(draw, (draw(st.integers(2, 6)),))
-    return lambda v: ad.sma_penalty(v, 2.0, (0.7, 1.3, 0.9, 1.1), square), [x]
+    return lambda v: ad.sma_penalty(v, 2.0, (0.7, 1.3, 0.9, 1.1)), [x]
 
 
 _PRIMITIVE_CASES = {
@@ -904,18 +903,14 @@ def _chain_monotone_rescale(x, end, min_total):
     return ref.div(pi * end, pi[-1])
 
 
-def _chain_sma_penalty(pi, span, lambdas, square=True):
+def _chain_sma_penalty(pi, span, lambdas):
     l0, l1, l2, l3 = lambdas
     d = ref.sub(pi[1:], pi[:-1])
     backward_motion = ad.asum(ref.sub(ref.absolute(d), d))
     overshoot = ad.asum(ref.absolute(ref.sub(d, 1.0)) + ref.sub(d, 1.0))
     start = ref.div(pi[0], span)
     end = ref.sub(ref.div(pi[-1], span), 1.0)
-    if square:
-        start_pen, end_pen = start * start, end * end
-    else:
-        start_pen, end_pen = ref.absolute(start), ref.absolute(end)
-    return l0 * backward_motion + l1 * overshoot + l2 * start_pen + l3 * end_pen
+    return l0 * backward_motion + l1 * overshoot + l2 * (start * start) + l3 * (end * end)
 
 
 def _chain_log_l1_distance(pred, target, eps):
@@ -975,12 +970,11 @@ _SMA_CASES = [
 ]
 
 
-@pytest.mark.parametrize("square", [True, False])
 @pytest.mark.parametrize("pi", _SMA_CASES)
-def test_fused_sma_penalty_is_bit_identical_to_chain(pi, square):
+def test_fused_sma_penalty_is_bit_identical_to_chain(pi):
     for lambdas in [(0.7, 1.3, 0.9, 1.1), (1, 0, 2, 0)]:
-        f = lambda v: ad.sma_penalty(v, 4.0, lambdas, square)
-        ref = lambda v: _chain_sma_penalty(v, 4.0, lambdas, square)
+        f = lambda v: ad.sma_penalty(v, 4.0, lambdas)
+        ref = lambda v: _chain_sma_penalty(v, 4.0, lambdas)
         _assert_fused_matches_chain(f, ref, [pi], [True])
 
 
@@ -997,9 +991,8 @@ def test_step_gradients_keep_the_zero_signs_of_the_chain(data):
     x = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from(_STEP_VALUES)))
     w = data.draw(hnp.arrays(np.float64, n, elements=st.sampled_from(_SIGNED_WEIGHTS)))
     extra = data.draw(st.none() | hnp.arrays(np.float64, n, elements=st.sampled_from(_SIGNED_WEIGHTS)))
-    square = data.draw(st.booleans())
-    cases = [(lambda v: ad.sma_penalty(v, 3.0, (0.7, 1.3, 0.9, 1.1), square),
-              lambda v: _chain_sma_penalty(v, 3.0, (0.7, 1.3, 0.9, 1.1), square))]
+    cases = [(lambda v: ad.sma_penalty(v, 3.0, (0.7, 1.3, 0.9, 1.1)),
+              lambda v: _chain_sma_penalty(v, 3.0, (0.7, 1.3, 0.9, 1.1)))]
     if np.maximum(np.diff(x), 0.0).sum() > 1e-8:
         cases.append((lambda v: ad.monotone_rescale(v, 4.0, 1e-8),
                        lambda v: _chain_monotone_rescale(v, 4.0, 1e-8)))

@@ -56,6 +56,14 @@ def test_imv_malformed_file(tmp_path):
     assert main(["imv", "--alignment", str(tmp_path / "missing.csv")]) == 2
 
 
+def test_imv_refuses_a_header_wider_than_row_0_before_allocating(tmp_path, capsys):
+    # 2 x 1e11 float64 entries would take 1.46 TiB
+    wide = tmp_path / "wide.csv"
+    wide.write_text("2,100000000000\n1,2\n3,4\n")
+    assert main(["imv", "--alignment", str(wide)]) == 2
+    assert capsys.readouterr().err == f"error: {wide}: row 0 has 2 fields, header says 100000000000\n"
+
+
 def test_hma_hand_case(tmp_path):
     imv = _vector_file(tmp_path, [0.5, 0.2, 1.0])
     out = tmp_path / "star.csv"
@@ -123,6 +131,23 @@ def test_sma_zero(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == 0.0
 
 
+def test_sma_has_no_boundary_option(tmp_path, capsys):
+    # the boundary terms are squared; there is no other form to select
+    imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
+    assert main(["sma", "--imv", imv, "--t1", "2", "--boundary", "abs"]) == 2
+    assert "unrecognized arguments: --boundary abs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "positions"])
+def test_a_kernel_over_the_size_cap_exits_2_with_one_error_line(tmp_path, capsys, command):
+    # refused before an index vector of 2e9 rows (16 GB) is built
+    imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
+    out = tmp_path / "out.csv"
+    assert main([command, "--imv", imv, "--t1", "2000000000", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: a 2000000000x3 alignment is over the cap of 10000000 entries\n"
+
+
 def test_oracle_counts(capsys):
     import math
 
@@ -185,8 +210,15 @@ def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):
 
 
 def test_run_check_rejects_unknown_op():
-    with pytest.raises(KeyError, match="unknown op 'nope'; known: align_from_imv"):
+    with pytest.raises(ValueError, match="unknown op 'nope'; known: align_from_imv"):
         run_check("nope")
+
+
+def test_run_check_redraws_a_non_increasing_hma_transform_input():
+    # this seed's first draw is non-increasing: the hard transform has no
+    # forward motion to rescale there
+    assert np.all(np.diff(np.random.default_rng(38111).normal(size=8)) <= 0)
+    assert run_check("hma_transform", seed=38111).passed
 
 
 def test_train_toy_command(tmp_path, capsys):
@@ -307,7 +339,7 @@ def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
     {"task_seed": 1.5}, {"batch_size": 2.5, "pool_size": 4}, {"pool_size": 3.0, "batch_size": 2},
     {"dmin": 1.5, "dmax": 3}, {"steps": True}, {"noise_sigma": 1e400}, {"lr": 1e400},
     {"epsilon": 1e400}, {"ap_weight": 1e400}, {"sma_weights": [1e400, 1, 1, 1]},
-    {"sma_weights": [1, 1, 1, -1]},
+    {"sma_weights": [1, 1, 1, -1]}, {"optimizer": "sgd"},
 ])
 def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):
     path = tmp_path / "cfg.json"

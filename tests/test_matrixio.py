@@ -71,6 +71,7 @@ def test_read_matrix_rejects_bad_inputs(tmp_path):
         "header.csv": "3\n1,2,3\n",
         "rows.csv": "2,2\n1,2\n",
         "cols.csv": "1,3\n1,2\n",
+        "ragged.csv": "2,2\n1,2\n3\n",
         "text.csv": "1,2\na,b\n",
         "nonfinite.csv": "1,2\n1,inf\n",
         "zero_rows.csv": "0,3\n",

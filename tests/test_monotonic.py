@@ -37,8 +37,6 @@ def test_sma_loss_hand_computed_violation():
 def test_sma_loss_boundary_penalty_is_squared():
     loss = sma_loss(Imv(np.array([0.5, 1.0]), 2))
     assert loss == pytest.approx(0.25, abs=1e-12)
-    loss_abs = sma_loss(Imv(np.array([0.5, 1.0]), 2), boundary="abs")
-    assert loss_abs == pytest.approx(0.5, abs=1e-12)
 
 
 def test_sma_loss_shift_invariant_when_boundary_weights_zero():
@@ -57,8 +55,6 @@ def test_sma_loss_rejects_degenerate_dimensions():
         sma_loss(Imv(np.array([0.0, 1.0]), 1))
     with pytest.raises(AlignmentError, match="2 output steps"):
         sma_loss(Imv(np.array([0.0]), 2))
-    with pytest.raises(ValueError, match="boundary"):
-        sma_loss(Imv(np.array([0.0, 1.0]), 2), boundary="max")
 
 
 def test_hma_transform_hand_computed():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from imvalign import core
 from imvalign.core import AlignmentError, Imv, compute_imv
-from imvalign.monotonic import KernelConfig
+from imvalign.monotonic import KernelConfig, align_from_imv
 from imvalign.positions import (
     AlignedPositions,
     ApLossConfig,
@@ -21,6 +22,28 @@ from imvalign.positions import (
 )
 
 SHARP = KernelConfig(sigma2=0.01)
+
+
+def test_every_gaussian_kernel_is_built_at_the_size_cap_and_refused_over_it(monkeypatch):
+    imv = Imv(np.array([0.0, 0.7, 1.2, 2.0]), 3)
+    kernels = [
+        lambda: align_from_imv(imv), lambda: density_matrix(imv), lambda: extract_positions(imv),
+        lambda: align_from_positions(AlignedPositions(np.array([0.5, 1.5, 2.5])), 4),
+    ]
+    monkeypatch.setattr(core, "MAX_ALIGNMENT_ENTRIES", 12)  # each kernel is 3x4
+    for build in kernels:
+        build()
+    monkeypatch.setattr(core, "MAX_ALIGNMENT_ENTRIES", 11)
+    for build in kernels:
+        with pytest.raises(ValueError, match="^a 3x4 alignment is over the cap of 11 entries$") as info:
+            build()
+        # a plain ValueError, not an AlignmentError: the CLI exits 2 on it
+        assert type(info.value) is ValueError
+    # 2**62 x 4 entries: a product in numpy's int64 would wrap to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="over the cap"):
+            align_from_imv(Imv(imv.pi, np.int64(2**62)))
 
 
 def test_density_matrix_concentrates_at_small_sigma():

@@ -20,7 +20,8 @@ below which a term is under half an ulp of its slice's peak, about
 2 sqrt(36.7 sigma2) + 2 rows per column (8 at unit spacing and sigma2
 0.25). Its values and gradients are within 1e-12 of the dense kernel's
 (the bound in :func:`gaussian_softmax`), not bit for bit. Toy sizes never
-band.
+band. :func:`~imvalign.monotonic.streaming_hma_step` evaluates its one
+column with the same cutoff, ``BAND_CUTOFF``, at every size.
 """
 
 from __future__ import annotations
@@ -194,8 +195,14 @@ def _accumulate(v, g: np.ndarray) -> None:
         v.grad = g if v.grad is None else v.grad + g
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def data(x) -> np.ndarray:
-    """The float64 array behind ``x``: a Value's data, or ``x`` as an array."""
+    """The float64 array behind ``x``: a Value's data, ``x`` itself if it is
+    a float64 ndarray, or else ``x`` as an array."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
     if isinstance(x, Value):
         return x.data
     return np.asarray(x, dtype=np.float64)
@@ -343,9 +350,9 @@ def matmul(a, b):
 _EXP_UNDERFLOW = -746.0
 # exp(x) is below 2**-53, half an ulp of 1, for every x below this (about
 # -36.74). After the shift a slice's peak term is 1 and its sum at least 1,
-# so the band drops such entries: n of them change a slice's sum by less
-# than n 2**-53 of it.
-_BAND_CUTOFF = math.log(2.0 ** -53)
+# so the band, and the streaming step's one-column kernel, drop such
+# entries: n of them change a slice's sum by less than n 2**-53 of it.
+BAND_CUTOFF = math.log(2.0 ** -53)
 
 
 def _masked_softmax(shifted: np.ndarray, axis: int, cutoff: float = _EXP_UNDERFLOW):
@@ -461,7 +468,7 @@ def first_far_entry(a: np.ndarray, b: np.ndarray, sigma2: float) -> int | None:
 
 def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     """:func:`_dense_gaussian` evaluated only where an entry's shifted logit
-    is at least ``_BAND_CUTOFF`` (ln 2**-53), with every other entry 0; or
+    is at least ``BAND_CUTOFF`` (ln 2**-53), with every other entry 0; or
     None where the dense kernel must run.
 
     Call ``a`` the operand along ``axis`` and ``b`` the other. With ``a``
@@ -483,7 +490,7 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     # (with a single b the dense axis-0 sums run pairwise, not row by row)
     if n * m < _BAND_FIXED_COST or m < 2 or a.ndim != 1 or b.ndim != 1:
         return None
-    reach2 = -_BAND_CUTOFF * float(sigma2)
+    reach2 = -BAND_CUTOFF * float(sigma2)
     span = float(a[-1] - a[0])
     # the window at the mean spacing of a, two rows of margin included
     if not (math.isfinite(span) and span > 0 and reach2 > 0
@@ -515,7 +522,7 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     # each b's peak is at its nearest a, whose logit is dmin2 * scale
     dmin2 *= scale
     logits -= dmin2.reshape(across)
-    y, z, s = _masked_softmax(logits, axis, _BAND_CUTOFF)
+    y, z, s = _masked_softmax(logits, axis, BAND_CUTOFF)
     # Rounding can move an entry across the window's edge. The logits fall
     # away from their peak along sorted a, so a zero exponential at both ends
     # of each window (where that is not the end of a) makes every entry

@@ -41,10 +41,21 @@ COLUMN_SUM_TOL = 1e-3
 MAX_ALIGNMENT_ENTRIES = 10_000_000
 
 
+def _length(n: int) -> str:
+    """A length for a message: in full below 10**12, else to 3 significant digits."""
+    if n < 10**12:
+        return str(n)
+    from decimal import Decimal  # exact for any int; float(n) can overflow
+
+    return f"{Decimal(n):.3g}"
+
+
 def check_alignment_size(t1: int, t2: int) -> None:
     """Raise :class:`ValueError` if a t1 x t2 alignment is over the cap."""
     if int(t1) * int(t2) > MAX_ALIGNMENT_ENTRIES:  # a numpy integer product could wrap
-        raise ValueError(f"a {t1}x{t2} alignment is over the cap of {MAX_ALIGNMENT_ENTRIES} entries")
+        raise ValueError(
+            f"a {_length(int(t1))}x{_length(int(t2))} alignment is over the cap of {MAX_ALIGNMENT_ENTRIES} entries"
+        )
 
 
 class AlignmentError(ValueError):

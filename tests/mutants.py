@@ -53,9 +53,39 @@ MUTANTS = (
     Mutant(
         "streaming-nearest-row-truncated",
         "src/imvalign/monotonic.py",
-        "shift = logits[min(max(round(new_pi), 0), t1 - 1)]",
-        "shift = logits[min(max(int(new_pi), 0), t1 - 1)]",
-        ("tests/test_monotonic.py::test_streaming_step_and_run_match_the_reference_bit_for_bit",),
+        "near = round(new_pi)\n",
+        "near = int(new_pi)\n",
+        ("tests/test_monotonic.py::test_streaming_step_at_a_tiny_sigma2_is_one_hot_at_the_nearest_row",),
+    ),
+    Mutant(
+        "streaming-band-radius-drops-the-gap",
+        "src/imvalign/monotonic.py",
+        "radius = sqrt(gap * gap - BAND_CUTOFF * sigma2)",
+        "radius = sqrt(-BAND_CUTOFF * sigma2)",
+        ("tests/test_monotonic.py::test_streaming_step_is_within_its_bound_of_the_dense_kernel",),
+    ),
+    Mutant(
+        "streaming-band-window-one-row-short",
+        "src/imvalign/monotonic.py",
+        "hi = floor(last) + 1 if",
+        "hi = floor(last) if",
+        ("tests/test_monotonic.py::test_streaming_step_is_within_its_bound_of_the_dense_kernel",
+         "tests/test_monotonic.py::test_streaming_step_at_a_tiny_sigma2_is_one_hot_at_the_nearest_row"),
+    ),
+    Mutant(
+        "data-fast-path-skips-the-dtype-check",
+        "src/imvalign/autodiff.py",
+        "if type(x) is np.ndarray and x.dtype is _FLOAT64:",
+        "if isinstance(x, np.ndarray):",
+        ("tests/test_autodiff.py::test_data_returns_a_float64_array_itself_and_converts_anything_else",),
+    ),
+    Mutant(
+        "size-cap-message-prints-a-huge-length-in-full",
+        "src/imvalign/core.py",
+        'return f"{Decimal(n):.3g}"',
+        "return str(n)",
+        ("tests/test_cli.py::test_a_huge_length_over_the_size_cap_gives_a_short_error_line",
+         "tests/test_toy.py::test_infer_names_a_huge_output_length_in_a_short_message"),
     ),
     Mutant(
         "softmax-gradient-negated-in-place",
@@ -212,15 +242,15 @@ MUTANTS = (
     Mutant(
         "band-mask-left-at-the-exp-underflow-constant",
         "src/imvalign/autodiff.py",
-        "_masked_softmax(logits, axis, _BAND_CUTOFF)",
+        "_masked_softmax(logits, axis, BAND_CUTOFF)",
         "_masked_softmax(logits, axis)",
         ("tests/test_autodiff.py::test_banded_gaussian_softmax_matches_the_dense_chain",),
     ),
     Mutant(
         "band-cutoff-loosened",
         "src/imvalign/autodiff.py",
-        "_BAND_CUTOFF = math.log(2.0 ** -53)",
-        "_BAND_CUTOFF = -20.0",
+        "BAND_CUTOFF = math.log(2.0 ** -53)",
+        "BAND_CUTOFF = -20.0",
         ("tests/test_autodiff.py::test_band_is_within_its_stated_bound_of_the_dense_kernel",),
     ),
     Mutant(

@@ -205,9 +205,11 @@ def streaming_hma_step(
     state: StreamingHmaState,
     alpha_col: np.ndarray,
     kernel: KernelConfig = KernelConfig(),
+    cutoff=None,
 ) -> tuple[StreamingHmaState, np.ndarray]:
     """One streaming step: the clamped advance and a dense one-column
-    Gaussian kernel at the new position."""
+    Gaussian kernel at the new position; ``cutoff`` as in
+    :func:`softmax_chain`."""
     col = np.asarray(alpha_col, dtype=np.float64)
     if col.ndim != 1 or col.shape[0] != state.t1:
         raise AlignmentError(f"expected a length-{state.t1} column, got {col.shape}")
@@ -220,6 +222,8 @@ def streaming_hma_step(
     logits = -((new_pi - p) ** 2) / kernel.sigma2
     logits -= logits.max()
     weights = np.exp(logits)
+    if cutoff is not None:
+        weights = weights * np.where(logits < cutoff, 0.0, 1.0)
     return StreamingHmaState(state.t1, new_pi), weights / weights.sum()
 
 

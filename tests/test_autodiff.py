@@ -20,6 +20,19 @@ def test_identity_forward_backward():
     assert np.array_equal(grads[0], np.array([[1.0]]))
 
 
+def test_data_returns_a_float64_array_itself_and_converts_anything_else():
+    x = np.arange(3.0)
+    assert ad.data(x) is x
+    tape = ad.Tape()
+    v = tape.variable(x)
+    assert ad.data(v) is v.data
+    big_endian = x.astype(">f8")
+    for other in ([0, 1, 2], np.arange(3), x.astype(np.float32), big_endian, np.ma.masked_array(x), 2.0):
+        out = ad.data(other)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.dtype.isnative
+        assert np.array_equal(out, np.asarray(other, dtype=np.float64))
+
+
 def test_softmax_sum_has_zero_gradient():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 3))
@@ -666,7 +679,7 @@ def _threshold_centres():
     side of it. Each search steps sigma2 by ulps from the value at which row
     ``far`` is at the cutoff relative to the centre's nearest row, in exact
     arithmetic. The centre -2.5 lies below the rows."""
-    cutoff = ad._BAND_CUTOFF
+    cutoff = ad.BAND_CUTOFF
     targets = [cutoff, np.nextafter(cutoff, 0.0), np.nextafter(cutoff, -np.inf)]
     rows = np.arange(200.0)
     found, hit = [], set()
@@ -704,7 +717,7 @@ def _assert_band_matches_chain(rows, cols, sigma2, axis, traced):
     fused = lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis)
     out, grads, _ = _traced_grads(fused, [rows, cols], traced)
     expected, expected_grads, _ = _traced_grads(
-        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis, ad._BAND_CUTOFF),
+        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis, ad.BAND_CUTOFF),
         [rows, cols], traced)
     assert _same_bits(fused(rows, cols), out)
     assert _same_bits(out, expected) if axis == 0 else _close(out, expected)

@@ -148,6 +148,14 @@ def test_a_kernel_over_the_size_cap_exits_2_with_one_error_line(tmp_path, capsys
     assert capsys.readouterr().err == "error: a 2000000000x3 alignment is over the cap of 10000000 entries\n"
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "positions"])
+def test_a_huge_length_over_the_size_cap_gives_a_short_error_line(tmp_path, capsys, command):
+    # a 251-digit --t1 is named to three significant digits
+    imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
+    assert main([command, "--imv", imv, "--t1", str(10**250), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == "error: a 1.00e+250x3 alignment is over the cap of 10000000 entries\n"
+
+
 def test_oracle_counts(capsys):
     import math
 

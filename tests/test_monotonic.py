@@ -381,8 +381,8 @@ def _near_diagonal(rng, t1, t2):
 
 @pytest.mark.parametrize("t1, t2", [(144, 433), (256, 1024)])
 def test_streaming_steps_match_a_banded_whole_sequence_run(t1, t2, monkeypatch):
-    # at these sizes the run's kernel evaluates only its band; the steps'
-    # one-column kernels stay dense
+    # at these sizes the run's kernel evaluates only its band, as each step's
+    # one-column kernel does at any size
     banded = []
     band = ad._banded_gaussian
 
@@ -472,7 +472,68 @@ def test_streaming_step_and_run_match_the_reference_bit_for_bit(t1, t2, seed, si
         # a step sums the column in its contiguous order, whatever its layout
         ref_state, ref_col = ref.streaming_hma_step(ref_state, alpha[:, j].copy(), kernel)
         assert _bits(state.pi) == _bits(ref_state.pi)
-        assert col.tobytes() == ref_col.tobytes()
+        _assert_within_the_step_bound(col, ref_col)
+
+
+def _assert_within_the_step_bound(col, dense):
+    """The bound of streaming_hma_step's docstring: each entry within
+    1e-12 * max(1, |entry|) of the dense kernel's column."""
+    assert col.shape == dense.shape
+    assert np.all(np.abs(col - dense) <= 1e-12 * np.maximum(1.0, np.abs(dense)))
+
+
+@settings(max_examples=60, deadline=None)
+# 39 rows before row 0 at sigma2 16, row 1 is 0.7% of row 0: a band radius
+# without the gap would miss every row
+@example(t1=40, t2=4, seed=0, sigma2=16.0, start=-40.0)
+# a far start at sigma2 0.25: the band is row 0 alone
+@example(t1=40, t2=4, seed=0, sigma2=0.25, start=-40.0)
+@example(t1=256, t2=16, seed=1, sigma2=1e6, start=0.0)
+@example(t1=1, t2=4, seed=2, sigma2=0.05, start=-40.0)
+@given(
+    t1=st.integers(1, 256),
+    t2=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    sigma2=st.floats(0.05, 1e6),
+    start=st.one_of(st.sampled_from([-40.0, -2.5, -0.0, 0.0]), st.floats(-40.0, 300.0)),
+)
+def test_streaming_step_is_within_its_bound_of_the_dense_kernel(t1, t2, seed, sigma2, start):
+    alpha = _stream_columns(np.random.default_rng(seed), t1, t2, start)
+    kernel = KernelConfig(sigma2=sigma2)
+    state = StreamingHmaState(t1=t1, pi=start)
+    for j in range(t2):
+        dense_state, dense = ref.streaming_hma_step(state, alpha[:, j].copy(), kernel)
+        state, col = streaming_hma_step(state, alpha[:, j], kernel)
+        assert _bits(state.pi) == _bits(dense_state.pi)
+        _assert_within_the_step_bound(col, dense)
+
+
+def _step_to(t1: int, pi: float, sigma2: float) -> np.ndarray:
+    """The column of a step that stays at ``pi`` (its raw position is row 0)."""
+    state, out = streaming_hma_step(StreamingHmaState(t1=t1, pi=pi), np.eye(t1)[0], KernelConfig(sigma2=sigma2))
+    assert state.pi == pi
+    return out
+
+
+def test_streaming_step_evaluates_only_the_band():
+    # the dense kernel has ~27 nonzero entries per column at sigma2 0.25
+    t1 = 32
+    row0 = np.eye(t1)[0]
+    for pi in np.linspace(0.0, t1 - 1.0, 497).tolist():
+        col = _step_to(t1, pi, 0.25)
+        assert np.count_nonzero(col) <= 7, pi
+        # the rows the step keeps are those whose shifted logit is at least the band's cutoff
+        _, banded = ref.streaming_hma_step(StreamingHmaState(t1=t1, pi=pi), row0, KernelConfig(), ad.BAND_CUTOFF)
+        assert np.array_equal(np.flatnonzero(col), np.flatnonzero(banded)), pi
+
+
+@pytest.mark.parametrize("pi, row", [(2.9, 3), (2.1, 2), (0.9, 1), (4.95, 5), (5.1, 5)])
+def test_streaming_step_at_a_tiny_sigma2_is_one_hot_at_the_nearest_row(pi, row):
+    # every other row's shifted logit is below -745 at sigma2 1e-3; shifting by
+    # the logit of a row other than the nearest would overflow exp
+    expected = np.zeros(6)
+    expected[row] = 1.0
+    assert np.array_equal(_step_to(6, pi, 1e-3), expected)
 
 
 def test_streaming_step_does_not_depend_on_the_column_layout():

@@ -490,6 +490,13 @@ def test_infer_refuses_an_output_over_the_size_cap_at_once(trained):
     assert time.perf_counter() - start < 1.0
 
 
+def test_infer_names_a_huge_output_length_in_a_short_message(trained):
+    # at rate 1e250 the output length has 251 digits; the message gives three
+    _, _, model, _ = trained
+    with pytest.raises(ValueError, match=r"^a 3x\d\.\d\de\+250 alignment is over the cap of 10000000 entries$"):
+        infer(model, [0, 1, 2], rate=1e250)
+
+
 def test_infer_generalizes_on_training_sequence(trained):
     task, cfg, model, report = trained
     batch = make_batch(task, 0)

@@ -15,11 +15,11 @@ below -746 as 0.0 without calling ``exp``: ``exp`` returns exactly 0.0
 there, so the values are unchanged, and it is slow on such inputs.
 :func:`gaussian_softmax` goes further at TTS lengths: when the operand
 along the softmax axis is finite, sorted and long, it evaluates only a
-band: the entries whose shifted logit is at least ln 2**-53 (about -36.7),
-below which a term is under half an ulp of its slice's peak, about
-2 sqrt(36.7 sigma2) + 2 rows per column (8 at unit spacing and sigma2
-0.25). Its values and gradients are within 1e-12 of the dense kernel's
-(the bound in :func:`gaussian_softmax`), not bit for bit. Toy sizes never
+band, the entries whose shifted logit is at least ln 2**-53 (about -36.7):
+8 rows per column at unit spacing and sigma2 0.25, in one block layout
+for both axes, so axis 1 is axis 0 with the operands swapped, bit for bit.
+Its values and gradients are within 1e-12 of the dense kernel's (the
+bound in :func:`gaussian_softmax`), not bit for bit. Toy sizes never
 band. :func:`~imvalign.monotonic.streaming_hma_step` evaluates its one
 column with the same cutoff, ``BAND_CUTOFF``, at every size.
 """
@@ -400,7 +400,7 @@ def softmax(x, axis: int):
 
 
 def _diff_grad(g, y, z, s, axis: int, scale: float, diff: np.ndarray) -> np.ndarray:
-    """Gradient of the kernel's ``diff`` (rows - cols) for upstream ``g``:
+    """Gradient of the kernel's ``diff`` for upstream ``g``:
     ``half + half`` with ``half = softmax gradient * scale * diff``, as the
     chain evaluates it. ``z`` and ``diff`` are C-contiguous, so the softmax
     gradient is too and every step can work in place."""
@@ -476,14 +476,15 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     if |a_i - b_j| <= sqrt(dmin_j^2 + 36.7 sigma2), where dmin_j is the
     distance from b_j to the nearest a_i. So each b_j needs a window of about
     2 sqrt(36.7 sigma2) / spacing of ``a`` rows, plus one either side to
-    check its edges (8 in all at unit spacing and sigma2 0.25), and the
-    kernel is evaluated on a block: the dense matrix with its ``axis`` cut
-    to that window, starting at row ``lo_j`` of ``a``. On axis 0 the block's
-    sums run row by row in the dense order, so the values and the ``b``
-    gradient are, bit for bit, those of the dense kernel with the same
-    cutoff. The band runs when ``a`` and ``b`` are finite, ``a`` is sorted,
-    ``b`` has two entries or more and :func:`_band_pays`, which is decided
-    from shapes and the ends of ``a`` before any O(n) work.
+    check its edges (8 in all at unit spacing and sigma2 0.25). The kernel
+    is evaluated on one (width, m) block, column j b_j's window of ``a``,
+    with diff = a - b and the softmax down its columns; ``axis`` picks only
+    ``a``, where the block lands and the order of the gradients. On axis 0
+    the block's sums run row by row in the dense order, so the values and
+    the ``b`` gradient are, bit for bit, those of the dense kernel with the
+    same cutoff. The band runs when ``a`` and ``b`` are finite, ``a`` is
+    sorted, ``b`` has two entries or more and :func:`_band_pays`, which is
+    decided from shapes and the ends of ``a`` before any O(n) work.
     """
     a, b = (rd, cd) if axis == 0 else (cd, rd)
     n, m = a.size, b.size
@@ -507,32 +508,23 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     if not _band_pays(n, m, width):
         return None
     lo = np.minimum(np.maximum(lo - 1, 0), n - width)
-    # (1, m) and (width, 1) blocks for axis 0, (m, 1) and (1, width) for axis 1
-    across, along = ((1, m), (width, 1)) if axis == 0 else ((m, 1), (1, width))
-    steps = np.arange(width).reshape(along)
-    idx = lo.reshape(across) + steps
-    # diff is rows - cols, as in the dense kernel
-    diff = a.take(idx)
-    if axis == 0:
-        diff -= b.reshape(across)
-    else:
-        np.subtract(b.reshape(across), diff, out=diff)
+    # column j of the (width, m) block is b_j's window of a
+    idx = lo + np.arange(width).reshape(width, 1)
+    diff = a.take(idx) - b
     logits = diff * diff
     logits *= scale
     # each b's peak is at its nearest a, whose logit is dmin2 * scale
     dmin2 *= scale
-    logits -= dmin2.reshape(across)
-    y, z, s = _masked_softmax(logits, axis, BAND_CUTOFF)
+    logits -= dmin2
+    y, z, s = _masked_softmax(logits, 0, BAND_CUTOFF)
     # Rounding can move an entry across the window's edge. The logits fall
     # away from their peak along sorted a, so a zero exponential at both ends
     # of each window (where that is not the end of a) makes every entry
     # outside the band exactly 0, as in the dense kernel.
-    ends = z if axis == 0 else z.T
-    if ends[0, lo > 0].any() or ends[-1, lo < n - width].any():
+    if z[0, lo > 0].any() or z[-1, lo < n - width].any():
         return None
     shape, a_step, b_step = ((n, m), m, 1) if axis == 0 else ((m, n), 1, n)
-    starts = lo * a_step + np.arange(0, m * b_step, b_step)
-    flat = starts.reshape(across) + steps * a_step
+    flat = idx * a_step + np.arange(0, m * b_step, b_step)
     out = np.zeros(shape)
     out.reshape(-1)[flat] = y
 
@@ -540,12 +532,11 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
         if not np.isfinite(g.sum()):
             # a NaN or inf outside the band reaches the dense gradients
             return _dense_gaussian(rd, cd, scale, axis)[1](g, want_rows, want_cols)
-        gd = _diff_grad(np.take(g, flat), y, z, s, axis, scale, diff)
-        if axis == 1:
-            g_cols = np.bincount(idx.ravel(), -gd.ravel(), n) if want_cols else None
-            return gd.sum(axis=1) if want_rows else None, g_cols
-        g_rows = np.bincount(idx.ravel(), gd.ravel(), n) if want_rows else None
-        return g_rows, (-gd).sum(axis=0) if want_cols else None
+        want_a, want_b = (want_rows, want_cols) if axis == 0 else (want_cols, want_rows)
+        gd = _diff_grad(np.take(g, flat), y, z, s, 0, scale, diff)
+        g_a = np.bincount(idx.ravel(), gd.ravel(), n) if want_a else None
+        g_b = (-gd).sum(axis=0) if want_b else None
+        return (g_a, g_b) if axis == 0 else (g_b, g_a)
 
     return out, grads
 
@@ -559,9 +550,11 @@ def gaussian_softmax(rows, cols, sigma2: float, axis: int):
     those of a reshape/sub/mul/mul chain followed by :func:`softmax`, bit
     for bit, except where the band applies (:func:`_banded_gaussian`: the
     operand along ``axis`` finite, sorted and long enough to pay, the other
-    finite). The band drops every entry below 2**-53 of its slice's peak,
-    so a slice's sum changes by less than n 2**-53 of itself for a softmax
-    axis of length n (1.1e-13 at n = 1024), and it sums in another order.
+    finite). A banded call on axis 1 is ``gaussian_softmax(cols, rows,
+    sigma2, 0).T``, values and gradients bit for bit. The band drops every
+    entry below 2**-53 of its slice's peak, so a slice's sum changes by
+    less than n 2**-53 of itself for a softmax axis of length n (1.1e-13
+    at n = 1024), and it sums in another order.
     Bound: each value and gradient entry of the band is within 1e-12 times
     the largest magnitude of its array (or 1, if larger) of the chain's. A
     NaN or inf input or upstream gradient gives the chain's result.

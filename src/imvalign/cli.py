@@ -59,6 +59,24 @@ class ConfigError(ValueError):
     """A run-configuration document is malformed."""
 
 
+# An error line keeps about this many characters of its message, which may
+# quote an invalid value, a matrix header or a config value.
+_MAX_ERROR_CHARS = 400
+
+
+def _bounded(message: str) -> str:
+    """``message``, its middle cut out if it is over ``_MAX_ERROR_CHARS``."""
+    half = _MAX_ERROR_CHARS // 2
+    return message if len(message) <= _MAX_ERROR_CHARS else f"{message[:half]} ... {message[-half:]}"
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose error line is bounded; its subparsers are too."""
+
+    def error(self, message):
+        super().error(_bounded(message))
+
+
 def load_run_config(path) -> tuple[ToyTask, TrainConfig, str | None, str]:
     """Read a flat JSON run configuration for the toy trainer command.
 
@@ -203,7 +221,7 @@ def cmd_heatmap(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imvalign",
         description="Monotonic sequence alignment via index mapping vectors",
     )
@@ -274,7 +292,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_bounded(str(exc))}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 

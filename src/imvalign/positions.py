@@ -69,24 +69,24 @@ class ApLossConfig:
 
 def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
     """Row-normalized Gaussian density (t1, t2): how much of token i's
-    alignment mass falls on each output step."""
+    alignment mass falls on each output step. Raises
+    :class:`AlignmentError`, before the kernel runs, where a token's row
+    would be NaN because its nearest finite IMV position is so far that their
+    kernel logit overflows (:func:`autodiff.first_far_entry`)."""
     check_alignment_size(imv.t1, imv.t2)
-    return ad.gaussian_softmax(index_vector(imv.t1), imv.pi, kernel.sigma2, axis=1)
+    tokens = index_vector(imv.t1)
+    i = ad.first_far_entry(imv.values, tokens, kernel.sigma2)
+    if i is not None:
+        raise AlignmentError(f"token {i} is too far from every IMV position: its density row is nan")
+    return ad.gaussian_softmax(tokens, imv.pi, kernel.sigma2, axis=1)
 
 
 def extract_positions(
     imv: Imv, kernel: KernelConfig = KernelConfig()
 ) -> AlignedPositions:
     """Expected output step per token: the density-weighted mean of the
-    output index vector. Differentiable end to end. Raises
-    :class:`AlignmentError`, before the kernel runs, where a token's position
-    would be NaN because its nearest finite IMV position is so far that their
-    kernel logit overflows (:func:`autodiff.first_far_entry`)."""
-    pi = imv.values
-    check_alignment_size(imv.t1, pi.shape[0])
-    i = ad.first_far_entry(pi, index_vector(imv.t1), kernel.sigma2)
-    if i is not None:
-        raise AlignmentError(f"token {i} is too far from every IMV position: its aligned position is nan")
+    output index vector. Differentiable end to end. Refuses what
+    :func:`density_matrix` refuses."""
     return AlignedPositions(ad.matmul(density_matrix(imv, kernel), index_vector(imv.t2)))
 
 

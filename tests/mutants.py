@@ -133,10 +133,17 @@ MUTANTS = (
     Mutant(
         "nonfinite-positions-check-dropped",
         "src/imvalign/positions.py",
-        "    i = ad.first_far_entry(pi, index_vector(imv.t1), kernel.sigma2)\n",
+        "    i = ad.first_far_entry(imv.values, tokens, kernel.sigma2)\n",
         "    i = None\n",
         ("tests/test_positions.py::test_extract_positions_rejects_a_finite_imv_too_far_from_a_token",
          "tests/test_cli.py::test_positions_rejects_a_finite_imv_too_far_from_every_token"),
+    ),
+    Mutant(
+        "density-matrix-far-check-dropped",
+        "src/imvalign/positions.py",
+        "    if i is not None:\n",
+        "    if False:\n",
+        ("tests/test_positions.py::test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far",),
     ),
     Mutant(
         "nonfinite-positions-check-refuses-a-nonfinite-imv",
@@ -181,6 +188,13 @@ MUTANTS = (
         "if out and (os.path.isdir(out) or not",
         "if out and (not",
         ("tests/test_cli.py::test_an_unusable_path_exits_2_with_one_error_line",),
+    ),
+    Mutant(
+        "cli-error-line-not-bounded",
+        "src/imvalign/cli.py",
+        "if len(message) <= _MAX_ERROR_CHARS else",
+        "if True else",
+        ("tests/test_cli.py::test_an_error_quoting_a_huge_input_gives_one_short_error_line",),
     ),
     Mutant(
         "exit-code-looked-up-by-exact-class",
@@ -235,16 +249,23 @@ MUTANTS = (
     Mutant(
         "band-edge-check-dropped",
         "src/imvalign/autodiff.py",
-        "    if ends[0, lo > 0].any() or ends[-1, lo < n - width].any():\n",
+        "    if z[0, lo > 0].any() or z[-1, lo < n - width].any():\n",
         "    if False:\n",
         ("tests/test_autodiff.py::test_band_falls_back_where_rounding_widens_the_window",),
     ),
     Mutant(
         "band-mask-left-at-the-exp-underflow-constant",
         "src/imvalign/autodiff.py",
-        "_masked_softmax(logits, axis, BAND_CUTOFF)",
-        "_masked_softmax(logits, axis)",
+        "_masked_softmax(logits, 0, BAND_CUTOFF)",
+        "_masked_softmax(logits, 0)",
         ("tests/test_autodiff.py::test_banded_gaussian_softmax_matches_the_dense_chain",),
+    ),
+    Mutant(
+        "band-axis-1-gradients-not-swapped",
+        "src/imvalign/autodiff.py",
+        "return (g_a, g_b) if axis == 0 else (g_b, g_a)",
+        "return g_a, g_b",
+        ("tests/test_autodiff.py::test_axis_1_band_is_the_transposed_axis_0_band_on_swapped_operands",),
     ),
     Mutant(
         "band-cutoff-loosened",

@@ -788,6 +788,28 @@ def test_band_is_within_its_stated_bound_of_the_dense_kernel(data):
         assert _close(x, e)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_axis_1_band_is_the_transposed_axis_0_band_on_swapped_operands(data):
+    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "equal centres"])
+    # a is the operand along the softmax axis, b the other
+    a, b = (rows, cols) if axis == 0 else (cols, rows)
+    assert _band_engages(a, b, sigma2, 0) and _band_engages(b, a, sigma2, 1)
+    w = np.random.default_rng(12).normal(size=(a.size, b.size))
+
+    def traced(x, y, axis, w):
+        tape = ad.Tape()
+        vx, vy = tape.variable(x), tape.variable(y)
+        out = ad.gaussian_softmax(vx, vy, sigma2, axis)
+        tape.backward(ad.asum(out * w))
+        return out.data, vx.grad, vy.grad
+
+    out0, ga0, gb0 = traced(a, b, 0, w)
+    out1, gb1, ga1 = traced(b, a, 1, w.T)
+    assert _same_bits(out1, out0.T) and _same_bits(ad.gaussian_softmax(b, a, sigma2, 1), out0.T)
+    assert _same_bits(ga1, ga0) and _same_bits(gb1, gb0)
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_band_at_the_smallest_sigma2_with_a_finite_reciprocal(axis):
     # every entry but the nearest row's logit is -inf or below the mask

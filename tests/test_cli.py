@@ -156,6 +156,25 @@ def test_a_huge_length_over_the_size_cap_gives_a_short_error_line(tmp_path, caps
     assert capsys.readouterr().err == "error: a 1.00e+250x3 alignment is over the cap of 10000000 entries\n"
 
 
+@pytest.mark.parametrize("case", ["--t1", "--sigma2", "oracle --t2", "matrix header", "config value"])
+def test_an_error_quoting_a_huge_input_gives_one_short_error_line(tmp_path, capsys, case):
+    # each message would quote 3,000-5,000 characters of input in full
+    imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
+    matrix, config = tmp_path / "m.csv", tmp_path / "cfg.json"
+    matrix.write_text("1," + "z" * 5000 + "\n1\n")
+    config.write_text(json.dumps({"report_path": ["r" * 5000]}))
+    argv = {
+        "--t1": ["hma", "--imv", imv, "--t1", "9" * 5000],
+        "--sigma2": ["reconstruct", "--imv", imv, "--t1", "2", "--sigma2", "x" * 5000, "--out", str(tmp_path / "o")],
+        "oracle --t2": ["oracle", "--t1", "2", "--t2", "y" * 3000],
+        "matrix header": ["imv", "--alignment", str(matrix)],
+        "config value": ["train-toy", "--config", str(config)],
+    }[case]
+    assert main(argv) == 2
+    lines = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(lines) == 1 and len(lines[0]) < 500, lines
+
+
 def test_oracle_counts(capsys):
     import math
 

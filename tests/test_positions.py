@@ -110,12 +110,18 @@ def _extract(pi, n, kernel):
     return extract_positions(Imv(pi, n), kernel).values
 
 
+def _density(pi, n, kernel):
+    """The density row of the IMV ``pi`` for each of ``n`` tokens."""
+    return density_matrix(Imv(pi, n), kernel)
+
+
 def _align(pi, n, kernel):
     """The kernel over the aligned positions ``pi`` for each of ``n`` output steps."""
     return align_from_positions(AlignedPositions(pi), n, kernel)
 
 
-@pytest.mark.parametrize("wrapper, entry", [(_extract, "token"), (_align, "output step")], ids=["extract", "align"])
+@pytest.mark.parametrize("wrapper, entry", [(_extract, "token"), (_align, "output step"), (_density, "token")],
+                         ids=["extract", "align", "density"])
 @settings(max_examples=300, deadline=None)
 @given(
     pi=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 43), min_size=1, max_size=40)

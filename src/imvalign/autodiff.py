@@ -13,11 +13,12 @@ central finite differences by :func:`gradcheck`.
 and their softmax in one node) write every entry whose shifted logit is
 below -746 as 0.0 without calling ``exp``: ``exp`` returns exactly 0.0
 there, so the values are unchanged, and it is slow on such inputs.
-:func:`gaussian_softmax` goes further at TTS lengths: when the operand
-along the softmax axis is finite, sorted and long, it evaluates only a
-band, the entries whose shifted logit is at least ln 2**-53 (about -36.7):
-8 rows per column at unit spacing and sigma2 0.25, in one block layout
-for both axes, so axis 1 is axis 0 with the operands swapped, bit for bit.
+:func:`gaussian_softmax` goes further at TTS lengths: where the operand
+along the softmax axis is finite, sorted and wider than the band, it
+evaluates only the band, the entries whose shifted logit is at least
+ln 2**-53 (about -36.7): 8 rows per column at unit spacing and sigma2 0.25,
+in one block layout for both axes, so axis 1 is axis 0 with the operands
+swapped, bit for bit.
 Its values and gradients are within 1e-12 of the dense kernel's (the
 bound in :func:`gaussian_softmax`), not bit for bit. Toy sizes never
 band. :func:`~imvalign.monotonic.streaming_hma_step` evaluates its one
@@ -429,17 +430,9 @@ def _dense_gaussian(rd, cd, scale: float, axis: int):
     return y, grads
 
 
-# Fitted to the kernel calls of two align-long corpora (CHANGES.md): an entry
-# of the band costs about 0.9-1.4 entries of the dense kernel, and finding
-# and scattering the band about 7,600-9,200. With some margin, the band runs
-# where it saves more than that.
-_BAND_ENTRY_COST = 2.5
-_BAND_FIXED_COST = 10_000
-
-
-def _band_pays(n: int, m: int, width) -> bool:
-    """Whether a band ``width`` rows wide beats the dense (n, m) kernel."""
-    return (n - _BAND_ENTRY_COST * width) * m >= _BAND_FIXED_COST
+# Below this many entries the dense kernel is faster than finding and
+# scattering a band, and every default toy alignment (at most 8x32) is below it.
+_BAND_MIN_ENTRIES = 10_000
 
 
 def _nearest_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -482,22 +475,19 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     ``a``, where the block lands and the order of the gradients. On axis 0
     the block's sums run row by row in the dense order, so the values and
     the ``b`` gradient are, bit for bit, those of the dense kernel with the
-    same cutoff. The band runs when ``a`` and ``b`` are finite, ``a`` is
-    sorted, ``b`` has two entries or more and :func:`_band_pays`, which is
-    decided from shapes and the ends of ``a`` before any O(n) work.
+    same cutoff. The band runs wherever it can: ``_BAND_MIN_ENTRIES`` or
+    more entries, ``a`` finite and sorted, ``b`` finite with two entries or
+    more, and every window narrower than ``a``.
     """
     a, b = (rd, cd) if axis == 0 else (cd, rd)
     n, m = a.size, b.size
     # (with a single b the dense axis-0 sums run pairwise, not row by row)
-    if n * m < _BAND_FIXED_COST or m < 2 or a.ndim != 1 or b.ndim != 1:
+    if n * m < _BAND_MIN_ENTRIES or m < 2 or a.ndim != 1 or b.ndim != 1:
         return None
     reach2 = -BAND_CUTOFF * float(sigma2)
-    span = float(a[-1] - a[0])
-    # the window at the mean spacing of a, two rows of margin included
-    if not (math.isfinite(span) and span > 0 and reach2 > 0
-            and _band_pays(n, m, 2.0 * math.sqrt(reach2) * (n - 1) / span + 3)):
-        return None
-    if not ((a[1:] >= a[:-1]).all() and np.isfinite(b).all()):
+    # sorted a is finite where its span is
+    if not (math.isfinite(float(a[-1] - a[0])) and reach2 > 0
+            and (a[1:] >= a[:-1]).all() and np.isfinite(b).all()):
         return None
     near = _nearest_gap(a, b)
     dmin2 = near * near
@@ -505,7 +495,7 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     lo = np.searchsorted(a, b - radius)
     # one more row either side, to check the window's edges below
     width = int((np.searchsorted(a, b + radius, side="right") - lo).max()) + 2
-    if not _band_pays(n, m, width):
+    if width >= n:
         return None
     lo = np.minimum(np.maximum(lo - 1, 0), n - width)
     # column j of the (width, m) block is b_j's window of a
@@ -548,13 +538,13 @@ def gaussian_softmax(rows, cols, sigma2: float, axis: int):
     ``rows`` and ``cols`` are 1-D; the result has shape (len(rows),
     len(cols)). Either operand may be traced. Values and gradients equal
     those of a reshape/sub/mul/mul chain followed by :func:`softmax`, bit
-    for bit, except where the band applies (:func:`_banded_gaussian`: the
-    operand along ``axis`` finite, sorted and long enough to pay, the other
-    finite). A banded call on axis 1 is ``gaussian_softmax(cols, rows,
-    sigma2, 0).T``, values and gradients bit for bit. The band drops every
-    entry below 2**-53 of its slice's peak, so a slice's sum changes by
-    less than n 2**-53 of itself for a softmax axis of length n (1.1e-13
-    at n = 1024), and it sums in another order.
+    for bit, except where the band applies (:func:`_banded_gaussian`: at
+    least 10,000 entries, the operand along ``axis`` finite, sorted and
+    wider than every window, the other finite). A banded call on axis 1 is
+    ``gaussian_softmax(cols, rows, sigma2, 0).T``, values and gradients bit
+    for bit. The band drops every entry below 2**-53 of its slice's peak,
+    so a slice's sum changes by less than n 2**-53 of itself for a softmax
+    axis of length n (1.1e-13 at n = 1024), and it sums in another order.
     Bound: each value and gradient entry of the band is within 1e-12 times
     the largest magnitude of its array (or 1, if larger) of the chain's. A
     NaN or inf input or upstream gradient gives the chain's result.

@@ -42,7 +42,10 @@ MAX_ALIGNMENT_ENTRIES = 10_000_000
 
 
 def _length(n: int) -> str:
-    """A length for a message: in full below 10**12, else to 3 significant digits."""
+    """A length for a message: in full below 10**12, else to 3 significant
+    digits. A library exception (toy.infer's, say) reaches no bounded CLI
+    line, and ``str`` of a length over 4,300 digits raises CPython's own
+    digit-limit ValueError in place of the size-cap one."""
     if n < 10**12:
         return str(n)
     from decimal import Decimal  # exact for any int; float(n) can overflow

@@ -127,12 +127,17 @@ def align_from_positions(
 
 def infer_t2(positions: AlignedPositions) -> int:
     """Output length implied by the aligned positions: the last position
-    plus its increment, rounded half-up, floored at 1."""
+    plus its increment, rounded half-up, floored at 1. Raises
+    :class:`AlignmentError` where that projection is not finite."""
     e = positions.values
     if e.shape[0] < 2:
         raise AlignmentError("need at least 2 aligned positions to infer a length")
-    projected = e[-1] + (e[-1] - e[-2])
-    return max(1, int(np.floor(projected + 0.5)))
+    last, before = float(e[-1]), float(e[-2])
+    # (Python floats overflow to inf without a warning)
+    projected = last + (last - before)
+    if not math.isfinite(projected):
+        raise AlignmentError(f"the aligned positions project an output length of {projected}")
+    return max(1, math.floor(projected + 0.5))
 
 
 def scale_positions(positions: AlignedPositions, rate: float) -> AlignedPositions:

@@ -85,7 +85,8 @@ MUTANTS = (
         'return f"{Decimal(n):.3g}"',
         "return str(n)",
         ("tests/test_cli.py::test_a_huge_length_over_the_size_cap_gives_a_short_error_line",
-         "tests/test_toy.py::test_infer_names_a_huge_output_length_in_a_short_message"),
+         "tests/test_toy.py::test_infer_names_a_huge_output_length_in_a_short_message",
+         "tests/test_core.py::test_size_cap_names_a_length_too_long_for_str"),
     ),
     Mutant(
         "softmax-gradient-negated-in-place",
@@ -273,6 +274,27 @@ MUTANTS = (
         "BAND_CUTOFF = math.log(2.0 ** -53)",
         "BAND_CUTOFF = -20.0",
         ("tests/test_autodiff.py::test_band_is_within_its_stated_bound_of_the_dense_kernel",),
+    ),
+    Mutant(
+        "band-window-as-wide-as-a-not-refused",
+        "src/imvalign/autodiff.py",
+        "    if width >= n:\n",
+        "    if False:\n",
+        ("tests/test_autodiff.py::test_band_edge_cases_run_dense_where_it_cannot_apply",),
+    ),
+    Mutant(
+        "band-size-gate-refuses-exactly-its-entries",
+        "src/imvalign/autodiff.py",
+        "if n * m < _BAND_MIN_ENTRIES",
+        "if n * m <= _BAND_MIN_ENTRIES",
+        ("tests/test_autodiff.py::test_band_runs_from_its_size_constant_of_entries",),
+    ),
+    Mutant(
+        "infer-t2-non-finite-projection-not-refused",
+        "src/imvalign/positions.py",
+        "    if not math.isfinite(projected):\n",
+        "    if False:\n",
+        ("tests/test_positions.py::test_infer_t2_refuses_a_projection_that_is_not_finite",),
     ),
     Mutant(
         "scale-positions-overflow-guard-dropped",

@@ -10,6 +10,7 @@ from imvalign import autodiff as ad
 from imvalign.checks import CHECKABLE_OPS, run_check
 from imvalign.core import Imv
 from imvalign.monotonic import hma_transform
+from imvalign.toy import ToyTask
 import reference_tape as ref
 from reference_tape import CheckingTape
 
@@ -742,6 +743,18 @@ def _draw_band_case(data, kinds):
         a = np.sort(np.concatenate([np.arange(float(n)), repeats]))
         b = rng.uniform(-60.0, n + 60.0, m)
         b[rng.choice(m, 3, replace=False)] = centre
+    elif kind == "hma":
+        # The density matrix's call: an HMA IMV along the softmax axis (axis
+        # 1), rectified noisy steps with flat runs where the raw IMV rewinds,
+        # scaled to end at the last of the tokens across it.
+        axis, t1 = 1, data.draw(st.integers(50, 90))
+        t2 = data.draw(st.integers(max(150, -(-ad._BAND_MIN_ENTRIES // t1)), 250))
+        sigma2 = data.draw(st.floats(0.1, 0.3))
+        steps = rng.normal(1.0, 0.6, t2 - 1)
+        for j0 in rng.choice(t2 - 10, 3):
+            steps[j0:j0 + rng.integers(3, 9)] = -1.0
+        a = np.concatenate([[0.0], np.cumsum(np.maximum(steps, 0.0))])
+        a, b = a * ((t1 - 1) / a[-1]), np.arange(float(t1))
     elif kind == "equal centres":
         # every slice the same: each gradient sums m equal dropped terms
         sigma2 = data.draw(st.floats(0.1, 0.3))
@@ -761,7 +774,7 @@ def _draw_band_case(data, kinds):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_banded_gaussian_softmax_matches_the_dense_chain(data):
-    rows, cols, sigma2, axis, kind = _draw_band_case(data, ["index", "centres", "nm"])
+    rows, cols, sigma2, axis, kind = _draw_band_case(data, ["index", "centres", "hma", "nm"])
     traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
     assert _band_engages(rows, cols, sigma2, axis) == (kind != "nm")
     if kind == "nm":
@@ -778,7 +791,7 @@ def test_band_is_within_its_stated_bound_of_the_dense_kernel(data):
     """Every value and gradient entry of the band within the bound stated
     in gaussian_softmax's docstring of the dense kernel's, whose cutoff is
     -746: the change the band's cutoff makes, not only its summation order."""
-    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "equal centres"])
+    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
     assert _band_engages(rows, cols, sigma2, axis)
     out, grads, _ = _traced_grads(
         lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis), [rows, cols], (True, True))
@@ -791,7 +804,7 @@ def test_band_is_within_its_stated_bound_of_the_dense_kernel(data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_axis_1_band_is_the_transposed_axis_0_band_on_swapped_operands(data):
-    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "equal centres"])
+    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
     # a is the operand along the softmax axis, b the other
     a, b = (rows, cols) if axis == 0 else (cols, rows)
     assert _band_engages(a, b, sigma2, 0) and _band_engages(b, a, sigma2, 1)
@@ -839,15 +852,15 @@ def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
     elif case == "t2 = 1":
         rows, cols = np.arange(20000.0), np.array([3.7])
     elif case == "a tight cluster":
-        # positions 5 apart pass the estimate from their mean spacing, but 80
-        # of them within 0.08 of 400 put 82 in one window: too many
+        # 80 positions within 0.08 of 400 among others 5 apart put 84 rows
+        # in one window: wide, but narrower than the 256 rows, so it bands
         cluster = np.sort(np.concatenate([np.arange(176.0) * 5.0, 400.0 + np.arange(80.0) * 1e-3]))
         rows, cols = (cluster, np.linspace(0.0, 875.0, 160))[::1 - 2 * axis]
     else:
         cols = np.full(160, 37.25)
     along = rows if axis == 0 else cols
     # equal centres along the softmax axis span nothing; across it they band
-    engages = case == "sorted equal centres" and along is rows
+    engages = case == "a tight cluster" or (case == "sorted equal centres" and along is rows)
     assert _band_engages(rows, cols, sigma2, axis) == engages
     fused = lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis)
     chain = lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis)
@@ -855,6 +868,28 @@ def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
         _assert_band_matches_chain(rows, cols, sigma2, axis, (True, True))
     else:
         _assert_fused_matches_chain(fused, chain, [rows, cols], (True, True))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_band_runs_from_its_size_constant_of_entries(axis):
+    # a constant's worth of entries bands; one row fewer along the softmax axis is dense
+    m = 100
+    n = ad._BAND_MIN_ENTRIES // m
+    assert n * m == ad._BAND_MIN_ENTRIES
+    b = _jittered_grid(np.random.default_rng(21), m) + 40.0
+    for rows, engages in [(n, True), (n - 1, False)]:
+        a = np.arange(float(rows))
+        assert _band_engages(*((a, b) if axis == 0 else (b, a)), 0.25, axis) == engages
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_the_largest_default_toy_alignment_runs_dense(axis):
+    # t1 tokens against t1 x dmax output steps, as IMV centres or as steps
+    task = ToyTask()
+    t1, t2 = task.t1_max, task.t1_max * task.dmax
+    for rows, cols in [(np.arange(float(t1)), np.linspace(0.0, t1 - 1.0, t2)),
+                       (np.linspace(0.0, t2 - 1.0, t1), np.arange(float(t2)))]:
+        assert not _band_engages(rows, cols, 0.25, axis)
 
 
 def test_band_falls_back_where_rounding_widens_the_window():

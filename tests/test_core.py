@@ -185,6 +185,13 @@ def test_enumerate_cap_admits_exactly_its_entries(monkeypatch):
         enumerate_monotonic_paths(5, 10)
 
 
+def test_size_cap_names_a_length_too_long_for_str():
+    # str() of a 5,001-digit int raises the interpreter's own digit-limit
+    # ValueError; library callers such as toy.infer get no bounded CLI line
+    with pytest.raises(ValueError, match=r"^a 1\.00e\+5000x3 alignment is over the cap of 10000000 entries$"):
+        core.check_alignment_size(10**5000, 3)
+
+
 def test_path_imvs_satisfy_exact_constraints():
     # Exhaustive check of the step/boundary constraints on hard paths.
     for t1 in range(2, 5):

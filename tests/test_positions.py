@@ -245,6 +245,16 @@ def test_infer_t2_needs_two_positions():
         infer_t2(AlignedPositions(np.array([4.0])))
 
 
+@pytest.mark.parametrize("e", [[0.0, 1.0, np.inf], [0.0, np.nan, 2.0], [0.0, 1e308, 1.7e308]],
+                         ids=["inf", "nan", "overflow"])
+def test_infer_t2_refuses_a_projection_that_is_not_finite(e):
+    # the last position plus its increment is inf, NaN, or overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match="project an output length of"):
+            infer_t2(AlignedPositions(np.array(e)))
+
+
 def test_scale_positions():
     pos = AlignedPositions(np.array([2.0, 7.0]))
     assert np.array_equal(scale_positions(pos, 1.0).values, pos.values)

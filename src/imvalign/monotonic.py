@@ -90,10 +90,12 @@ def hma_transform(imv: Imv) -> Imv:
 
     Differences of the raw IMV are rectified, re-accumulated from zero,
     and rescaled so the final entry lands on t1-1 (within an ulp). Raises
-    :class:`DegenerateImvError` when the rectified total is at most
+    :class:`DegenerateImvError` when the rectified total R is at most
     ``DEGENERATE_EPS``. The output is invariant to the raw IMV's scale,
-    so the gradient grows as 1/total: just above ``DEGENERATE_EPS`` it is
-    ~1e8 times that of a unit total.
+    so the gradient grows as 1/R: just above ``DEGENERATE_EPS`` it is
+    ~1e8 times that of a unit total. With eps = 2**-52, -raw[::-1] gives
+    (t1-1) - out[::-1] within 4*t2*eps*(t1-1), and a*raw + b (a > 0) gives
+    out within 8*t2*eps*(t1-1)*(1 + (max|raw| + |b|/a) / R).
     """
     if imv.t2 < 2:
         raise AlignmentError("hma_transform needs at least 2 output steps")

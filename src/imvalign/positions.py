@@ -20,9 +20,11 @@ from . import autodiff as ad
 from .core import AlignmentError, Imv, check_alignment_size, index_vector
 from .monotonic import KernelConfig
 
+# The stabiliser ap_loss adds to every increment, keeping log() away from zero.
+AP_EPSILON = 1e-6
+
 __all__ = [
     "AlignedPositions",
-    "ApLossConfig",
     "density_matrix",
     "extract_positions",
     "ap_loss",
@@ -56,17 +58,6 @@ class AlignedPositions:
         return out
 
 
-@dataclass(frozen=True)
-class ApLossConfig:
-    """Log-scale loss stabilizer; epsilon keeps log() away from zero."""
-
-    epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-
-
 def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
     """Row-normalized Gaussian density (t1, t2): how much of token i's
     alignment mass falls on each output step. Raises
@@ -90,8 +81,8 @@ def extract_positions(
     return AlignedPositions(ad.matmul(density_matrix(imv, kernel), index_vector(imv.t2)))
 
 
-def ap_loss(pred_delta, target_delta, cfg: ApLossConfig = ApLossConfig()):
-    """L1 distance between log-shifted position increments.
+def ap_loss(pred_delta, target_delta):
+    """L1 distance between position increments shifted by AP_EPSILON, in log scale.
 
     The log scale makes small increments count as much as large ones.
     Inputs must be non-negative; lengths must match.
@@ -104,7 +95,7 @@ def ap_loss(pred_delta, target_delta, cfg: ApLossConfig = ApLossConfig()):
         )
     if (pred_data < 0).any() or (target_data < 0).any():
         raise AlignmentError("position increments must be non-negative")
-    return ad.log_l1_distance(pred_delta, target_delta, cfg.epsilon)
+    return ad.log_l1_distance(pred_delta, target_delta, AP_EPSILON)
 
 
 def align_from_positions(

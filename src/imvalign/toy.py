@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .attention import scaled_dot_alignment
 from .core import MAX_ALIGNMENT_ENTRIES, AlignmentError, TrainDivergenceError, UntrainedModelError, compute_imv, context_map
 from .monotonic import DegenerateImvError, KernelConfig, SmaWeights, hma_transform, sma_loss
-from .positions import ApLossConfig, AlignedPositions, align_from_positions, ap_loss, extract_positions, infer_t2, scale_positions
+from .positions import AlignedPositions, align_from_positions, ap_loss, extract_positions, infer_t2, scale_positions
 
 __all__ = [
     "MODES",
@@ -175,9 +175,7 @@ class TrainConfig:
     batch_size: int = 8
     pool_size: int = 32
     sma_weights: SmaWeights = field(default_factory=SmaWeights)
-    ap_weight: float = 1.0
     sigma2: float = KernelConfig.sigma2
-    epsilon: float = ApLossConfig.epsilon
     seed: int = 1
     optimizer: str = "adam"
     accuracy_threshold: float = 0.9
@@ -188,18 +186,15 @@ class TrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer != "adam":
             raise ValueError(f"optimizer must be 'adam', got {self.optimizer!r}")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ValueError("steps must be >= 0, batch_size >= 1")
+        if self.steps < 1 or self.batch_size < 1:
+            raise ValueError("steps and batch_size must be >= 1")
         if not 0 < self.lr < np.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.pool_size < self.batch_size:
             raise ValueError("pool_size must be >= batch_size")
-        if not 0 <= self.ap_weight < np.inf:
-            raise ValueError(f"ap_weight must be non-negative and finite, got {self.ap_weight}")
         if math.isnan(self.accuracy_threshold):
             raise ValueError("accuracy_threshold must not be NaN")
         KernelConfig(sigma2=self.sigma2)
-        ApLossConfig(epsilon=self.epsilon)
 
 
 @dataclass
@@ -332,7 +327,8 @@ def sequence_forward(
     traced values from :meth:`ToyModel.variables`; both evaluate the same
     arithmetic. ``ap_targets`` overrides the increment-predictor targets;
     by default they are recomputed (detached) from the current alignment.
-    The loss is ``recon + ap_weight * ap``, plus ``sma`` in SMA mode.
+    The loss is ``recon + ap``, plus ``sma`` in SMA mode; ``ap`` is
+    :func:`~imvalign.positions.ap_loss`, stabilised by ``AP_EPSILON``.
     """
     kernel = KernelConfig(sigma2=cfg.sigma2)
     emb = params["embed"][batch.token_ids]
@@ -350,10 +346,10 @@ def sequence_forward(
     if ap_targets is None:
         ap_targets = np.maximum(positions.deltas, 0.0)
     predicted_deltas = _predict_deltas(params, emb)
-    ap = ap_loss(predicted_deltas, ap_targets, ApLossConfig(epsilon=cfg.epsilon))
+    ap = ap_loss(predicted_deltas, ap_targets)
 
     sma = sma_loss(imv, cfg.sma_weights) if cfg.mode == "SMA" else None
-    loss = recon + cfg.ap_weight * ap
+    loss = recon + ap
     if sma is not None:
         loss = loss + sma
     return SequenceForward(loss, recon, ap, sma, ap_targets, positions, alpha_recon)
@@ -468,14 +464,13 @@ def _evaluate_step(model, batches, cfg, tape):
 
 
 def _train_step(model, batches, cfg, step):
-    """One step's forward pass, and its backward pass when training.
+    """One step's forward and backward pass.
 
     The loss and the gradient are checked once each. When a check fails, or
     the forward raises, the error names the tape's first non-finite node
     (:meth:`ad.Tape.first_nonfinite`) if there is one, else the first
     parameter with a non-finite gradient; a non-finite loss is such a node.
-    Returns (gradient, trace entry): the gradient is laid out like
-    ``model.flat``, or None when ``cfg.steps`` is 0.
+    Returns (gradient, trace entry), the gradient laid out like ``model.flat``.
     """
     tape = ad.Tape()
     failure = None
@@ -484,13 +479,10 @@ def _train_step(model, batches, cfg, step):
     except Exception as exc:
         failure = exc
     if failure is None and math.isfinite(mean_loss.data):
-        if cfg.steps > 0:
-            tape.backward(mean_loss)
+        tape.backward(mean_loss)
         # the gradients stay on the parameters; freed of its cycles, the
         # step's graph goes by reference counting when this step returns
         tape.release()
-        if cfg.steps == 0:
-            return None, entry
         grad = np.concatenate([v.grad for v in params.values()], axis=None)
         if np.isfinite(grad).all():
             return grad, entry
@@ -506,8 +498,8 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
     """Run the toy trainer; returns the model and its per-step report.
 
     Fully deterministic for a fixed (task, cfg): data, initialization, and
-    updates derive from the seeds alone. ``steps=0`` evaluates the initial
-    state once without updating. Writes no file (see :meth:`TrainReport.write_jsonl`).
+    updates derive from the seeds alone. Each of the ``cfg.steps`` (>= 1)
+    steps traces its forward pass, then updates. Writes no file (see :meth:`TrainReport.write_jsonl`).
     Raises :class:`TrainDivergenceError` with the offending step if the
     loss or a gradient goes non-finite.
     """
@@ -516,17 +508,16 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
     pool = [make_batch(task, s) for s in range(cfg.pool_size)]
 
     trace = []
-    for step in range(max(cfg.steps, 1)):
+    for step in range(cfg.steps):
         batches = [
             pool[(step * cfg.batch_size + b) % cfg.pool_size]
             for b in range(cfg.batch_size)
         ]
         grad, entry = _train_step(model, batches, cfg, step)
         trace.append(entry)
-        if grad is not None:
-            optimizer.step(model.flat, grad)
+        optimizer.step(model.flat, grad)
 
-    model.trained = cfg.steps > 0
+    model.trained = True
     columns = {name: np.array([entry[name] for entry in trace]) for name in _TRACE_FIELDS}
     return model, TrainReport(cfg.mode, accuracy_threshold=cfg.accuracy_threshold, **columns)
 
@@ -536,14 +527,13 @@ def infer(
     token_ids,
     rate: float = 1.0,
     sigma2: float = KernelConfig.sigma2,
-    t2: Optional[int] = None,
 ) -> np.ndarray:
     """Generate frames for a token sequence without any reference output.
 
     The increment predictor supplies aligned positions, the positions are
-    stretched by ``rate``, the output length follows from the stretched
-    positions (or an explicit ``t2`` override), and the decoder runs on the
-    reconstructed alignment.
+    stretched by ``rate``, :func:`infer_t2` of them gives the output length,
+    and the decoder runs on the reconstructed alignment. A non-finite
+    predicted increment raises :class:`AlignmentError`, without a warning.
     """
     if not model.trained:
         raise UntrainedModelError("model has not been trained")
@@ -551,8 +541,11 @@ def infer(
     if ids.size == 0:
         raise AlignmentError("token sequence is empty")
     emb = model.params["embed"][ids]
-    deltas = _predict_deltas(model.params, emb)
+    with np.errstate(over="ignore"):
+        deltas = _predict_deltas(model.params, emb)
+    bad = np.flatnonzero(~np.isfinite(deltas))
+    if bad.size:
+        raise AlignmentError(f"the increment predictor gives token {bad[0]} a non-finite increment {deltas[bad[0]]}")
     positions = scale_positions(AlignedPositions(np.cumsum(deltas)), rate)
-    length = t2 if t2 is not None else infer_t2(positions)
-    _, frames = _decode(model.params, emb, positions, length, KernelConfig(sigma2=sigma2))
+    _, frames = _decode(model.params, emb, positions, infer_t2(positions), KernelConfig(sigma2=sigma2))
     return frames

@@ -166,8 +166,7 @@ MUTANTS = (
         "src/imvalign/positions.py",
         "    j = ad.first_far_entry(e, steps, kernel.sigma2)\n",
         "    j = None\n",
-        ("tests/test_positions.py::test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far",
-         "tests/test_toy.py::test_infer_refuses_positions_too_far_from_every_output_step"),
+        ("tests/test_positions.py::test_a_positions_kernel_raises_exactly_where_an_entry_is_too_far",),
     ),
     Mutant(
         "cli-imports-the-trainer-at-module-level",
@@ -395,6 +394,34 @@ MUTANTS = (
         "    while np.all(np.diff(pi) <= 0):\n",
         "    if False:\n",
         ("tests/test_cli.py::test_run_check_redraws_a_non_increasing_hma_transform_input",),
+    ),
+    Mutant(
+        "ap-loss-without-its-stabiliser",
+        "src/imvalign/positions.py",
+        "AP_EPSILON = 1e-6",
+        "AP_EPSILON = 0.0",
+        ("tests/test_positions.py::test_ap_loss_identical_zeros",),
+    ),
+    Mutant(
+        "infer-increment-check-dropped",
+        "src/imvalign/toy.py",
+        "    if bad.size:\n",
+        "    if False:\n",
+        ("tests/test_toy.py::test_infer_refuses_a_nonfinite_predicted_increment",),
+    ),
+    Mutant(
+        "train-config-allows-zero-steps",
+        "src/imvalign/toy.py",
+        "if self.steps < 1 or",
+        "if self.steps < 0 or",
+        ("tests/test_toy.py::test_zero_steps_are_refused",),
+    ),
+    Mutant(
+        "hma-rescales-to-t1",
+        "src/imvalign/monotonic.py",
+        "float(imv.t1 - 1), DEGENERATE_EPS)",
+        "float(imv.t1), DEGENERATE_EPS)",
+        ("tests/test_relations.py::test_time_reversal_reflects_the_output",),
     ),
 )
 

@@ -275,6 +275,13 @@ def test_train_toy_rejects_bad_configs(tmp_path):
     unknown.write_text(json.dumps({"mode": "HMA", "bogus_key": 1}))
     assert main(["train-toy", "--config", str(unknown)]) == 2
 
+    # the AP loss's weight and stabiliser are fixed, not settings
+    removed = tmp_path / "removed.json"
+    removed.write_text(json.dumps({"ap_weight": 1, "epsilon": 1e-6}))
+    with pytest.raises(cli.ConfigError, match=r"unknown keys \['ap_weight', 'epsilon'\]$"):
+        cli.load_run_config(str(removed))
+    assert main(["train-toy", "--config", str(removed)]) == 2
+
     bad_mode = tmp_path / "mode.json"
     bad_mode.write_text(json.dumps({"mode": "XYZ"}))
     assert main(["train-toy", "--config", str(bad_mode)]) == 2
@@ -359,13 +366,13 @@ def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
 
 
 @pytest.mark.parametrize("setting", [
-    {"sigma2": -1}, {"sigma2": float("nan")}, {"epsilon": 0}, {"epsilon": float("nan")},
-    {"ap_weight": float("nan")}, {"ap_weight": -1}, {"accuracy_threshold": float("nan")},
+    {"sigma2": -1}, {"sigma2": float("nan")}, {"steps": 0}, {"lr": 0},
+    {"lr": -1}, {"steps": -1}, {"accuracy_threshold": float("nan")},
     {"noise_sigma": float("nan")}, {"noise_sigma": -1}, {"sigma2": 1e-320}, {"sigma2": 1e400},
     {"embed_dim": 0}, {"frame_dim": 0}, {"steps": 1.5}, {"vocab": 6.5}, {"seed": 1.5},
     {"task_seed": 1.5}, {"batch_size": 2.5, "pool_size": 4}, {"pool_size": 3.0, "batch_size": 2},
     {"dmin": 1.5, "dmax": 3}, {"steps": True}, {"noise_sigma": 1e400}, {"lr": 1e400},
-    {"epsilon": 1e400}, {"ap_weight": 1e400}, {"sma_weights": [1e400, 1, 1, 1]},
+    {"batch_size": 0}, {"vocab": 1}, {"sma_weights": [1e400, 1, 1, 1]},
     {"sma_weights": [1, 1, 1, -1]}, {"optimizer": "sgd"},
 ])
 def test_train_toy_invalid_numeric_setting_exits_2(tmp_path, setting):

@@ -11,8 +11,8 @@ from imvalign import core
 from imvalign.core import AlignmentError, Imv, compute_imv
 from imvalign.monotonic import KernelConfig, align_from_imv
 from imvalign.positions import (
+    AP_EPSILON,
     AlignedPositions,
-    ApLossConfig,
     align_from_positions,
     ap_loss,
     density_matrix,
@@ -172,14 +172,13 @@ def test_ap_loss_zero_on_equal_inputs():
 
 
 def test_ap_loss_hand_computed_epsilon_cancelling():
-    eps = 1e-6
-    pred = np.array([np.e - eps])
-    target = np.array([1.0 - eps])
-    assert ap_loss(pred, target, ApLossConfig(epsilon=eps)) == pytest.approx(1.0, abs=1e-12)
+    pred = np.array([np.e - AP_EPSILON])
+    target = np.array([1.0 - AP_EPSILON])
+    assert ap_loss(pred, target) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ap_loss_identical_zeros():
-    assert ap_loss(np.zeros(1), np.zeros(1), ApLossConfig(epsilon=1e-6)) == 0.0
+    assert ap_loss(np.zeros(1), np.zeros(1)) == 0.0
 
 
 def test_ap_loss_rejects_negative_inputs():

@@ -1,3 +1,4 @@
+import copy
 import time
 import warnings
 
@@ -9,13 +10,17 @@ from hypothesis import strategies as st
 
 from imvalign import autodiff as ad
 from imvalign.core import AlignmentError, validate_imv, Imv, compute_imv
+from imvalign.cli import main
 from imvalign.monotonic import KernelConfig
+from imvalign.positions import AlignedPositions
 from imvalign.toy import (
     ToyModel,
     ToyTask,
     TrainConfig,
     UntrainedModelError,
     _Adam,
+    _decode,
+    _predict_deltas,
     _rank_correlation,
     sequence_forward,
     alignment_accuracy,
@@ -71,19 +76,13 @@ def test_make_batch_deterministic():
     assert np.array_equal(a.durations, b.durations)
 
 
-def test_zero_steps_reports_initial_losses_only():
-    task = ToyTask(seed=0)
-    model, report = train(task, TrainConfig(steps=0))
-    assert report.total_loss.shape == (1,)
-    assert np.isfinite(report.total_loss[0])
-    assert not model.trained
-
-
-def test_zero_steps_report_has_one_entry_per_trace():
-    _, report = train(ToyTask(seed=0), TrainConfig(steps=0))
-    for name in ("recon_loss", "ap_loss", "sma_loss", "total_loss", "accuracy", "diagonality"):
-        assert getattr(report, name).shape == (1,)
-    assert [r["step"] for r in report.records()] == [0]
+def test_zero_steps_are_refused(tmp_path):
+    # a run trains at least one step; there is no evaluation-only mode
+    with pytest.raises(ValueError, match="steps and batch_size must be >= 1"):
+        TrainConfig(steps=0)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"steps": 0, "report_path": null}')
+    assert main(["train-toy", "--config", str(path)]) == 2
 
 
 def test_steps_to_threshold_is_first_step_reaching_it():
@@ -102,11 +101,11 @@ def test_steps_to_threshold_is_first_step_reaching_it():
 
 @pytest.mark.parametrize("setting", [
     dict(sigma2=float("nan")), dict(sigma2=-1.0), dict(sigma2=0.0),
-    dict(epsilon=float("nan")), dict(epsilon=-1.0), dict(lr=float("nan")),
-    dict(ap_weight=float("nan")), dict(ap_weight=-1.0), dict(accuracy_threshold=float("nan")),
+    dict(steps=0), dict(lr=0.0), dict(lr=float("nan")),
+    dict(lr=-1.0), dict(sigma2=1e-320), dict(accuracy_threshold=float("nan")),
     dict(sigma2=float("inf")), dict(optimizer="rmsprop"), dict(pool_size=4, batch_size=8),
     dict(steps=1.5), dict(steps=True), dict(batch_size=2.5, pool_size=4), dict(seed=np.float64(1.0)),
-    dict(lr=float("inf")), dict(epsilon=float("inf")), dict(ap_weight=float("inf")),
+    dict(lr=float("inf")), dict(mode="hma"), dict(pool_size=1.0, batch_size=1),
     dict(steps=-1), dict(batch_size=0), dict(optimizer="sgd"),
 ])
 def test_train_config_rejects_invalid_numeric_settings(setting):
@@ -317,7 +316,7 @@ def test_training_leaves_no_tape_to_the_cycle_collector():
     assert left == 0
 
 
-@pytest.mark.parametrize("mode, nodes", [("HMA", 208), ("SMA", 216), ("NM", 200)])
+@pytest.mark.parametrize("mode, nodes", [("HMA", 200), ("SMA", 208), ("NM", 192)])
 def test_tape_nodes_per_benchmark_step(mode, nodes):
     # the benchmark's toy config: one 8-sequence step
     from imvalign.toy import _evaluate_step
@@ -459,25 +458,27 @@ def test_infer_requires_training_and_tokens(trained):
             infer(model, [0, 1, 2], rate=rate)
 
 
-def test_infer_refuses_positions_too_far_from_every_output_step(trained):
-    # stretched by 1e300, every position is so far from step 0 that the step's
-    # logits overflow (its frame would be NaN); the check runs before the kernel
-    _, _, model, _ = trained
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(AlignmentError, match="output step 0 is too far from every aligned position"):
-            infer(model, [0, 1, 2], rate=1e300, t2=5)
-
-
 def test_infer_refuses_a_rate_that_stretches_every_position_to_inf(trained):
     # at the largest finite rate no stretched position is finite, so no
     # output step has a finite position to be refused from; the frames
-    # would be NaN
+    # would be NaN. scale_positions refuses before the length is inferred
     _, _, model, _ = trained
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AlignmentError, match="overflows when scaled by rate"):
-            infer(model, [0, 1, 2], rate=np.finfo(float).max, t2=5)
+            infer(model, [0, 1, 2], rate=np.finfo(float).max)
+
+
+def test_infer_refuses_a_nonfinite_predicted_increment(trained):
+    # a predictor bias of 1000 overflows exp for every token; the first one
+    # is named, with no overflow warning and before any length is inferred
+    _, _, model, _ = trained
+    broken = copy.deepcopy(model)
+    broken.params["pred_b2"][()] = 1000.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AlignmentError, match="^the increment predictor gives token 0 a non-finite increment inf$"):
+            infer(broken, [0, 1, 2])
 
 
 def test_infer_refuses_an_output_over_the_size_cap_at_once(trained):
@@ -501,7 +502,10 @@ def test_infer_generalizes_on_training_sequence(trained):
     task, cfg, model, report = trained
     batch = make_batch(task, 0)
     clean = np.repeat(token_patterns(task)[batch.token_ids], batch.durations, axis=0)
-    frames = infer(model, batch.token_ids, rate=1.0, sigma2=cfg.sigma2, t2=batch.t2)
+    # decoded at the reference length from the positions infer predicts
+    emb = model.params["embed"][batch.token_ids]
+    positions = AlignedPositions(np.cumsum(_predict_deltas(model.params, emb)))
+    _, frames = _decode(model.params, emb, positions, batch.t2, KernelConfig(sigma2=cfg.sigma2))
     mse = float(np.mean((frames - clean) ** 2))
     assert mse < 2.0 * report.final_loss
 
@@ -520,7 +524,7 @@ def _numpy_infer(model, token_ids, rate, sigma2):
     """The predictor/decoder chain infer used to restate in numpy; the
     reference for the shared forward steps."""
     from imvalign.core import context_map
-    from imvalign.positions import AlignedPositions, align_from_positions, infer_t2, scale_positions
+    from imvalign.positions import align_from_positions, infer_t2, scale_positions
 
     p = model.params
     emb = p["embed"][np.asarray(token_ids, dtype=np.intp)]

@@ -175,8 +175,6 @@ def cmd_sma(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if not 2 <= args.t1 <= args.t2:
-        raise ValueError(f"the oracle needs 2 <= t1 <= t2, got t1={args.t1}, t2={args.t2}")
     paths = enumerate_monotonic_paths(args.t1, args.t2)
     # a path's IMV is integer, so the exact step constraint allows steps of 0 or 1 only
     reports = [validate_imv(compute_imv(m), tol=0.0) for m in paths]

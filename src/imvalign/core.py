@@ -117,10 +117,14 @@ class Imv:
 class ImvValidationReport:
     """Outcome of the monotonicity/continuity and completeness checks."""
 
-    monotone_continuous: bool
     complete: bool
     violations: tuple[tuple[int, float], ...]
     tol: float
+
+    @property
+    def monotone_continuous(self) -> bool:
+        """True when no step violates the step constraint."""
+        return not self.violations
 
     def summary(self) -> str:
         parts = [
@@ -166,18 +170,18 @@ def compute_imv(alpha) -> Imv:
 def validate_imv(imv: Imv, tol: float = 1e-6) -> ImvValidationReport:
     """Check the step constraint 0 <= delta <= 1 and both boundary conditions.
 
-    Works on raw values (not traced); validation is diagnostic, never
-    part of a gradient path.
+    Every step outside [-tol, 1 + tol] is a violation, a NaN step included,
+    and a NaN boundary value is not complete. Works on raw values (not
+    traced); validation is diagnostic, never part of a gradient path.
     """
     pi = imv.values
     if pi.shape[0] < 2:
         raise AlignmentError("IMV must have at least 2 steps to validate")
     deltas = imv.deltas
-    bad = np.flatnonzero((deltas < -tol) | (deltas > 1.0 + tol))
+    bad = np.flatnonzero(~((deltas >= -tol) & (deltas <= 1.0 + tol)))
     violations = tuple((int(j + 1), float(deltas[j])) for j in bad)
-    monotone = bad.size == 0
     complete = abs(pi[0]) <= tol and abs(pi[-1] - (imv.t1 - 1)) <= tol
-    return ImvValidationReport(monotone, bool(complete), violations, tol)
+    return ImvValidationReport(bool(complete), violations, tol)
 
 
 def context_map(alpha, h):
@@ -195,13 +199,14 @@ def enumerate_monotonic_paths(t1: int, t2: int) -> list[np.ndarray]:
     Each path is a (t1, t2) matrix of one-hot columns: the attended index
     starts at 0, ends at t1-1, and advances by 0 or 1 per step. There are
     exactly C(t2-1, t1-1) such paths (choose which transitions advance).
-    Raises :class:`ValueError`, before building any, when together they would
-    hold more than ``MAX_ALIGNMENT_ENTRIES`` entries.
+    Raises :class:`ValueError` for t1 < 2 or t1 > t2, and, before building
+    any path, when together they would hold more than
+    ``MAX_ALIGNMENT_ENTRIES`` entries.
     """
     if t1 < 2:
-        raise AlignmentError(f"need at least 2 input tokens, got t1={t1}")
+        raise ValueError(f"need at least 2 input tokens, got t1={t1}")
     if t1 > t2:
-        raise AlignmentError(f"no complete monotonic path exists for t1={t1} > t2={t2}")
+        raise ValueError(f"no complete monotonic path exists for t1={t1} > t2={t2}")
     # one matrix alone over the cap: the count is not worth computing
     count = math.comb(t2 - 1, t1 - 1) if t1 * t2 <= MAX_ALIGNMENT_ENTRIES else None
     if count is None or count * t1 * t2 > MAX_ALIGNMENT_ENTRIES:

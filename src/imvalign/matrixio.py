@@ -91,10 +91,14 @@ def read_vector(path) -> np.ndarray:
 
 def write_pgm(path, matrix) -> None:
     """ASCII PGM heatmap; row i of the image is row i of the matrix and the
-    maximum entry renders as 255 (an all-zero matrix renders black)."""
+    maximum entry renders as 255 (an all-zero matrix renders black). A
+    matrix that is not 2-D or has a non-finite entry is refused before the
+    file is opened."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise MatrixFormatError(f"expected a 2-D matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise MatrixFormatError("matrix contains non-finite entries")
     m = np.clip(m, 0.0, None)
     peak = m.max()
     pixels = np.zeros(m.shape, dtype=int)

@@ -180,7 +180,9 @@ def streaming_hma_step(
     (at most 7 at sigma2 0.25 for a position in [0, t1 - 1], 49 at 16), and
     not with t1.
     """
-    col = np.asarray(alpha_col, dtype=np.float64)
+    # one contiguous copy, read by the sum check and the dot product alike
+    # (a strided column's dot product would sum in another order)
+    col = np.asarray(alpha_col, dtype=np.float64, order="C")
     t1 = state.t1
     if col.shape != (t1,):
         raise AlignmentError(f"expected a length-{t1} column, got {col.shape}")
@@ -188,8 +190,7 @@ def streaming_hma_step(
     # written so that a NaN sum fails too
     if not abs(total - 1.0) <= COLUMN_SUM_TOL:
         raise AlignmentError(f"column sums to {total:.6g}, expected 1")
-    # a strided column's dot product would sum in another order
-    raw = float(np.ascontiguousarray(col).dot(_index_grid(t1)))
+    raw = float(col.dot(_index_grid(t1)))
     new_pi = _advance(state.pi, raw)
     if not (isfinite(raw) and isfinite(new_pi)):
         raise AlignmentError(f"streaming position is not finite: raw {raw!r}, from {state.pi!r} to {new_pi!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import scaled_dot_alignment
-from .core import MAX_ALIGNMENT_ENTRIES, AlignmentError, TrainDivergenceError, UntrainedModelError, compute_imv, context_map
+from .core import AlignmentError, TrainDivergenceError, UntrainedModelError, check_alignment_size, compute_imv, context_map
 from .monotonic import DegenerateImvError, KernelConfig, SmaWeights, hma_transform, sma_loss
 from .positions import AlignedPositions, align_from_positions, ap_loss, extract_positions, infer_t2, scale_positions
 
@@ -59,7 +59,8 @@ def _require_integer_fields(config) -> None:
 
 @dataclass(frozen=True)
 class ToyTask:
-    """Synthetic monotonic transduction task definition."""
+    """Synthetic monotonic transduction task definition. Its largest
+    alignment, t1_max by t1_max * dmax, is held to core's size cap."""
 
     vocab: int = 6
     embed_dim: int = 16
@@ -81,12 +82,7 @@ class ToyTask:
             raise ValueError("need 1 <= dmin <= dmax")
         if self.t1_min < 2 or self.t1_max < self.t1_min:
             raise ValueError("need 2 <= t1_min <= t1_max")
-        t2_max = int(self.t1_max) * int(self.dmax)
-        if int(self.t1_max) * t2_max > MAX_ALIGNMENT_ENTRIES:
-            raise ValueError(
-                f"t1_max={self.t1_max} and dmax={self.dmax} allow a {self.t1_max}x{t2_max} "
-                f"alignment, over the cap of {MAX_ALIGNMENT_ENTRIES} entries"
-            )
+        check_alignment_size(self.t1_max, int(self.t1_max) * int(self.dmax))
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
 
@@ -201,7 +197,6 @@ class TrainConfig:
 class TrainReport:
     """Per-step training trace plus convergence summaries."""
 
-    mode: str
     recon_loss: np.ndarray
     ap_loss: np.ndarray
     sma_loss: np.ndarray
@@ -261,7 +256,6 @@ class ToyModel:
         rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
         d, f, h = task.embed_dim, task.frame_dim, task.embed_dim
         scale = d**-0.5
-        self.task = task
         initial = {
             "embed": rng.normal(size=(task.vocab, d)),
             "frame_proj": rng.normal(size=(f, d)) * f**-0.5,
@@ -519,7 +513,7 @@ def train(task: ToyTask, cfg: TrainConfig) -> tuple[ToyModel, TrainReport]:
 
     model.trained = True
     columns = {name: np.array([entry[name] for entry in trace]) for name in _TRACE_FIELDS}
-    return model, TrainReport(cfg.mode, accuracy_threshold=cfg.accuracy_threshold, **columns)
+    return model, TrainReport(accuracy_threshold=cfg.accuracy_threshold, **columns)
 
 
 def infer(
@@ -532,14 +526,21 @@ def infer(
 
     The increment predictor supplies aligned positions, the positions are
     stretched by ``rate``, :func:`infer_t2` of them gives the output length,
-    and the decoder runs on the reconstructed alignment. A non-finite
-    predicted increment raises :class:`AlignmentError`, without a warning.
+    and the decoder runs on the reconstructed alignment. Raises
+    :class:`AlignmentError`, naming the first bad id, unless ``token_ids``
+    is a non-empty 1-D sequence of integers in [0, vocab), and, without a
+    warning, for a non-finite predicted increment.
     """
     if not model.trained:
         raise UntrainedModelError("model has not been trained")
-    ids = np.asarray(token_ids, dtype=np.intp)
-    if ids.size == 0:
-        raise AlignmentError("token sequence is empty")
+    ids = np.asarray(token_ids)
+    if ids.ndim != 1 or ids.size == 0:
+        raise AlignmentError(f"token ids must be a non-empty 1-D sequence, got shape {ids.shape}")
+    vocab = model.params["embed"].shape[0]
+    valid = (ids >= 0) & (ids < vocab) if ids.dtype.kind in "iu" else np.zeros(ids.size, dtype=bool)
+    if not valid.all():
+        j = int(np.argmin(valid))
+        raise AlignmentError(f"token {j} has id {ids[j]}, not an integer in [0, {vocab})")
     emb = model.params["embed"][ids]
     with np.errstate(over="ignore"):
         deltas = _predict_deltas(model.params, emb)

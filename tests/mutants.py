@@ -314,16 +314,44 @@ MUTANTS = (
     Mutant(
         "validate-imv-upper-tolerance-dropped",
         "src/imvalign/core.py",
-        "(deltas > 1.0 + tol)",
-        "(deltas > 1.0)",
+        "(deltas <= 1.0 + tol)",
+        "(deltas <= 1.0)",
         ("tests/test_core.py", "tests/test_acceptance.py::test_criterion_2_constraint_equivalence"),
     ),
     Mutant(
         "validate-imv-lower-tolerance-dropped",
         "src/imvalign/core.py",
-        "(deltas < -tol)",
-        "(deltas < 0.0)",
+        "(deltas >= -tol)",
+        "(deltas >= 0.0)",
         ("tests/test_core.py", "tests/test_acceptance.py::test_criterion_2_constraint_equivalence"),
+    ),
+    Mutant(
+        "validate-imv-nan-step-passes",
+        "src/imvalign/core.py",
+        "~((deltas >= -tol) & (deltas <= 1.0 + tol))",
+        "(deltas < -tol) | (deltas > 1.0 + tol)",
+        ("tests/test_core.py::test_validate_flags_a_nan_step",),
+    ),
+    Mutant(
+        "validate-imv-report-always-monotone",
+        "src/imvalign/core.py",
+        "        return not self.violations\n",
+        "        return True\n",
+        ("tests/test_core.py::test_validate_flags_negative_step",),
+    ),
+    Mutant(
+        "write-pgm-finite-check-dropped",
+        "src/imvalign/matrixio.py",
+        "    if not np.isfinite(m).all():\n",
+        "    if False:\n",
+        ("tests/test_matrixio.py::test_write_pgm_refuses_a_non_finite_entry_before_opening_the_file",),
+    ),
+    Mutant(
+        "infer-negative-token-id-accepted",
+        "src/imvalign/toy.py",
+        "valid = (ids >= 0) & (ids < vocab)",
+        "valid = (ids < vocab)",
+        ("tests/test_toy.py::test_infer_refuses_token_ids_that_are_not_vocabulary_indices",),
     ),
     Mutant(
         "validate-imv-boundary-tolerance-dropped",

@@ -57,6 +57,15 @@ def test_validate_flags_negative_step():
     assert report.violations == ((1, -1.0), (2, 2.0))
 
 
+def test_validate_flags_a_nan_step():
+    # both steps next to the NaN are NaN: neither is within [-tol, 1 + tol]
+    report = validate_imv(Imv(np.array([0.0, np.nan, 2.0]), 3))
+    assert not report.monotone_continuous
+    assert [j for j, _ in report.violations] == [1, 2]
+    assert all(math.isnan(d) for _, d in report.violations)
+    assert report.summary().startswith("NOT monotone/continuous")
+
+
 @pytest.mark.parametrize("tol", [1e-6, 0.1])
 def test_validate_allows_steps_within_tol_of_the_unit_interval(tol):
     for step in (1.0 + tol / 2, -tol / 2):
@@ -147,9 +156,9 @@ def test_enumerate_small_path_sets():
 
 
 def test_enumerate_rejects_infeasible():
-    with pytest.raises(AlignmentError):
+    with pytest.raises(ValueError, match="no complete monotonic path exists for t1=4 > t2=3"):
         enumerate_monotonic_paths(4, 3)
-    with pytest.raises(AlignmentError, match="at least 2 input tokens"):
+    with pytest.raises(ValueError, match="at least 2 input tokens"):
         enumerate_monotonic_paths(1, 3)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -63,6 +65,16 @@ def test_matrix_writers_reject_1d_arrays(tmp_path, writer):
     with pytest.raises(MatrixFormatError, match="2-D"):
         writer(tmp_path / "out", np.ones(3))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_write_pgm_refuses_a_non_finite_entry_before_opening_the_file(tmp_path, bad):
+    # a NaN peak would render black, an infinite one an invalid pixel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFormatError, match="non-finite"):
+            write_pgm(tmp_path / "out.pgm", [[bad, 1.0]])
+    assert not (tmp_path / "out.pgm").exists()
 
 
 def test_read_matrix_rejects_bad_inputs(tmp_path):

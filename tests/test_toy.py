@@ -1,4 +1,5 @@
 import copy
+import re
 import time
 import warnings
 
@@ -125,8 +126,11 @@ def test_toy_task_rejects_invalid_settings(setting):
 def test_toy_task_caps_the_alignment_size():
     # t1_max * (t1_max * dmax) entries: exactly at the cap, then one token over it
     ToyTask(t1_max=1000, dmax=10)
-    with pytest.raises(ValueError, match="1001x10010 alignment, over the cap"):
+    with pytest.raises(ValueError, match="^a 1001x10010 alignment is over the cap of 10000000 entries$"):
         ToyTask(t1_max=1001, dmax=10)
+    # 5,001 digits: named to three, where str() would raise its digit-limit error
+    with pytest.raises(ValueError, match=r"^a 1\.00e\+5000x1\.00e\+5000 alignment is over the cap"):
+        ToyTask(t1_max=10**5000, dmax=1)
 
 
 def test_configs_accept_numpy_integers():
@@ -456,6 +460,21 @@ def test_infer_requires_training_and_tokens(trained):
     for rate in (np.nan, np.inf):
         with pytest.raises(AlignmentError):
             infer(model, [0, 1, 2], rate=rate)
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([-1, 1, 3], "token 0 has id -1, not an integer in [0, 6)"),
+    ([6, 1], "token 0 has id 6, not an integer in [0, 6)"),
+    ([1, 2, 9], "token 2 has id 9, not an integer in [0, 6)"),
+    ([1.7, 2], "token 0 has id 1.7, not an integer in [0, 6)"),
+    ([[1, 2]], "token ids must be a non-empty 1-D sequence, got shape (1, 2)"),
+])
+def test_infer_refuses_token_ids_that_are_not_vocabulary_indices(trained, ids, message):
+    # -1 would index the last embedding row, 6 raise numpy's IndexError and
+    # 1.7 be truncated to 1
+    _, _, model, _ = trained
+    with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
+        infer(model, ids)
 
 
 def test_infer_refuses_a_rate_that_stretches_every_position_to_inf(trained):

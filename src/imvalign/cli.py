@@ -119,8 +119,9 @@ def load_run_config(path) -> tuple[ToyTask, TrainConfig, str | None, str]:
     try:
         if "sma_weights" in raw:
             w = raw["sma_weights"]
-            if not isinstance(w, (list, tuple)) or len(w) != 4:
-                raise ValueError("sma_weights must be a list of 4 numbers")
+            numbers = isinstance(w, list) and all(type(x) in (int, float) for x in w)
+            if not numbers or len(w) != 4:
+                raise ValueError(f"sma_weights must be a list of 4 numbers, got {w!r}")
             raw["sma_weights"] = SmaWeights(*(float(x) for x in w))
         return ToyTask(**task_args), TrainConfig(**raw), report_path, heatmap_path
     except (TypeError, ValueError) as exc:

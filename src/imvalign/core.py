@@ -61,6 +61,11 @@ def check_alignment_size(t1: int, t2: int) -> None:
         )
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class AlignmentError(ValueError):
     """An alignment-matrix or IMV contract was violated."""
 
@@ -96,8 +101,8 @@ class Imv:
     t1: int
 
     def __post_init__(self):
-        if self.t1 < 1:
-            raise AlignmentError(f"t1 must be >= 1, got {self.t1}")
+        if not is_integer(self.t1) or self.t1 < 1:
+            raise AlignmentError(f"t1 must be >= 1 and an integer, got {self.t1!r}")
 
     @property
     def values(self) -> np.ndarray:

@@ -2,7 +2,11 @@
 
 Matrices travel as CSV with an explicit ``rows,cols`` header line (easy to
 diff in tests), vectors as one float per line, and heatmaps as ASCII PGM
-(P2) with the entries scaled linearly so the largest maps to 255.
+(P2) with the entries scaled linearly so the largest maps to 255. Readers
+skip blank lines and spaces around a field, and parse with numpy's float
+parser: it rounds as ``float()`` does but refuses ``0_5``, non-ASCII
+digits and a trailing ``# ...``. The header sizes nothing; it is compared
+with the parsed shape, after the finite check.
 """
 
 from __future__ import annotations
@@ -23,70 +27,61 @@ class MatrixFormatError(ValueError):
     """A matrix/vector file could not be parsed or violates its header."""
 
 
+def _write_rows(fh, m: np.ndarray) -> None:
+    # repr of a Python float is the shortest string that reads back to its bits
+    for row in m.tolist():
+        fh.write(",".join(map(repr, row)) + "\n")
+
+
+def _nonblank_lines(path) -> list[str]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.strip() for line in fh if line.strip()]
+
+
+def _read_body(path, body: list[str], shape: tuple[int, int], claim: str) -> np.ndarray:
+    """The finite entries of ``body``, which must have the declared ``shape``."""
+    if not body:
+        raise MatrixFormatError(f"{path}: no rows")
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise MatrixFormatError(f"{path}: non-finite entries")
+    if data.shape != shape:
+        raise MatrixFormatError(f"{path}: {claim} {shape[0]}x{shape[1]}, found {data.shape[0]}x{data.shape[1]}")
+    return data
+
+
 def write_matrix(path, matrix) -> None:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise MatrixFormatError(f"expected a 2-D matrix, got shape {m.shape}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{m.shape[0]},{m.shape[1]}\n")
-        for row in m:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        _write_rows(fh, m)
 
 
 def read_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise MatrixFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    lines = _nonblank_lines(path)
+    header = lines[0].split(",") if lines else []
     if len(header) != 2:
         raise MatrixFormatError(f"{path}: first line must be 'rows,cols'")
     try:
-        rows, cols = int(header[0]), int(header[1])
+        shape = (int(header[0]), int(header[1]))
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: bad header {lines[0]!r}") from exc
-    if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"{path}: non-positive shape {rows}x{cols}")
-    body = lines[1:]
-    if len(body) != rows:
-        raise MatrixFormatError(f"{path}: header says {rows} rows, found {len(body)}")
-    if body[0].count(",") != cols - 1:  # before allocating the size the header claims
-        raise MatrixFormatError(f"{path}: row 0 has {body[0].count(',') + 1} fields, header says {cols}")
-    data = np.empty((rows, cols))
-    for i, line in enumerate(body):
-        fields = line.split(",")
-        if len(fields) != cols:
-            raise MatrixFormatError(
-                f"{path}: row {i} has {len(fields)} fields, header says {cols}"
-            )
-        try:
-            data[i] = [float(x) for x in fields]
-        except ValueError as exc:
-            raise MatrixFormatError(f"{path}: row {i} is not numeric") from exc
-    if not np.all(np.isfinite(data)):
-        raise MatrixFormatError(f"{path}: matrix contains non-finite entries")
-    return data
+    return _read_body(path, lines[1:], shape, "header says")
 
 
 def write_vector(path, vector) -> None:
-    v = np.asarray(vector, dtype=np.float64).reshape(-1)
     with open(path, "w", encoding="utf-8") as fh:
-        for x in v:
-            fh.write(repr(float(x)) + "\n")
+        _write_rows(fh, np.asarray(vector, dtype=np.float64).reshape(-1, 1))
 
 
 def read_vector(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise MatrixFormatError(f"{path}: empty vector file")
-    try:
-        values = np.array([float(x) for x in lines])
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: vector entries must be one float per line") from exc
-    if not np.all(np.isfinite(values)):
-        raise MatrixFormatError(f"{path}: vector contains non-finite entries")
-    return values
+    lines = _nonblank_lines(path)
+    return _read_body(path, lines, (len(lines), 1), "one value per line means")[:, 0]
 
 
 def write_pgm(path, matrix) -> None:

@@ -410,11 +410,64 @@ MUTANTS = (
         ("tests/test_positions.py::test_every_gaussian_kernel_is_built_at_the_size_cap_and_refused_over_it",),
     ),
     Mutant(
-        "read-matrix-header-precheck-dropped",
+        "read-body-shape-comparison-dropped",
         "src/imvalign/matrixio.py",
-        'if body[0].count(",") != cols - 1:',
-        "if False:",
-        ("tests/test_cli.py::test_imv_refuses_a_header_wider_than_row_0_before_allocating",),
+        "    if data.shape != shape:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_imv_refuses_a_header_wider_than_row_0_before_allocating",
+         "tests/test_matrixio.py::test_read_matrix_rejects_bad_inputs"),
+    ),
+    Mutant(
+        "read-body-finite-check-dropped",
+        "src/imvalign/matrixio.py",
+        "    if not np.isfinite(data).all():\n        raise MatrixFormatError(f\"{path}: non-finite",
+        "    if False:\n        raise MatrixFormatError(f\"{path}: non-finite",
+        ("tests/test_matrixio.py::test_read_matrix_rejects_bad_inputs",
+         "tests/test_matrixio.py::test_read_vector_rejects_bad_inputs"),
+    ),
+    Mutant(
+        "read-body-reads-a-trailing-comment",
+        "src/imvalign/matrixio.py",
+        'delimiter=",", comments=None,',
+        'delimiter=",",',
+        ("tests/test_matrixio.py::test_readers_refuse_what_only_float_or_a_comment_rule_would_read",),
+    ),
+    Mutant(
+        "read-vector-takes-the-first-of-several-columns",
+        "src/imvalign/matrixio.py",
+        "(len(lines), 1)",
+        '(len(lines), lines[0].count(",") + 1 if lines else 1)',
+        ("tests/test_matrixio.py::test_read_vector_rejects_bad_inputs",),
+    ),
+    Mutant(
+        "imv-accepts-a-non-integer-t1",
+        "src/imvalign/core.py",
+        "if not is_integer(self.t1) or self.t1 < 1:",
+        "if self.t1 < 1:",
+        ("tests/test_core.py::test_imv_refuses_a_t1_that_is_not_an_integer",),
+    ),
+    Mutant(
+        "float-field-rule-dropped",
+        "src/imvalign/toy.py",
+        'if f.type == "float" and not',
+        "if False and not",
+        ("tests/test_toy.py::test_train_config_rejects_invalid_numeric_settings",
+         "tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it"),
+    ),
+    Mutant(
+        "negative-seed-accepted",
+        "src/imvalign/toy.py",
+        "    if config.seed < 0:\n",
+        "    if False:\n",
+        ("tests/test_toy.py::test_train_config_rejects_invalid_numeric_settings",
+         "tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it"),
+    ),
+    Mutant(
+        "sma-weights-converts-strings-and-bools",
+        "src/imvalign/cli.py",
+        "all(type(x) in (int, float) for x in w)",
+        "True",
+        ("tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it",),
     ),
     Mutant(
         "hma-transform-check-redraw-dropped",

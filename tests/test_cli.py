@@ -61,7 +61,16 @@ def test_imv_refuses_a_header_wider_than_row_0_before_allocating(tmp_path, capsy
     wide = tmp_path / "wide.csv"
     wide.write_text("2,100000000000\n1,2\n3,4\n")
     assert main(["imv", "--alignment", str(wide)]) == 2
-    assert capsys.readouterr().err == f"error: {wide}: row 0 has 2 fields, header says 100000000000\n"
+    assert capsys.readouterr().err == f"error: {wide}: header says 2x100000000000, found 2x2\n"
+
+
+def test_hma_refuses_an_imv_in_non_ascii_digits(tmp_path, capsys):
+    # float() reads these Arabic-Indic digits as 0, 1, 2
+    imv = tmp_path / "v.txt"
+    imv.write_text("\u0660\n\u0661\n\u0662\n", encoding="utf-8")
+    assert main(["hma", "--imv", str(imv), "--t1", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "could not convert" in captured.err
 
 
 def test_hma_hand_case(tmp_path):
@@ -522,6 +531,21 @@ def test_run_config_rejects_bad_sma_weights(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"sma_weights": [1.0, 1.0, 1.0]}))
     assert main(["train-toy", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("setting, named", [
+    ({"lr": True}, "lr must be a number"), ({"lr": "0.1"}, "lr must be a number"),
+    ({"sigma2": True}, "sigma2 must be a number"), ({"noise_sigma": False}, "noise_sigma must be a number"),
+    ({"sma_weights": ["1", "2", "0.5", "1e0"]}, "sma_weights must be a list of 4 numbers"),
+    ({"sma_weights": [True, 1, 1, 1]}, "sma_weights must be a list of 4 numbers"),
+    ({"seed": -1}, "seed must be >= 0"), ({"task_seed": -1}, "seed must be >= 0"),
+])
+def test_run_config_refuses_a_setting_that_is_not_a_number_naming_it(tmp_path, monkeypatch, capsys, setting, named):
+    monkeypatch.setattr(toy, "train", lambda *args: pytest.fail("train was called"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"steps": 1, "report_path": None, **setting}))
+    assert main(["train-toy", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def _library_exception_classes():

@@ -120,6 +120,17 @@ def test_imv_rejects_empty_input_and_one_step_validation():
         validate_imv(Imv(np.array([0.0]), 1))
 
 
+@pytest.mark.parametrize("t1", [2.5, True, np.float64(3.0)])
+def test_imv_refuses_a_t1_that_is_not_an_integer(t1):
+    # t1 = 2.5 would size a 3-row alignment whose HMA ends at 1.5
+    with pytest.raises(AlignmentError, match="t1 must be >= 1 and an integer"):
+        Imv(np.zeros(2), t1)
+
+
+def test_imv_accepts_a_numpy_integer_t1():
+    assert Imv(np.zeros(2), np.int64(3)).t1 == 3
+
+
 def test_validate_flags_incomplete_end():
     report = validate_imv(Imv(np.array([0.0, 1.0, 1.5]), 2))
     assert not report.complete

@@ -87,6 +87,9 @@ def test_read_matrix_rejects_bad_inputs(tmp_path):
         "text.csv": "1,2\na,b\n",
         "nonfinite.csv": "1,2\n1,inf\n",
         "zero_rows.csv": "0,3\n",
+        "header_only.csv": "2,2\n\n",
+        "negative_rows.csv": "-2,2\n1,2\n3,4\n",
+        "fewer_rows.csv": "1,2\n1,2\n3,4\n",
     }
     for name, content in cases.items():
         path = tmp_path / name
@@ -108,3 +111,30 @@ def test_read_vector_rejects_bad_inputs(tmp_path):
     nonfinite.write_text("1.0\ninf\n")
     with pytest.raises(MatrixFormatError, match="non-finite"):
         read_vector(nonfinite)
+    one_line = tmp_path / "one_line.csv"
+    one_line.write_text("1,2\n")
+    with pytest.raises(MatrixFormatError, match="one value per line means 1x1, found 1x2"):
+        read_vector(one_line)
+
+
+def test_readers_skip_blank_lines_spaces_around_fields_and_crlf(tmp_path):
+    matrix = tmp_path / "m.csv"
+    matrix.write_bytes(b"\r\n 2, 2 \r\n\r\n0.25 , 1\r\n\t-0.5,3e-1\r\n\r\n")
+    assert np.array_equal(read_matrix(matrix), [[0.25, 1.0], [-0.5, 0.3]])
+    vector = tmp_path / "v.txt"
+    vector.write_bytes(b"\r\n 1.5 \r\n\r\n-2\r\n")
+    assert _same_bits(read_vector(vector), np.array([1.5, -2.0]))
+
+
+@pytest.mark.parametrize("entry", ["0_5", "١", "0.5 # c"])
+def test_readers_refuse_what_only_float_or_a_comment_rule_would_read(tmp_path, entry):
+    # float() reads 0_5 as 5.0 and the Arabic-Indic one as 1.0; a comment rule
+    # would read "0.5 # c" as 0.5
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(f"1,2\n1,{entry}\n", encoding="utf-8")
+    with pytest.raises(MatrixFormatError, match="could not convert"):
+        read_matrix(matrix)
+    vector = tmp_path / "v.txt"
+    vector.write_text(f"0\n{entry}\n2\n", encoding="utf-8")
+    with pytest.raises(MatrixFormatError, match="could not convert"):
+        read_vector(vector)

@@ -108,6 +108,7 @@ def test_steps_to_threshold_is_first_step_reaching_it():
     dict(steps=1.5), dict(steps=True), dict(batch_size=2.5, pool_size=4), dict(seed=np.float64(1.0)),
     dict(lr=float("inf")), dict(mode="hma"), dict(pool_size=1.0, batch_size=1),
     dict(steps=-1), dict(batch_size=0), dict(optimizer="sgd"),
+    dict(lr=True), dict(lr="0.1"), dict(sigma2=True), dict(accuracy_threshold=None), dict(seed=-1),
 ])
 def test_train_config_rejects_invalid_numeric_settings(setting):
     with pytest.raises(ValueError):
@@ -116,7 +117,8 @@ def test_train_config_rejects_invalid_numeric_settings(setting):
 
 @pytest.mark.parametrize("setting", [
     dict(vocab=1), dict(dmin=3, dmax=2), dict(t1_min=1), dict(embed_dim=0), dict(frame_dim=0),
-    dict(vocab=6.5), dict(seed=True), dict(dmin=1.5, dmax=3),
+    dict(vocab=6.5), dict(seed=True), dict(dmin=1.5, dmax=3), dict(noise_sigma=False),
+    dict(seed=np.int64(-1)),
 ])
 def test_toy_task_rejects_invalid_settings(setting):
     with pytest.raises(ValueError):
@@ -134,9 +136,9 @@ def test_toy_task_caps_the_alignment_size():
 
 
 def test_configs_accept_numpy_integers():
-    task = ToyTask(vocab=np.int64(5), seed=np.int32(2))
-    cfg = TrainConfig(steps=np.int64(3), batch_size=np.int16(2), pool_size=np.int64(4))
-    assert (task.vocab, cfg.steps) == (5, 3)
+    task = ToyTask(vocab=np.int64(5), seed=np.int32(2), noise_sigma=0)
+    cfg = TrainConfig(steps=np.int64(3), batch_size=np.int16(2), pool_size=np.int64(4), lr=np.float32(0.5), sigma2=1)
+    assert (task.vocab, task.noise_sigma, cfg.steps, cfg.lr, cfg.sigma2) == (5, 0, 3, 0.5, 1)
 
 
 @pytest.mark.parametrize("noise_sigma", [float("nan"), -0.1, float("inf")])

@@ -23,7 +23,7 @@ from .core import (
     enumerate_monotonic_paths,
     validate_imv,
 )
-from .matrixio import read_matrix, read_vector, write_matrix, write_pgm, write_vector
+from .matrixio import parse_numbers, read_matrix, read_vector, write_matrix, write_pgm, write_vector
 from .monotonic import (
     DegenerateImvError,
     KernelConfig,
@@ -71,10 +71,28 @@ def _bounded(message: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose error line is bounded; its subparsers are too."""
+    """Refuses abbreviated options (a removed ``--h`` is not ``--help``) and
+    bounds its error line; its subparsers are of this class too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         super().error(_bounded(message))
+
+
+def _number(kind):
+    """An option type: exactly one ``kind`` (int or float), read by
+    matrixio's parser, which refuses ``1_0`` and non-ASCII digits."""
+
+    def read(text: str):
+        values = parse_numbers([text], kind) if text else None  # numpy warns on ""
+        if values is None or values.size != 1:
+            raise ValueError(f"expected one {kind.__name__}, got {text!r}")
+        return values.item()
+
+    read.__name__ = kind.__name__  # argparse's error line names the type
+    return read
 
 
 def load_run_config(path) -> tuple[ToyTask, TrainConfig, str | None, str]:
@@ -119,10 +137,9 @@ def load_run_config(path) -> tuple[ToyTask, TrainConfig, str | None, str]:
     try:
         if "sma_weights" in raw:
             w = raw["sma_weights"]
-            numbers = isinstance(w, list) and all(type(x) in (int, float) for x in w)
-            if not numbers or len(w) != 4:
+            if not (isinstance(w, list) and len(w) == 4):
                 raise ValueError(f"sma_weights must be a list of 4 numbers, got {w!r}")
-            raw["sma_weights"] = SmaWeights(*(float(x) for x in w))
+            raw["sma_weights"] = SmaWeights(*w)
         return ToyTask(**task_args), TrainConfig(**raw), report_path, heatmap_path
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -169,9 +186,7 @@ def cmd_positions(args) -> int:
 
 
 def cmd_sma(args) -> int:
-    weights = SmaWeights(args.lambda0, args.lambda1, args.lambda2, args.lambda3)
-    loss = sma_loss(_read_imv(args), weights)
-    print(repr(float(loss)))
+    print(repr(float(sma_loss(_read_imv(args)))))
     return EXIT_OK
 
 
@@ -187,7 +202,7 @@ def cmd_oracle(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .checks import run_check
 
-    report = run_check(args.op, seed=args.seed, h=args.h, tol=args.tol)
+    report = run_check(args.op, seed=args.seed)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_NUMERIC
 
@@ -233,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def imv_args(p):
         p.add_argument("--imv", required=True, help="IMV file, one float per line")
-        p.add_argument("--t1", required=True, type=int, help="input length bound")
+        p.add_argument("--t1", required=True, type=_number(int), help="input length bound")
 
     p = sub.add_parser("hma", help="hard monotonic transform of a raw IMV")
     imv_args(p)
@@ -242,32 +257,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="Gaussian alignment matrix from an IMV")
     imv_args(p)
-    p.add_argument("--sigma2", type=float, default=KernelConfig.sigma2)
+    p.add_argument("--sigma2", type=_number(float), default=KernelConfig.sigma2)
     p.add_argument("--out", required=True, help="output matrix CSV")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("positions", help="aligned output position per input token")
     imv_args(p)
-    p.add_argument("--sigma2", type=float, default=KernelConfig.sigma2)
+    p.add_argument("--sigma2", type=_number(float), default=KernelConfig.sigma2)
     p.add_argument("--out", help="write the positions as single-column CSV")
     p.set_defaults(func=cmd_positions)
 
     p = sub.add_parser("sma", help="soft monotonic alignment loss of an IMV")
     imv_args(p)
-    for i in range(4):
-        p.add_argument(f"--lambda{i}", type=float, default=1.0)
     p.set_defaults(func=cmd_sma)
 
     p = sub.add_parser("oracle", help="enumerate hard monotonic paths and verify their IMVs")
-    p.add_argument("--t1", required=True, type=int)
-    p.add_argument("--t2", required=True, type=int)
+    p.add_argument("--t1", required=True, type=_number(int))
+    p.add_argument("--t2", required=True, type=_number(int))
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a named operation")
     p.add_argument("--op", required=True, help="the operation to check; an unknown name lists the known ones")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--seed", type=_number(int), default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="run the toy trainer from a JSON config")

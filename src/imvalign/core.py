@@ -11,7 +11,8 @@ here too, so the CLI maps them to exit codes without importing the trainer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -42,11 +43,11 @@ MAX_ALIGNMENT_ENTRIES = 10_000_000
 
 
 def _length(n: int) -> str:
-    """A length for a message: in full below 10**12, else to 3 significant
-    digits. A library exception (toy.infer's, say) reaches no bounded CLI
-    line, and ``str`` of a length over 4,300 digits raises CPython's own
-    digit-limit ValueError in place of the size-cap one."""
-    if n < 10**12:
+    """An integer for a message: in full below 10**12 in magnitude, else to 3
+    significant digits. A library exception (toy.infer's, say) reaches no
+    bounded CLI line, and ``str`` of an integer over 4,300 digits raises
+    CPython's own digit-limit ValueError in place of the intended one."""
+    if abs(n) < 10**12:
         return str(n)
     from decimal import Decimal  # exact for any int; float(n) can overflow
 
@@ -64,6 +65,24 @@ def check_alignment_size(t1: int, t2: int) -> None:
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_fields(config) -> None:
+    """Raise ValueError unless each ``int`` field of the dataclass ``config``
+    holds an integer (a numpy one too, not a bool), a ``seed`` is not negative,
+    and each ``float`` field holds a float, a numpy float or an integer no
+    larger in magnitude than the largest float (not a bool or a string)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        integer = is_integer(value)
+        if f.type == "int" and not integer:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and integer and abs(value) > sys.float_info.max:
+            raise ValueError(f"{f.name} must be within the float range, got {_length(value)}")
+        if f.type == "float" and not (integer or isinstance(value, (float, np.floating))):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
+        if f.name == "seed" and value < 0:
+            raise ValueError(f"seed must be >= 0, got {value}")
 
 
 class AlignmentError(ValueError):

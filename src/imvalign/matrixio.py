@@ -3,10 +3,11 @@
 Matrices travel as CSV with an explicit ``rows,cols`` header line (easy to
 diff in tests), vectors as one float per line, and heatmaps as ASCII PGM
 (P2) with the entries scaled linearly so the largest maps to 255. Readers
-skip blank lines and spaces around a field, and parse with numpy's float
-parser: it rounds as ``float()`` does but refuses ``0_5``, non-ASCII
-digits and a trailing ``# ...``. The header sizes nothing; it is compared
-with the parsed shape, after the finite check.
+skip blank lines and spaces around a field, and parse with numpy's parser
+(:func:`parse_numbers`, which the CLI's numeric options use too): its
+floats round as ``float()`` does, but it refuses ``0_5``, non-ASCII digits
+and a trailing ``# ...``. The header sizes nothing; it is compared with
+the parsed shape, after the finite check.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ def _write_rows(fh, m: np.ndarray) -> None:
         fh.write(",".join(map(repr, row)) + "\n")
 
 
+def parse_numbers(lines: list[str], dtype=np.float64) -> np.ndarray:
+    """The comma-separated numbers on non-blank ``lines`` as a 2-D array of
+    ``dtype``; raises numpy's ValueError on a field it cannot read."""
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=2)
+
+
 def _nonblank_lines(path) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         return [line.strip() for line in fh if line.strip()]
@@ -43,7 +50,7 @@ def _read_body(path, body: list[str], shape: tuple[int, int], claim: str) -> np.
     if not body:
         raise MatrixFormatError(f"{path}: no rows")
     try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        data = parse_numbers(body)
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from exc
     if not np.isfinite(data).all():
@@ -68,7 +75,7 @@ def read_matrix(path) -> np.ndarray:
     if len(header) != 2:
         raise MatrixFormatError(f"{path}: first line must be 'rows,cols'")
     try:
-        shape = (int(header[0]), int(header[1]))
+        shape = tuple(int(n) for n in parse_numbers(lines[:1], np.int64)[0])
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: bad header {lines[0]!r}") from exc
     return _read_body(path, lines[1:], shape, "header says")

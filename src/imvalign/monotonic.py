@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BAND_CUTOFF
-from .core import COLUMN_SUM_TOL, AlignmentError, Imv, check_alignment_size, compute_imv, index_vector
+from .core import COLUMN_SUM_TOL, AlignmentError, Imv, check_alignment_size, check_fields, compute_imv, index_vector
 
 __all__ = [
     "DegenerateImvError",
@@ -53,6 +53,7 @@ class SmaWeights:
     lambda3: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("lambda0", "lambda1", "lambda2", "lambda3"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
@@ -66,6 +67,7 @@ class KernelConfig:
     sigma2: float = 0.25
 
     def __post_init__(self):
+        check_fields(self)
         if not (0 < self.sigma2 < np.inf and isfinite(1.0 / self.sigma2)):
             raise ValueError(f"sigma2 must be positive and finite with a finite reciprocal, got {self.sigma2}")
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import scaled_dot_alignment
-from .core import (AlignmentError, TrainDivergenceError, UntrainedModelError, check_alignment_size, compute_imv,
-                   context_map, is_integer)
+from .core import (AlignmentError, TrainDivergenceError, UntrainedModelError, check_alignment_size, check_fields,
+                   compute_imv, context_map)
 from .monotonic import DegenerateImvError, KernelConfig, SmaWeights, hma_transform, sma_loss
 from .positions import AlignedPositions, align_from_positions, ap_loss, extract_positions, infer_t2, scale_positions
 
@@ -48,22 +48,6 @@ __all__ = [
 MODES = ("NM", "SMA", "HMA")
 
 
-def _require_number_fields(config) -> None:
-    """Raise ValueError unless every ``int`` field of the dataclass ``config``
-    holds an integer (a numpy integer is one, a bool or a float is not), its
-    ``seed`` is non-negative, and every ``float`` field holds a real number
-    (an integer or a numpy float is one, a bool or a string is not)."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        integer = is_integer(value)
-        if f.type == "int" and not integer:
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if f.type == "float" and not (integer or isinstance(value, (float, np.floating))):
-            raise ValueError(f"{f.name} must be a number, got {value!r}")
-    if config.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {config.seed}")
-
-
 @dataclass(frozen=True)
 class ToyTask:
     """Synthetic monotonic transduction task definition. Its largest
@@ -80,7 +64,7 @@ class ToyTask:
     seed: int = 0
 
     def __post_init__(self):
-        _require_number_fields(self)
+        check_fields(self)
         if self.vocab < 2:
             raise ValueError("vocab must be >= 2")
         if self.embed_dim < 1 or self.frame_dim < 1:
@@ -184,7 +168,7 @@ class TrainConfig:
     accuracy_threshold: float = 0.9
 
     def __post_init__(self):
-        _require_number_fields(self)
+        check_fields(self)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.optimizer != "adam":

@@ -448,26 +448,63 @@ MUTANTS = (
     ),
     Mutant(
         "float-field-rule-dropped",
-        "src/imvalign/toy.py",
+        "src/imvalign/core.py",
         'if f.type == "float" and not',
         "if False and not",
         ("tests/test_toy.py::test_train_config_rejects_invalid_numeric_settings",
          "tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it"),
     ),
     Mutant(
+        "float-field-big-integer-clause-dropped",
+        "src/imvalign/core.py",
+        'if f.type == "float" and integer and abs(value) > sys.float_info.max:',
+        "if False:",
+        ("tests/test_monotonic.py::test_configs_refuse_a_field_that_is_not_a_real_naming_it",
+         "tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it"),
+    ),
+    Mutant(
         "negative-seed-accepted",
-        "src/imvalign/toy.py",
-        "    if config.seed < 0:\n",
-        "    if False:\n",
+        "src/imvalign/core.py",
+        '        if f.name == "seed" and value < 0:\n',
+        "        if False:\n",
         ("tests/test_toy.py::test_train_config_rejects_invalid_numeric_settings",
          "tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it"),
     ),
     Mutant(
-        "sma-weights-converts-strings-and-bools",
+        "sma-weights-skip-the-field-rule",
+        "src/imvalign/monotonic.py",
+        "        check_fields(self)\n        for name in",
+        "        for name in",
+        ("tests/test_monotonic.py::test_configs_refuse_a_field_that_is_not_a_real_naming_it",),
+    ),
+    Mutant(
+        "kernel-config-skips-the-field-rule",
+        "src/imvalign/monotonic.py",
+        "        check_fields(self)\n        if not (0 < self.sigma2",
+        "        if not (0 < self.sigma2",
+        ("tests/test_monotonic.py::test_configs_refuse_a_field_that_is_not_a_real_naming_it",),
+    ),
+    Mutant(
+        "cli-reads-abbreviated-options",
         "src/imvalign/cli.py",
-        "all(type(x) in (int, float) for x in w)",
-        "True",
-        ("tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it",),
+        "super().__init__(allow_abbrev=False, **kwargs)",
+        "super().__init__(**kwargs)",
+        ("tests/test_cli.py::test_gradcheck_invalid_setting_exits_2",
+         "tests/test_cli.py::test_an_abbreviated_option_exits_2"),
+    ),
+    Mutant(
+        "matrix-header-read-with-int",
+        "src/imvalign/matrixio.py",
+        "shape = tuple(int(n) for n in parse_numbers(lines[:1], np.int64)[0])",
+        "shape = (int(header[0]), int(header[1]))",
+        ("tests/test_matrixio.py::test_read_matrix_refuses_a_header_only_int_would_read",),
+    ),
+    Mutant(
+        "t1-option-read-with-int",
+        "src/imvalign/cli.py",
+        'p.add_argument("--t1", required=True, type=_number(int), help=',
+        'p.add_argument("--t1", required=True, type=int, help=',
+        ("tests/test_cli.py::test_a_number_only_python_would_read_exits_2",),
     ),
     Mutant(
         "hma-transform-check-redraw-dropped",
@@ -503,6 +540,20 @@ MUTANTS = (
         "float(imv.t1 - 1), DEGENERATE_EPS)",
         "float(imv.t1), DEGENERATE_EPS)",
         ("tests/test_relations.py::test_time_reversal_reflects_the_output",),
+    ),
+    Mutant(
+        "align-from-imv-row-grid-shifted",
+        "src/imvalign/monotonic.py",
+        "    rows = index_vector(imv.t1)\n",
+        "    rows = index_vector(imv.t1) + 1.0\n",
+        ("tests/test_relations.py::test_reflecting_the_imv_flips_its_alignment_on_both_axes",),
+    ),
+    Mutant(
+        "density-token-grid-shifted",
+        "src/imvalign/positions.py",
+        "    tokens = index_vector(imv.t1)\n",
+        "    tokens = index_vector(imv.t1) + 1.0\n",
+        ("tests/test_relations.py::test_reflecting_the_imv_reflects_its_positions",),
     ),
 )
 

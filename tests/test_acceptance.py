@@ -148,7 +148,7 @@ def test_criterion_4_gradient_suite():
     errors = {}
     for name in CHECKABLE_OPS:
         for seed in golden.CRITERION4_SEEDS:
-            report = run_check(name, seed=seed, h=1e-5, tol=1e-4)
+            report = run_check(name, seed=seed)
             errors.setdefault(name, []).append(report.max_rel_error)
             if not report.passed:
                 failures.append((name, seed, report.max_rel_error))

@@ -159,10 +159,10 @@ def test_a_kernel_over_the_size_cap_exits_2_with_one_error_line(tmp_path, capsys
 
 @pytest.mark.parametrize("command", ["reconstruct", "positions"])
 def test_a_huge_length_over_the_size_cap_gives_a_short_error_line(tmp_path, capsys, command):
-    # a 251-digit --t1 is named to three significant digits
+    # the largest --t1 the int64 option parser reads is named to three significant digits
     imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
-    assert main([command, "--imv", imv, "--t1", str(10**250), "--out", str(tmp_path / "out.csv")]) == 2
-    assert capsys.readouterr().err == "error: a 1.00e+250x3 alignment is over the cap of 10000000 entries\n"
+    assert main([command, "--imv", imv, "--t1", str(2**63 - 1), "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == "error: a 9.22e+18x3 alignment is over the cap of 10000000 entries\n"
 
 
 @pytest.mark.parametrize("case", ["--t1", "--sigma2", "oracle --t2", "matrix header", "config value"])
@@ -366,15 +366,19 @@ def test_cli_roundtrip_imv_reconstruct_imv(tmp_path):
 ] + [
     ("sma", f"--lambda{i}", "inf") for i in range(4)
 ] + [
+    ("sma", "--lambda0", "2"),
+] + [
     (command, "--sigma2", value) for command in ("reconstruct", "positions") for value in ("1e-320", "inf")
 ])
-def test_invalid_numeric_setting_exits_2(tmp_path, command, option, value):
+def test_invalid_numeric_setting_exits_2(tmp_path, capsys, command, option, value):
+    # sma's --lambdaN options are gone: each is an unrecognized argument
     imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
     argv = [command, "--imv", imv, "--t1", "2", option, value]
     if command == "reconstruct":
         argv += ["--out", str(tmp_path / "alpha.csv")]
     assert main(argv) == 2
     assert not (tmp_path / "alpha.csv").exists()
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("setting", [
@@ -404,9 +408,49 @@ def test_train_toy_refuses_an_oversized_task(tmp_path, monkeypatch, capsys):
     assert "over the cap of 10000000 entries" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option, value", [("--h", "-1"), ("--h", "nan"), ("--tol", "-1"), ("--tol", "nan")])
-def test_gradcheck_invalid_setting_exits_2(option, value):
+@pytest.mark.parametrize("option, value", [
+    ("--h", "-1"), ("--h", "nan"), ("--tol", "-1"), ("--tol", "nan"), ("--h", "1e-6"), ("--tol", "inf"),
+])
+def test_gradcheck_invalid_setting_exits_2(capsys, option, value):
+    # the step and the tolerance are constants; a prefix such as --h is not
+    # read as --help, which would print the help and exit 0
     assert main(["gradcheck", "--op", "sma_loss", option, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {option} {value}" in err
+
+
+@pytest.mark.parametrize("argv", [["hma", "--im", "v.txt", "--t1", "3"], ["oracle", "--t1", "2", "--t", "3"],
+                                  ["gradcheck", "--o", "sma_loss"], ["--he"]])
+def test_an_abbreviated_option_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hma", "--imv", "IMV", "--t1", "1_0"], ["hma", "--imv", "IMV", "--t1", "\u0661"],
+    ["hma", "--imv", "IMV", "--t1", "3.0"], ["hma", "--imv", "IMV", "--t1", ""],
+    ["hma", "--imv", "IMV", "--t1", "1,2"], ["hma", "--imv", "IMV", "--t1", str(2**63)],
+    ["reconstruct", "--imv", "IMV", "--t1", "2", "--sigma2", "0_5", "--out", "OUT"],
+    ["positions", "--imv", "IMV", "--t1", "2", "--sigma2", "\u0661"],
+    ["oracle", "--t1", "2", "--t2", "1_0"], ["gradcheck", "--op", "sma_loss", "--seed", "1_0"],
+])
+def test_a_number_only_python_would_read_exits_2(tmp_path, capsys, argv):
+    # int() and float() read 1_0 as 10 and the Arabic-Indic digit one as 1:
+    # hma --t1 1_0 on this IMV printed 0,4.5,9
+    files = {"IMV": _vector_file(tmp_path, [0.0, 0.5, 1.0]), "OUT": str(tmp_path / "o.csv")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([files.get(arg, arg) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid" in err
+
+
+def test_numeric_options_allow_spaces_around_the_number(tmp_path, capsys):
+    imv = _vector_file(tmp_path, [0.0, 0.5, 1.0])
+    assert main(["hma", "--imv", imv, "--t1", " 3 "]) == 0
+    assert capsys.readouterr().out == "0,1,2\n"
+    assert main(["positions", "--imv", imv, "--t1", "\t2", "--sigma2", " 0.25 "]) == 0
+    assert main(["oracle", "--t1", " 2", "--t2", "3 "]) == 0
 
 
 def test_usage_error_exit_code():
@@ -536,16 +580,20 @@ def test_run_config_rejects_bad_sma_weights(tmp_path):
 @pytest.mark.parametrize("setting, named", [
     ({"lr": True}, "lr must be a number"), ({"lr": "0.1"}, "lr must be a number"),
     ({"sigma2": True}, "sigma2 must be a number"), ({"noise_sigma": False}, "noise_sigma must be a number"),
-    ({"sma_weights": ["1", "2", "0.5", "1e0"]}, "sma_weights must be a list of 4 numbers"),
-    ({"sma_weights": [True, 1, 1, 1]}, "sma_weights must be a list of 4 numbers"),
+    ({"sma_weights": ["1", "2", "0.5", "1e0"]}, "lambda0 must be a number"),
+    ({"sma_weights": [True, 1, 1, 1]}, "lambda0 must be a number"),
     ({"seed": -1}, "seed must be >= 0"), ({"task_seed": -1}, "seed must be >= 0"),
+    # an integer no float holds: Adam's update and float() raised OverflowError on it
+    ({"lr": 10**400}, "lr must be within the float range, got 1.00e+400"),
+    ({"sma_weights": [10**400, 1, 1, 1]}, "lambda0 must be within the float range, got 1.00e+400"),
 ])
 def test_run_config_refuses_a_setting_that_is_not_a_number_naming_it(tmp_path, monkeypatch, capsys, setting, named):
     monkeypatch.setattr(toy, "train", lambda *args: pytest.fail("train was called"))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"steps": 1, "report_path": None, **setting}))
     assert main(["train-toy", "--config", str(path)]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert named in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 def _library_exception_classes():

@@ -138,3 +138,12 @@ def test_readers_refuse_what_only_float_or_a_comment_rule_would_read(tmp_path, e
     vector.write_text(f"0\n{entry}\n2\n", encoding="utf-8")
     with pytest.raises(MatrixFormatError, match="could not convert"):
         read_vector(vector)
+
+
+@pytest.mark.parametrize("header, rows", [("1_0,1", 10), ("٢,1", 2), ("2.0,1", 2)])
+def test_read_matrix_refuses_a_header_only_int_would_read(tmp_path, header, rows):
+    # int() reads 1_0 as 10 and the Arabic-Indic two as 2, which these bodies match
+    path = tmp_path / "m.csv"
+    path.write_text(header + "\n" + "0.5\n" * rows, encoding="utf-8")
+    with pytest.raises(MatrixFormatError, match="bad header"):
+        read_matrix(path)

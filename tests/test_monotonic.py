@@ -1,4 +1,6 @@
 import itertools
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -313,6 +315,27 @@ _SMA_WEIGHTS = lambda v: SmaWeights(lambda0=v)
 def test_configs_reject_nan_and_negative(value, make):
     with pytest.raises(ValueError):
         make(value)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SmaWeights(True, 1, 1, 1), "lambda0 must be a number, got True"),
+    (lambda: SmaWeights(1, 1, 1, "1"), "lambda3 must be a number, got '1'"),
+    (lambda: KernelConfig(sigma2=True), "sigma2 must be a number, got True"),
+    # the rule's float range: float() of either would raise OverflowError
+    (lambda: SmaWeights(10**400), "lambda0 must be within the float range, got 1.00e+400"),
+    (lambda: KernelConfig(sigma2=-(10**400)), "sigma2 must be within the float range, got -1.00e+400"),
+], ids=["bool-weight", "string-weight", "bool-sigma2", "huge-weight", "huge-sigma2"])
+def test_configs_refuse_a_field_that_is_not_a_real_naming_it(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_configs_accept_the_largest_float_and_integers_up_to_it():
+    largest = int(sys.float_info.max)
+    assert SmaWeights(largest, 0, np.int64(2), 0.5).lambda0 == largest
+    assert KernelConfig(sigma2=3).sigma2 == 3
+    with pytest.raises(ValueError, match="within the float range"):
+        SmaWeights(largest + 1)
 
 
 def test_streaming_positions_are_monotone_with_bounded_steps():

@@ -202,7 +202,7 @@ def main() -> None:
             for mode in MODES
         },
         "criterion4_max_rel_error": {
-            name: hexes(run_check(name, seed=seed, h=1e-5, tol=1e-4).max_rel_error for seed in CRITERION4_SEEDS)
+            name: hexes(run_check(name, seed=seed).max_rel_error for seed in CRITERION4_SEEDS)
             for name in CHECKABLE_OPS
         },
     }

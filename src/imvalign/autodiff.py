@@ -20,9 +20,14 @@ ln 2**-53 (about -36.7): 8 rows per column at unit spacing and sigma2 0.25,
 in one block layout for both axes, so axis 1 is axis 0 with the operands
 swapped, bit for bit.
 Its values and gradients are within 1e-12 of the dense kernel's (the
-bound in :func:`gaussian_softmax`), not bit for bit. Toy sizes never
-band. :func:`~imvalign.monotonic.streaming_hma_step` evaluates its one
-column with the same cutoff, ``BAND_CUTOFF``, at every size.
+bound in :func:`gaussian_softmax`), not bit for bit. Where that band
+applies to the density matrix, :func:`gaussian_positions` takes each
+token's mean output step straight from the band, without the (t1, t2)
+matrix: its gradients are those of the banded density matrix times the
+step indices bit for bit, and each position e_i is within
+2 * t2 * eps * max(1, |e_i|) of that product's. Toy sizes never band.
+:func:`~imvalign.monotonic.streaming_hma_step` evaluates its one column
+with the same cutoff, ``BAND_CUTOFF``, at every size.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "matmul",
     "softmax",
     "gaussian_softmax",
+    "gaussian_positions",
     "first_far_entry",
     "monotone_rescale",
     "sma_penalty",
@@ -459,30 +465,26 @@ def first_far_entry(a: np.ndarray, b: np.ndarray, sigma2: float) -> int | None:
     return int(idx[far.argmax()]) if far.any() else None
 
 
-def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
-    """:func:`_dense_gaussian` evaluated only where an entry's shifted logit
-    is at least ``BAND_CUTOFF`` (ln 2**-53), with every other entry 0; or
-    None where the dense kernel must run.
+def _band_block(a, b, sigma2: float, scale: float):
+    """The band of the kernel with its softmax along ``a``: the entries
+    whose shifted logit is at least ``BAND_CUTOFF`` (ln 2**-53), as
+    (idx, diff, y, z, s), or None where the band cannot apply.
 
-    Call ``a`` the operand along ``axis`` and ``b`` the other. With ``a``
-    sorted ascending, an entry's shifted logit is at least the cutoff only
-    if |a_i - b_j| <= sqrt(dmin_j^2 + 36.7 sigma2), where dmin_j is the
-    distance from b_j to the nearest a_i. So each b_j needs a window of about
-    2 sqrt(36.7 sigma2) / spacing of ``a`` rows, plus one either side to
-    check its edges (8 in all at unit spacing and sigma2 0.25). The kernel
-    is evaluated on one (width, m) block, column j b_j's window of ``a``,
-    with diff = a - b and the softmax down its columns; ``axis`` picks only
-    ``a``, where the block lands and the order of the gradients. On axis 0
-    the block's sums run row by row in the dense order, so the values and
-    the ``b`` gradient are, bit for bit, those of the dense kernel with the
-    same cutoff. The band runs wherever it can: ``_BAND_MIN_ENTRIES`` or
-    more entries, ``a`` finite and sorted, ``b`` finite with two entries or
-    more, and every window narrower than ``a``.
+    With ``a`` sorted ascending, an entry's shifted logit is at least the
+    cutoff only if |a_i - b_j| <= sqrt(dmin_j^2 + 36.7 sigma2), where dmin_j
+    is the distance from b_j to the nearest a_i. So each b_j needs a window
+    of about 2 sqrt(36.7 sigma2) / spacing of ``a`` rows, plus one either
+    side to check its edges (8 in all at unit spacing and sigma2 0.25). The
+    kernel is evaluated on one (width, m) block, column j b_j's window of
+    ``a``: ``idx`` holds each entry's index into ``a``, ``diff`` is a - b,
+    and ``y``, ``z`` and ``s`` are the softmax down the columns, its
+    exponentials and their sums. The band applies where ``a`` is finite
+    and sorted, ``b`` finite with two entries or more, and every window
+    narrower than ``a``; the callers gate on size (``_BAND_MIN_ENTRIES``).
     """
-    a, b = (rd, cd) if axis == 0 else (cd, rd)
     n, m = a.size, b.size
     # (with a single b the dense axis-0 sums run pairwise, not row by row)
-    if n * m < _BAND_MIN_ENTRIES or m < 2 or a.ndim != 1 or b.ndim != 1:
+    if m < 2 or a.ndim != 1 or b.ndim != 1:
         return None
     reach2 = -BAND_CUTOFF * float(sigma2)
     # sorted a is finite where its span is
@@ -513,19 +515,46 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
     # outside the band exactly 0, as in the dense kernel.
     if z[0, lo > 0].any() or z[-1, lo < n - width].any():
         return None
+    return idx, diff, y, z, s
+
+
+def _band_grads(g_block, block, n: int, scale: float, want_a: bool, want_b: bool):
+    """The (a, b) gradients of a :func:`_band_block` for the upstream
+    gradient ``g_block`` of its entries, each None unless asked for."""
+    idx, diff, y, z, s = block
+    gd = _diff_grad(g_block, y, z, s, 0, scale, diff)
+    g_a = np.bincount(idx.ravel(), gd.ravel(), n) if want_a else None
+    g_b = (-gd).sum(axis=0) if want_b else None
+    return g_a, g_b
+
+
+def _banded_gaussian(rd, cd, sigma2: float, scale: float, axis: int):
+    """:func:`_dense_gaussian` on the :func:`_band_block` of ``a``, the
+    operand along ``axis``, with every other entry 0; or None where the
+    dense kernel must run (under ``_BAND_MIN_ENTRIES`` entries, or no
+    block). ``axis`` picks only ``a``, where the block lands and the order
+    of the gradients. On axis 0 the block's sums run row by row in the dense
+    order, so the values and the other operand's gradient are, bit for bit,
+    those of the dense kernel with the same cutoff.
+    """
+    a, b = (rd, cd) if axis == 0 else (cd, rd)
+    n, m = a.size, b.size
+    if n * m < _BAND_MIN_ENTRIES:
+        return None
+    block = _band_block(a, b, sigma2, scale)
+    if block is None:
+        return None
     shape, a_step, b_step = ((n, m), m, 1) if axis == 0 else ((m, n), 1, n)
-    flat = idx * a_step + np.arange(0, m * b_step, b_step)
+    flat = block[0] * a_step + np.arange(0, m * b_step, b_step)
     out = np.zeros(shape)
-    out.reshape(-1)[flat] = y
+    out.reshape(-1)[flat] = block[2]
 
     def grads(g, want_rows: bool, want_cols: bool):
         if not np.isfinite(g.sum()):
             # a NaN or inf outside the band reaches the dense gradients
             return _dense_gaussian(rd, cd, scale, axis)[1](g, want_rows, want_cols)
         want_a, want_b = (want_rows, want_cols) if axis == 0 else (want_cols, want_rows)
-        gd = _diff_grad(np.take(g, flat), y, z, s, 0, scale, diff)
-        g_a = np.bincount(idx.ravel(), gd.ravel(), n) if want_a else None
-        g_b = (-gd).sum(axis=0) if want_b else None
+        g_a, g_b = _band_grads(np.take(g, flat), block, n, scale, want_a, want_b)
         return (g_a, g_b) if axis == 0 else (g_b, g_a)
 
     return out, grads
@@ -559,6 +588,43 @@ def gaussian_softmax(rows, cols, sigma2: float, axis: int):
         _accumulate(cols, g_cols)
 
     return _record("gaussian_softmax", y, backward, rows, cols)
+
+
+def gaussian_positions(tokens, pi, sigma2: float):
+    """Each token's Gaussian-weighted mean output step: sum_j y_ij * j for
+    the density matrix y = ``gaussian_softmax(tokens, pi, sigma2, axis=1)``.
+
+    ``tokens`` and ``pi`` are 1-D; either may be traced. Where the band of
+    :func:`gaussian_softmax` applies, the means come straight from the
+    band's (width, t1) block as one tape node, without the (t1, t2) matrix.
+    Their gradients are, bit for bit, those of that banded
+    ``gaussian_softmax`` times arange(t2) by ``matmul``, the chain recorded
+    everywhere else, and a NaN or inf upstream gradient gives the chain's.
+    Bound: both sum the same non-negative products y_ij * j in other orders,
+    so each banded e_i is within 2 * t2 * eps * max(1, |e_i|) of the
+    chain's (eps = 2**-52).
+    """
+    td, pd = data(tokens), data(pi)
+    steps = np.arange(pd.size, dtype=np.float64)
+    scale = -1.0 / sigma2
+    block = _band_block(pd, td, sigma2, scale) if td.size * pd.size >= _BAND_MIN_ENTRIES else None
+    if block is None:
+        # (past the size gate gaussian_softmax tries the same block again)
+        return matmul(gaussian_softmax(tokens, pi, sigma2, axis=1), steps)
+    idx, y = block[0], block[2]
+    e = (y * idx).sum(axis=0)
+
+    def backward(g):
+        want_t, want_p = isinstance(tokens, Value), isinstance(pi, Value)
+        if np.isfinite(g.sum()):
+            # g_i * j on the block is the chain's outer product at the band's entries
+            g_p, g_t = _band_grads(g * idx, block, pd.size, scale, want_p, want_t)
+        else:
+            g_t, g_p = _dense_gaussian(td, pd, scale, 1)[1](np.outer(g, steps), want_t, want_p)
+        _accumulate(tokens, g_t)
+        _accumulate(pi, g_p)
+
+    return _record("gaussian_positions", e, backward, tokens, pi)
 
 
 # The fused primitives below each replace a chain of primitives with one

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import scaled_dot_alignment
-from .core import Imv
+from .core import Imv, check_seed
 from .monotonic import (
     DegenerateImvError,
     KernelConfig,
@@ -133,6 +133,7 @@ def run_check(name: str, seed: int = 0) -> ad.GradCheckReport:
         raise ValueError(
             f"unknown op {name!r}; known: {', '.join(sorted(CHECKABLE_OPS))}"
         ) from None
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     op, inputs = builder(rng)
     shape = np.shape(ad.data(op(*inputs)))

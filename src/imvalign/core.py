@@ -81,8 +81,15 @@ def check_fields(config) -> None:
             raise ValueError(f"{f.name} must be within the float range, got {_length(value)}")
         if f.type == "float" and not (integer or isinstance(value, (float, np.floating))):
             raise ValueError(f"{f.name} must be a number, got {value!r}")
-        if f.name == "seed" and value < 0:
-            raise ValueError(f"seed must be >= 0, got {value}")
+        if f.name == "seed":
+            check_seed(value)
+
+
+def check_seed(seed) -> None:
+    """Raise ValueError for a negative seed, which numpy's generators refuse
+    without naming it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 class AlignmentError(ValueError):

@@ -96,8 +96,10 @@ def hma_transform(imv: Imv) -> Imv:
     ``DEGENERATE_EPS``. The output is invariant to the raw IMV's scale,
     so the gradient grows as 1/R: just above ``DEGENERATE_EPS`` it is
     ~1e8 times that of a unit total. With eps = 2**-52, -raw[::-1] gives
-    (t1-1) - out[::-1] within 4*t2*eps*(t1-1), and a*raw + b (a > 0) gives
-    out within 8*t2*eps*(t1-1)*(1 + (max|raw| + |b|/a) / R).
+    (t1-1) - out[::-1] within 4*t2*eps*(t1-1), a*raw + b (a > 0) gives
+    out within 8*t2*eps*(t1-1)*(1 + (max|raw| + |b|/a) / R), and for t1 >= 2
+    out itself gives out within 4*t2*eps*(t1-1) (at t1 = 1 out is all zeros,
+    which is degenerate).
     """
     if imv.t2 < 2:
         raise AlignmentError("hma_transform needs at least 2 output steps")

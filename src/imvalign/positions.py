@@ -58,10 +58,9 @@ class AlignedPositions:
         return out
 
 
-def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
-    """Row-normalized Gaussian density (t1, t2): how much of token i's
-    alignment mass falls on each output step. Raises
-    :class:`AlignmentError`, before the kernel runs, where a token's row
+def _tokens(imv: Imv, kernel: KernelConfig) -> np.ndarray:
+    """The token grid of the kernels along an IMV. Raises
+    :class:`AlignmentError`, before any kernel runs, where a token's row
     would be NaN because its nearest finite IMV position is so far that their
     kernel logit overflows (:func:`autodiff.first_far_entry`)."""
     check_alignment_size(imv.t1, imv.t2)
@@ -69,16 +68,28 @@ def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
     i = ad.first_far_entry(imv.values, tokens, kernel.sigma2)
     if i is not None:
         raise AlignmentError(f"token {i} is too far from every IMV position: its density row is nan")
-    return ad.gaussian_softmax(tokens, imv.pi, kernel.sigma2, axis=1)
+    return tokens
+
+
+def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
+    """Row-normalized Gaussian density (t1, t2): how much of token i's
+    alignment mass falls on each output step. Raises
+    :class:`AlignmentError`, before the kernel runs, where a token is too far
+    from every IMV position (:func:`_tokens`)."""
+    return ad.gaussian_softmax(_tokens(imv, kernel), imv.pi, kernel.sigma2, axis=1)
 
 
 def extract_positions(
     imv: Imv, kernel: KernelConfig = KernelConfig()
 ) -> AlignedPositions:
     """Expected output step per token: the density-weighted mean of the
-    output index vector. Differentiable end to end. Refuses what
-    :func:`density_matrix` refuses."""
-    return AlignedPositions(ad.matmul(density_matrix(imv, kernel), index_vector(imv.t2)))
+    output index vector (:func:`autodiff.gaussian_positions`).
+    Differentiable end to end. Refuses what :func:`density_matrix` refuses.
+    Where the kernel's band applies (TTS lengths, a sorted IMV), the means
+    come from the band without a density matrix, each within
+    2 * t2 * eps * max(1, |e_i|) of ``density_matrix(imv) @ arange(t2)``
+    (eps = 2**-52); toy sizes never band."""
+    return AlignedPositions(ad.gaussian_positions(_tokens(imv, kernel), imv.pi, kernel.sigma2))
 
 
 def ap_loss(pred_delta, target_delta):

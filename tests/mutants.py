@@ -289,6 +289,36 @@ MUTANTS = (
         ("tests/test_autodiff.py::test_band_runs_from_its_size_constant_of_entries",),
     ),
     Mutant(
+        "positions-frame-index-shifted",
+        "src/imvalign/autodiff.py",
+        "e = (y * idx).sum(axis=0)",
+        "e = (y * (idx + 1)).sum(axis=0)",
+        ("tests/test_positions.py::test_banded_positions_are_the_density_matrix_s_mean_within_their_bound",
+         "tests/test_autodiff.py::test_banded_positions_gradients_equal_the_banded_chain_bit_for_bit"),
+    ),
+    Mutant(
+        "positions-nonfinite-upstream-fallback-dropped",
+        "src/imvalign/autodiff.py",
+        "        if np.isfinite(g.sum()):\n",
+        "        if True:\n",
+        ("tests/test_autodiff.py::test_a_nonfinite_upstream_gradient_gives_the_positions_chain_s_gradients",),
+    ),
+    Mutant(
+        "positions-band-below-its-size-constant",
+        "src/imvalign/autodiff.py",
+        "if td.size * pd.size >= _BAND_MIN_ENTRIES else None",
+        "if True else None",
+        ("tests/test_autodiff.py::test_positions_band_runs_from_its_size_constant_of_entries",
+         "tests/test_toy.py::test_default_training_runs_the_dense_gaussian_kernel"),
+    ),
+    Mutant(
+        "hma-rectifier-leaks-negative-steps",
+        "src/imvalign/autodiff.py",
+        "np.maximum(d, 0.0)",
+        "np.maximum(d, 0.01 * d)",
+        ("tests/test_relations.py::test_the_hard_transform_of_its_own_output_is_that_output",),
+    ),
+    Mutant(
         "infer-t2-non-finite-projection-not-refused",
         "src/imvalign/positions.py",
         "    if not math.isfinite(projected):\n",
@@ -465,10 +495,12 @@ MUTANTS = (
     Mutant(
         "negative-seed-accepted",
         "src/imvalign/core.py",
-        '        if f.name == "seed" and value < 0:\n',
-        "        if False:\n",
+        "    if seed < 0:\n",
+        "    if False:\n",
         ("tests/test_toy.py::test_train_config_rejects_invalid_numeric_settings",
-         "tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it"),
+         "tests/test_cli.py::test_run_config_refuses_a_setting_that_is_not_a_number_naming_it",
+         "tests/test_cli.py::test_run_check_refuses_a_negative_seed_naming_it",
+         "tests/test_cli.py::test_gradcheck_refuses_a_negative_seed_on_one_error_line"),
     ),
     Mutant(
         "sma-weights-skip-the-field-rule",

@@ -943,6 +943,92 @@ def test_banded_gaussian_softmax_gradcheck(axis):
     assert ad.gradcheck(f, [rows, cols], op_name="gaussian_softmax").passed
 
 
+# -- aligned positions from the band ----------------------------------------
+
+
+def _positions_band_engages(tokens, pi, sigma2):
+    """Whether gaussian_positions takes its means from the band."""
+    tape = ad.Tape()
+    ad.gaussian_positions(tokens, tape.variable(pi), sigma2)
+    return [v.name for v in tape.nodes] == ["gaussian_positions"]
+
+
+def _positions_chain(tokens, pi, sigma2):
+    """The density matrix's gaussian_softmax, banded where it can be,
+    times the output index vector."""
+    return ad.matmul(ad.gaussian_softmax(tokens, pi, sigma2, axis=1), np.arange(float(ad.data(pi).size)))
+
+
+def _positions_close(e, expected, t2):
+    """Within the bound of gaussian_positions's docstring: 2 * t2 * eps of
+    max(1, |e_i|), entry by entry."""
+    bound = 2 * t2 * 2.0**-52 * np.maximum(1.0, np.abs(expected))
+    return e.shape == expected.shape and bool(np.all(np.abs(e - expected) <= bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_banded_positions_gradients_equal_the_banded_chain_bit_for_bit(data):
+    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
+    # the operand along the softmax axis is the IMV, the other the tokens
+    pi, tokens = (rows, cols) if axis == 0 else (cols, rows)
+    traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    assert _positions_band_engages(tokens, pi, sigma2)
+    fused = lambda t, p: ad.gaussian_positions(t, p, sigma2)
+    out, grads, tape = _traced_grads(fused, [tokens, pi], traced)
+    expected, expected_grads, chain_tape = _traced_grads(
+        lambda t, p: _positions_chain(t, p, sigma2), [tokens, pi], traced)
+    assert len(tape.nodes) == len(chain_tape.nodes) - 1
+    assert _same_bits(fused(tokens, pi), out) and _positions_close(out, expected, pi.size)
+    for g, e in zip(grads, expected_grads):
+        assert _same_bits(g, e)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nonfinite_upstream_gradient_gives_the_positions_chain_s_gradients(bad):
+    tokens, pi = np.arange(160.0), _jittered_grid(np.random.default_rng(22), 256) + 40.0
+    assert _positions_band_engages(tokens, pi, 0.25)
+
+    def grads(f):
+        tape = ad.Tape()
+        t, p = tape.variable(tokens), tape.variable(pi)
+        w = np.ones(tokens.size)
+        w[-1] = bad  # the last token: its window holds none of the first steps
+        tape.backward(ad.asum(f(t, p) * w))
+        return t.grad, p.grad
+
+    with np.errstate(invalid="ignore"):
+        got = grads(lambda t, p: ad.gaussian_positions(t, p, 0.25))
+        expected = grads(lambda t, p: _positions_chain(t, p, 0.25))
+    for g, e in zip(got, expected):
+        assert np.isnan(e).any()
+        np.testing.assert_array_equal(g, e)  # NaN where the chain has NaN
+
+
+def test_positions_band_runs_from_its_size_constant_of_entries():
+    # a constant's worth of entries bands; one IMV entry fewer records the chain
+    m = 100
+    n = ad._BAND_MIN_ENTRIES // m
+    assert n * m == ad._BAND_MIN_ENTRIES
+    tokens = _jittered_grid(np.random.default_rng(21), m) + 40.0
+    for entries, engages in [(n, True), (n - 1, False)]:
+        pi = np.arange(float(entries))
+        assert _positions_band_engages(tokens, pi, 0.25) == engages
+        assert _band_engages(tokens, pi, 0.25, 1) == engages
+
+
+def test_banded_positions_gradcheck():
+    # 120 IMV entries about 1 apart against 239 tokens 0.5 apart over the
+    # same range, at sigma2 0.5: about 12 entries in each window, so no
+    # token's mean is pinned to one entry with a gradient drowned in rounding
+    rng = np.random.default_rng(20)
+    pi, tokens = np.arange(120.0) + rng.uniform(-0.3, 0.3, 120), np.arange(239.0) * 0.5
+    assert _positions_band_engages(tokens, pi, 0.5)
+    w = rng.normal(size=tokens.size)
+    f = lambda t, p: ad.asum(ad.gaussian_positions(t, p, 0.5) * w)
+    assert ad.gradcheck(f, [tokens, pi], op_name="gaussian_positions").passed
+
+
 @pytest.mark.parametrize("axis", [0, 1])
 def test_softmax_gradcheck(axis):
     rng = np.random.default_rng(9)

@@ -260,6 +260,18 @@ def test_run_check_redraws_a_non_increasing_hma_transform_input():
     assert run_check("hma_transform", seed=38111).passed
 
 
+def test_run_check_refuses_a_negative_seed_naming_it():
+    # numpy's own refusal names neither the setting nor the value
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run_check("sma_loss", seed=-1)
+
+
+def test_gradcheck_refuses_a_negative_seed_on_one_error_line(capsys):
+    assert main(["gradcheck", "--op", "sma_loss", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: seed must be >= 0, got -1\n"
+
+
 def test_train_toy_command(tmp_path, capsys):
     config = {
         "mode": "HMA",

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from imvalign import autodiff as ad
 from imvalign import core
-from imvalign.core import AlignmentError, Imv, compute_imv
-from imvalign.monotonic import KernelConfig, align_from_imv
+from imvalign.core import AlignmentError, Imv, compute_imv, index_vector
+from imvalign.monotonic import KernelConfig, align_from_imv, hma_transform
 from imvalign.positions import (
     AP_EPSILON,
     AlignedPositions,
@@ -99,6 +100,35 @@ def test_extract_positions_rejects_a_finite_imv_too_far_from_a_token():
     with np.errstate(over="ignore", invalid="ignore"):
         pos = extract_positions(Imv(np.array([0.0, 1e200]), 4))
     assert np.array_equal(pos.values, np.zeros(4))
+
+
+def _tts_imv(kind, t1, t2, rng):
+    """A hard-monotonic IMV at TTS lengths: the HMA output of a noisy walk
+    that stalls and falls back, or rectified gamma steps (the benchmark's
+    near-diagonal paths) scaled to end at the last token."""
+    if kind == "walk":
+        return hma_transform(Imv(np.cumsum(rng.normal(0.5, 1.0, t2)), t1)).values
+    centres = np.concatenate([[0.0], np.cumsum(rng.gamma(4.0, 1.0, t2 - 1))])
+    return centres * ((t1 - 1) / centres[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_banded_positions_are_the_density_matrix_s_mean_within_their_bound(data):
+    """At band sizes ``extract_positions`` takes each mean from the band, not
+    from the density matrix: within 2 * t2 * eps * max(1, |e_i|) of
+    ``density_matrix(imv) @ index_vector(t2)``, the bound of
+    ``autodiff.gaussian_positions``."""
+    t1 = data.draw(st.integers(32, 256))
+    t2 = data.draw(st.integers(max(t1 + 1, -(-ad._BAND_MIN_ENTRIES // t1)), 1024))
+    kind = data.draw(st.sampled_from(["walk", "steps"]))
+    kernel = KernelConfig(sigma2=data.draw(st.floats(0.1, 1.0)))
+    pi = _tts_imv(kind, t1, t2, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    tokens = index_vector(t1)
+    assert ad._band_block(pi, tokens, kernel.sigma2, -1.0 / kernel.sigma2) is not None
+    e = extract_positions(Imv(pi, t1), kernel).values
+    expected = density_matrix(Imv(pi, t1), kernel) @ index_vector(t2)
+    assert np.all(np.abs(e - expected) <= 2 * t2 * 2.0**-52 * np.maximum(1.0, np.abs(expected)))
 
 
 # the smallest sigma2 whose reciprocal is finite: a logit overflows beyond ~1 token

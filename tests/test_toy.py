@@ -158,9 +158,10 @@ def test_training_is_bit_deterministic():
 
 
 def test_default_training_runs_the_dense_gaussian_kernel(monkeypatch):
-    """At the default ToyTask sizes the banded kernel never engages: the loss
-    traces equal, bit for bit, those of training through the dense chain."""
-    banded = []
+    """At the default ToyTask sizes the banded kernel never engages, and the
+    positions never try the band: the loss traces equal, bit for bit, those
+    of training through the dense chain."""
+    banded, blocks = [], []
     band = ad._banded_gaussian
 
     def spy(*args):
@@ -168,13 +169,15 @@ def test_default_training_runs_the_dense_gaussian_kernel(monkeypatch):
         return banded[-1]
 
     monkeypatch.setattr(ad, "_banded_gaussian", spy)
+    # any call is a failure below; returning None keeps the dense path
+    monkeypatch.setattr(ad, "_band_block", lambda *args: blocks.append(args))
 
     def traces(mode):
         _, report = train(ToyTask(), TrainConfig(mode=mode, steps=30, seed=3, optimizer="adam"))
         return [report.recon_loss, report.ap_loss, report.sma_loss, report.total_loss]
 
     fused = {mode: traces(mode) for mode in ("HMA", "SMA", "NM")}
-    assert banded and not any(b is not None for b in banded)
+    assert banded and not any(b is not None for b in banded) and not blocks
     monkeypatch.setattr(ad, "gaussian_softmax", ref.gaussian_softmax_chain)
     for mode, expected in fused.items():
         for got, want in zip(traces(mode), expected):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .core import AlignmentError, Imv, check_alignment_size, index_vector
+from .core import AlignmentError, Imv, check_alignment_size, index_vector, is_integer
 from .monotonic import KernelConfig
 
 # The stabiliser ap_loss adds to every increment, keeping log() away from zero.
@@ -73,7 +73,9 @@ def _tokens(imv: Imv, kernel: KernelConfig) -> np.ndarray:
 
 def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
     """Row-normalized Gaussian density (t1, t2): how much of token i's
-    alignment mass falls on each output step. Raises
+    alignment mass falls on each output step. It is the dense kernel at
+    every size (the axis-1 kernel never bands); at TTS sizes
+    :func:`extract_positions` takes the means without it. Raises
     :class:`AlignmentError`, before the kernel runs, where a token is too far
     from every IMV position (:func:`_tokens`)."""
     return ad.gaussian_softmax(_tokens(imv, kernel), imv.pi, kernel.sigma2, axis=1)
@@ -85,10 +87,12 @@ def extract_positions(
     """Expected output step per token: the density-weighted mean of the
     output index vector (:func:`autodiff.gaussian_positions`).
     Differentiable end to end. Refuses what :func:`density_matrix` refuses.
-    Where the kernel's band applies (TTS lengths, a sorted IMV), the means
-    come from the band without a density matrix, each within
-    2 * t2 * eps * max(1, |e_i|) of ``density_matrix(imv) @ arange(t2)``
-    (eps = 2**-52); toy sizes never band."""
+    Where the band of the transposed kernel applies (TTS lengths, a sorted
+    IMV), the means come from that band without a density matrix, each
+    within 2 * t2 * eps * max(1, |e_i|) of the dense
+    ``density_matrix(imv) @ arange(t2)`` (eps = 2**-52): the band sums in
+    another order and leaves out the terms below 2**-53 of a token's peak.
+    Toy sizes never band."""
     return AlignedPositions(ad.gaussian_positions(_tokens(imv, kernel), imv.pi, kernel.sigma2))
 
 
@@ -115,9 +119,17 @@ def align_from_positions(
     """Alignment matrix whose column j is a Gaussian bump over the tokens
     whose aligned positions fall near output step j. Raises
     :class:`AlignmentError`, before the kernel runs, where a column would be
-    NaN, as :func:`extract_positions` does where a position would be."""
-    if t2 < 1:
-        raise AlignmentError(f"t2 must be >= 1, got {t2}")
+    NaN, as :func:`extract_positions` does where a position would be.
+
+    Shift: for an integer k, the last t2 columns of
+    ``align_from_positions(e + k, t2 + k)`` are ``align_from_positions(e, t2)``
+    within 2 eps ((max|e| + k) (g + sqrt(sigma2)) / sigma2 + t1), g the
+    largest distance from an output step to its nearest position
+    (eps = 2**-52): rounding e + k moves a logit by up to
+    |e_i - j| ulp(e_i + k) / sigma2, and where only one of the two calls
+    bands, the band's dropped terms move an entry by less than t1 2**-53."""
+    if not is_integer(t2) or t2 < 1:
+        raise AlignmentError(f"t2 must be >= 1 and an integer, got {t2!r}")
     e = positions.values
     check_alignment_size(e.shape[0], t2)
     steps = index_vector(t2)
@@ -130,7 +142,14 @@ def align_from_positions(
 def infer_t2(positions: AlignedPositions) -> int:
     """Output length implied by the aligned positions: the last position
     plus its increment, rounded half-up, floored at 1. Raises
-    :class:`AlignmentError` where that projection is not finite."""
+    :class:`AlignmentError` where that projection is not finite.
+
+    Rate: the length of ``scale_positions(positions, r)`` never decreases
+    as r grows but by rounding, which moves the projection by up to
+    3 eps r (|e[-1]| + |e[-2]|) (eps = 2**-52). For r1 < r2 it does not
+    decrease where (r2 - r1) (2 e[-1] - e[-2]) is at least
+    3 eps (r1 + r2) (|e[-1]| + |e[-2]|), and by at most 1 at closer rates
+    while r (|e[-1]| + |e[-2]|) is below 2**49."""
     e = positions.values
     if e.shape[0] < 2:
         raise AlignmentError("need at least 2 aligned positions to infer a length")

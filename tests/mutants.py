@@ -261,11 +261,11 @@ MUTANTS = (
         ("tests/test_autodiff.py::test_banded_gaussian_softmax_matches_the_dense_chain",),
     ),
     Mutant(
-        "band-axis-1-gradients-not-swapped",
+        "kernel-bands-axis-1-along-its-rows",
         "src/imvalign/autodiff.py",
-        "return (g_a, g_b) if axis == 0 else (g_b, g_a)",
-        "return g_a, g_b",
-        ("tests/test_autodiff.py::test_axis_1_band_is_the_transposed_axis_0_band_on_swapped_operands",),
+        "banded = _banded_gaussian(rd, cd, sigma2, scale) if axis == 0 else None",
+        "banded = _banded_gaussian(rd, cd, sigma2, scale)",
+        ("tests/test_positions.py::test_the_density_matrix_is_the_dense_kernel_at_every_size",),
     ),
     Mutant(
         "band-cutoff-loosened",
@@ -317,6 +317,27 @@ MUTANTS = (
         "np.maximum(d, 0.0)",
         "np.maximum(d, 0.01 * d)",
         ("tests/test_relations.py::test_the_hard_transform_of_its_own_output_is_that_output",),
+    ),
+    Mutant(
+        "align-from-positions-accepts-a-length-that-is-not-an-integer",
+        "src/imvalign/positions.py",
+        "    if not is_integer(t2) or t2 < 1:\n",
+        "    if t2 < 1:\n",
+        ("tests/test_positions.py::test_align_from_positions_refuses_a_length_that_is_not_an_integer",),
+    ),
+    Mutant(
+        "align-from-positions-step-grid-stretched",
+        "src/imvalign/positions.py",
+        "    steps = index_vector(t2)\n",
+        "    steps = np.linspace(0.0, t2, t2)\n",
+        ("tests/test_relations.py::test_shifting_the_positions_and_the_length_shifts_the_alignment",),
+    ),
+    Mutant(
+        "scale-positions-divides-by-the-rate",
+        "src/imvalign/positions.py",
+        "return AlignedPositions(positions.e * rate)",
+        "return AlignedPositions(positions.e / rate)",
+        ("tests/test_relations.py::test_a_higher_rate_never_infers_a_shorter_length",),
     ),
     Mutant(
         "infer-t2-non-finite-projection-not-refused",

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -637,9 +638,9 @@ def test_nonfinite_inputs_match_the_unmasked_chain_without_new_warnings(special,
     x[1, 2] = special
     rows, cols = rng.normal(size=4) * 20.0, np.arange(5.0)
     rows[1] = special
-    # a size where the band engages on either axis but for the special centre
+    # a size where the band engages on axis 0 but for the special centre
     index, centres = np.arange(256.0), _jittered_grid(rng, 160)
-    assert _band_engages(index, centres, 0.25, axis)
+    assert _band_engages(index, centres, 0.25, axis) == (axis == 0)
     centres[7] = special
     gaussian = (lambda r, c: ad.gaussian_softmax(r, c, 0.25, axis),
                 lambda r, c: ref.gaussian_softmax_chain(r, c, 0.25, axis))
@@ -665,8 +666,11 @@ def test_nonfinite_inputs_match_the_unmasked_chain_without_new_warnings(special,
 
 
 def _band_engages(rows, cols, sigma2, axis):
-    """Whether gaussian_softmax computes this call in a band."""
-    return ad._banded_gaussian(rows, cols, sigma2, -1.0 / sigma2, axis) is not None
+    """Whether gaussian_softmax computes this call in a band: whether it
+    runs without the dense kernel."""
+    with mock.patch.object(ad, "_dense_gaussian", wraps=ad._dense_gaussian) as dense:
+        ad.gaussian_softmax(rows, cols, sigma2, axis)
+    return not dense.called
 
 
 def _jittered_grid(rng, n):
@@ -711,43 +715,48 @@ def _close(x, expected):
     return x.shape == expected.shape and bool(np.all(np.abs(x - expected) <= 1e-12 * scale))
 
 
-def _assert_band_matches_chain(rows, cols, sigma2, axis, traced):
-    """Against the chain with the band's cutoff: values and the cols
-    gradient of an axis-0 band bit for bit, the other results within
-    :func:`_close`, traced and untraced."""
+def _assert_kernel_matches_chain(rows, cols, sigma2, axis, banded, traced=(True, True)):
+    """That the call bands exactly where ``banded`` says, and its results
+    against the chain: a band's against the chain with the band's cutoff,
+    values and the cols gradient bit for bit and the rows gradient within
+    :func:`_close`; a dense call's against the dense chain, all bit for bit.
+    Traced and untraced."""
+    assert _band_engages(rows, cols, sigma2, axis) == banded
     fused = lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis)
+    if not banded:
+        chain = lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis)
+        _assert_fused_matches_chain(fused, chain, [rows, cols], traced)
+        return
     out, grads, _ = _traced_grads(fused, [rows, cols], traced)
     expected, expected_grads, _ = _traced_grads(
-        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis, ad.BAND_CUTOFF),
+        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, 0, ad.BAND_CUTOFF),
         [rows, cols], traced)
-    assert _same_bits(fused(rows, cols), out)
-    assert _same_bits(out, expected) if axis == 0 else _close(out, expected)
+    assert _same_bits(fused(rows, cols), out) and _same_bits(out, expected)
     operands = [name for name, t in zip(("rows", "cols"), traced) if t]
     for name, g, e in zip(operands, grads, expected_grads):
-        assert _same_bits(g, e) if (axis, name) == (0, "cols") else _close(g, e)
+        assert _same_bits(g, e) if name == "cols" else _close(g, e)
 
 
 def _draw_band_case(data, kinds):
-    """(rows, cols, sigma2, axis, kind): a kernel call at TTS sizes of one
-    of ``kinds``."""
-    axis = data.draw(st.integers(0, 1))
+    """(rows, cols, sigma2, kind): an axis-0 kernel call at TTS sizes of one
+    of ``kinds``, the softmax down the rows."""
     n, m = data.draw(st.integers(230, 300)), data.draw(st.integers(160, 220))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     kind = data.draw(st.sampled_from(kinds))
     if kind == "index":
-        # Unit-spaced rows, a few of them repeated, along the softmax axis;
-        # across it centres in and beyond their range, three of them where
-        # a row's shifted logit is at the band's cutoff.
+        # Unit-spaced rows, a few of them repeated; centres in and beyond
+        # their range, three of them where a row's shifted logit is at the
+        # band's cutoff.
         sigma2, centre = data.draw(st.sampled_from(_THRESHOLD_CENTRES))
         repeats = rng.choice(n, data.draw(st.integers(0, 3))).astype(float)
         a = np.sort(np.concatenate([np.arange(float(n)), repeats]))
         b = rng.uniform(-60.0, n + 60.0, m)
         b[rng.choice(m, 3, replace=False)] = centre
     elif kind == "hma":
-        # The density matrix's call: an HMA IMV along the softmax axis (axis
-        # 1), rectified noisy steps with flat runs where the raw IMV rewinds,
-        # scaled to end at the last of the tokens across it.
-        axis, t1 = 1, data.draw(st.integers(50, 90))
+        # The transposed density matrix: an HMA IMV down the rows, rectified
+        # noisy steps with flat runs where the raw IMV rewinds, scaled to end
+        # at the last of the tokens across the columns.
+        t1 = data.draw(st.integers(50, 90))
         t2 = data.draw(st.integers(max(150, -(-ad._BAND_MIN_ENTRIES // t1)), 250))
         sigma2 = data.draw(st.floats(0.1, 0.3))
         steps = rng.normal(1.0, 0.6, t2 - 1)
@@ -760,29 +769,24 @@ def _draw_band_case(data, kinds):
         sigma2 = data.draw(st.floats(0.1, 0.3))
         a, b = np.arange(float(n)), np.full(m, rng.uniform(-60.0, n + 60.0))
     else:
-        # Centres along the softmax axis (the density matrix), some below
-        # the index vector's range. NM centres are unsorted and run dense.
+        # IMV centres down the rows (the transposed density matrix), some
+        # below the index vector's range. NM centres are unsorted and run dense.
         sigma2 = data.draw(st.floats(0.1, 0.3))
         a, b = _jittered_grid(rng, n), np.arange(float(m))
         if kind == "nm":
             i, j = sorted(rng.choice(n, 2, replace=False))
             a[i], a[j] = a[j], a[i]
-    rows, cols = (a, b) if axis == 0 else (b, a)
-    return rows, cols, sigma2, axis, kind
+    return a, b, sigma2, kind
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_banded_gaussian_softmax_matches_the_dense_chain(data):
-    rows, cols, sigma2, axis, kind = _draw_band_case(data, ["index", "centres", "hma", "nm"])
+    rows, cols, sigma2, kind = _draw_band_case(data, ["index", "centres", "hma", "nm"])
     traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
-    assert _band_engages(rows, cols, sigma2, axis) == (kind != "nm")
-    if kind == "nm":
-        _assert_fused_matches_chain(
-            lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis),
-            lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis), [rows, cols], traced)
-    else:
-        _assert_band_matches_chain(rows, cols, sigma2, axis, traced)
+    _assert_kernel_matches_chain(rows, cols, sigma2, 0, kind != "nm", traced)
+    # the same kernel with the operands swapped, along axis 1, is dense
+    _assert_kernel_matches_chain(cols, rows, sigma2, 1, False, traced[::-1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -791,36 +795,14 @@ def test_band_is_within_its_stated_bound_of_the_dense_kernel(data):
     """Every value and gradient entry of the band within the bound stated
     in gaussian_softmax's docstring of the dense kernel's, whose cutoff is
     -746: the change the band's cutoff makes, not only its summation order."""
-    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
-    assert _band_engages(rows, cols, sigma2, axis)
+    rows, cols, sigma2, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
+    assert _band_engages(rows, cols, sigma2, 0)
     out, grads, _ = _traced_grads(
-        lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis), [rows, cols], (True, True))
+        lambda r, c: ad.gaussian_softmax(r, c, sigma2, 0), [rows, cols], (True, True))
     expected, expected_grads, _ = _traced_grads(
-        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis), [rows, cols], (True, True))
+        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, 0), [rows, cols], (True, True))
     for x, e in zip([out, *grads], [expected, *expected_grads]):
         assert _close(x, e)
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_axis_1_band_is_the_transposed_axis_0_band_on_swapped_operands(data):
-    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
-    # a is the operand along the softmax axis, b the other
-    a, b = (rows, cols) if axis == 0 else (cols, rows)
-    assert _band_engages(a, b, sigma2, 0) and _band_engages(b, a, sigma2, 1)
-    w = np.random.default_rng(12).normal(size=(a.size, b.size))
-
-    def traced(x, y, axis, w):
-        tape = ad.Tape()
-        vx, vy = tape.variable(x), tape.variable(y)
-        out = ad.gaussian_softmax(vx, vy, sigma2, axis)
-        tape.backward(ad.asum(out * w))
-        return out.data, vx.grad, vy.grad
-
-    out0, ga0, gb0 = traced(a, b, 0, w)
-    out1, gb1, ga1 = traced(b, a, 1, w.T)
-    assert _same_bits(out1, out0.T) and _same_bits(ad.gaussian_softmax(b, a, sigma2, 1), out0.T)
-    assert _same_bits(ga1, ga0) and _same_bits(gb1, gb0)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -835,8 +817,7 @@ def test_band_at_the_smallest_sigma2_with_a_finite_reciprocal(axis):
         lambda: ref.gaussian_softmax_chain(rows, cols, sigma2, axis))
     assert out_warnings == expected_warnings == [(RuntimeWarning, "overflow encountered in multiply")]
     with np.errstate(over="ignore"):
-        assert _band_engages(rows, cols, sigma2, axis)
-        _assert_band_matches_chain(rows, cols, sigma2, axis, (True, True))
+        _assert_kernel_matches_chain(rows, cols, sigma2, axis, axis == 0)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -858,28 +839,23 @@ def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
         rows, cols = (cluster, np.linspace(0.0, 875.0, 160))[::1 - 2 * axis]
     else:
         cols = np.full(160, 37.25)
-    along = rows if axis == 0 else cols
-    # equal centres along the softmax axis span nothing; across it they band
-    engages = case == "a tight cluster" or (case == "sorted equal centres" and along is rows)
-    assert _band_engages(rows, cols, sigma2, axis) == engages
-    fused = lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis)
-    chain = lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis)
-    if engages:
-        _assert_band_matches_chain(rows, cols, sigma2, axis, (True, True))
-    else:
-        _assert_fused_matches_chain(fused, chain, [rows, cols], (True, True))
+    # equal centres down the rows would span nothing; across them they band
+    # (axis 1 is dense at every size)
+    engages = axis == 0 and case in ("a tight cluster", "sorted equal centres")
+    _assert_kernel_matches_chain(rows, cols, sigma2, axis, engages)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_band_runs_from_its_size_constant_of_entries(axis):
-    # a constant's worth of entries bands; one row fewer along the softmax axis is dense
+    # a constant's worth of entries bands on axis 0; one row fewer along the
+    # softmax axis is dense, as is axis 1 at any size
     m = 100
     n = ad._BAND_MIN_ENTRIES // m
     assert n * m == ad._BAND_MIN_ENTRIES
     b = _jittered_grid(np.random.default_rng(21), m) + 40.0
     for rows, engages in [(n, True), (n - 1, False)]:
         a = np.arange(float(rows))
-        assert _band_engages(*((a, b) if axis == 0 else (b, a)), 0.25, axis) == engages
+        assert _band_engages(*((a, b) if axis == 0 else (b, a)), 0.25, axis) == (engages and axis == 0)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -910,7 +886,7 @@ def test_band_falls_back_where_rounding_widens_the_window():
 def test_band_gradient_with_a_nan_outside_the_band_is_the_dense_one(axis):
     rows, cols = np.arange(256.0), _jittered_grid(np.random.default_rng(19), 160) + 40.0
     rows, cols = (rows, cols) if axis == 0 else (cols, rows)
-    assert _band_engages(rows, cols, 0.25, axis)
+    assert _band_engages(rows, cols, 0.25, axis) == (axis == 0)
 
     def grads(f):
         tape = ad.Tape()
@@ -937,7 +913,7 @@ def test_banded_gaussian_softmax_gradcheck(axis):
     rng = np.random.default_rng(20)
     along, index = np.arange(120.0) * 2.0 + rng.uniform(-0.5, 0.5, 120), np.arange(480.0) * 0.5
     rows, cols = (along, index) if axis == 0 else (index, along)
-    assert _band_engages(rows, cols, 1.0, axis)
+    assert _band_engages(rows, cols, 1.0, axis) == (axis == 0)
     w = rng.normal(size=(rows.size, cols.size))
     f = lambda r, c: ad.asum(ad.gaussian_softmax(r, c, 1.0, axis) * w)
     assert ad.gradcheck(f, [rows, cols], op_name="gaussian_softmax").passed
@@ -953,10 +929,17 @@ def _positions_band_engages(tokens, pi, sigma2):
     return [v.name for v in tape.nodes] == ["gaussian_positions"]
 
 
-def _positions_chain(tokens, pi, sigma2):
-    """The density matrix's gaussian_softmax, banded where it can be,
+def _banded_positions_chain(tokens, pi, sigma2):
+    """The transposed axis-0 kernel over the IMV, banded where it can be,
     times the output index vector."""
-    return ad.matmul(ad.gaussian_softmax(tokens, pi, sigma2, axis=1), np.arange(float(ad.data(pi).size)))
+    density = ad.transpose(ad.gaussian_softmax(pi, tokens, sigma2, axis=0))
+    return ad.matmul(density, np.arange(float(ad.data(pi).size)))
+
+
+def _dense_positions_chain(tokens, pi, sigma2):
+    """The dense density matrix times the output index vector."""
+    density = ref.gaussian_softmax_chain(tokens, pi, sigma2, 1)
+    return ad.matmul(density, np.arange(float(ad.data(pi).size)))
 
 
 def _positions_close(e, expected, t2):
@@ -969,16 +952,15 @@ def _positions_close(e, expected, t2):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_banded_positions_gradients_equal_the_banded_chain_bit_for_bit(data):
-    rows, cols, sigma2, axis, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
-    # the operand along the softmax axis is the IMV, the other the tokens
-    pi, tokens = (rows, cols) if axis == 0 else (cols, rows)
+    # the rows, along the softmax axis, are the IMV, the columns the tokens
+    pi, tokens, sigma2, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
     traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
     assert _positions_band_engages(tokens, pi, sigma2)
     fused = lambda t, p: ad.gaussian_positions(t, p, sigma2)
     out, grads, tape = _traced_grads(fused, [tokens, pi], traced)
     expected, expected_grads, chain_tape = _traced_grads(
-        lambda t, p: _positions_chain(t, p, sigma2), [tokens, pi], traced)
-    assert len(tape.nodes) == len(chain_tape.nodes) - 1
+        lambda t, p: _banded_positions_chain(t, p, sigma2), [tokens, pi], traced)
+    assert len(tape.nodes) == len(chain_tape.nodes) - 2
     assert _same_bits(fused(tokens, pi), out) and _positions_close(out, expected, pi.size)
     for g, e in zip(grads, expected_grads):
         assert _same_bits(g, e)
@@ -999,7 +981,7 @@ def test_a_nonfinite_upstream_gradient_gives_the_positions_chain_s_gradients(bad
 
     with np.errstate(invalid="ignore"):
         got = grads(lambda t, p: ad.gaussian_positions(t, p, 0.25))
-        expected = grads(lambda t, p: _positions_chain(t, p, 0.25))
+        expected = grads(lambda t, p: _dense_positions_chain(t, p, 0.25))
     for g, e in zip(got, expected):
         assert np.isnan(e).any()
         np.testing.assert_array_equal(g, e)  # NaN where the chain has NaN
@@ -1014,7 +996,7 @@ def test_positions_band_runs_from_its_size_constant_of_entries():
     for entries, engages in [(n, True), (n - 1, False)]:
         pi = np.arange(float(entries))
         assert _positions_band_engages(tokens, pi, 0.25) == engages
-        assert _band_engages(tokens, pi, 0.25, 1) == engages
+        assert _band_engages(pi, tokens, 0.25, 0) == engages
 
 
 def test_banded_positions_gradcheck():

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from imvalign.positions import (
     infer_t2,
     scale_positions,
 )
+import reference_tape as ref
 
 SHARP = KernelConfig(sigma2=0.01)
 
@@ -129,6 +131,31 @@ def test_banded_positions_are_the_density_matrix_s_mean_within_their_bound(data)
     e = extract_positions(Imv(pi, t1), kernel).values
     expected = density_matrix(Imv(pi, t1), kernel) @ index_vector(t2)
     assert np.all(np.abs(e - expected) <= 2 * t2 * 2.0**-52 * np.maximum(1.0, np.abs(expected)))
+
+
+def test_the_density_matrix_is_the_dense_kernel_at_every_size():
+    """``density_matrix`` runs the dense kernel at every size: at 256 x 1024,
+    on an HMA IMV whose transposed kernel bands, its values and its IMV
+    gradient are the dense chain's bit for bit. TTS-size means come from
+    ``extract_positions``, which takes them from that band instead."""
+    t1, t2 = 256, 1024
+    rng = np.random.default_rng(24)
+    pi = _tts_imv("walk", t1, t2, rng)
+    kernel, tokens = KernelConfig(), index_vector(t1)
+    assert ad._band_block(pi, tokens, kernel.sigma2, -1.0 / kernel.sigma2) is not None
+    w = rng.normal(size=(t1, t2))
+
+    def traced(f):
+        tape = ad.Tape()
+        p = tape.variable(pi)
+        out = f(p)
+        tape.backward(ad.asum(out * w))
+        return out.data, p.grad
+
+    got = traced(lambda p: density_matrix(Imv(p, t1), kernel))
+    expected = traced(lambda p: ref.gaussian_softmax_chain(tokens, p, kernel.sigma2, 1))
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
 # the smallest sigma2 whose reciprocal is finite: a logit overflows beyond ~1 token
@@ -246,6 +273,14 @@ def test_align_from_positions_ties_share_weight():
 def test_align_from_positions_rejects_zero_length():
     with pytest.raises(AlignmentError, match="t2 must be >= 1"):
         align_from_positions(AlignedPositions(np.array([0.0, 1.0])), 0, SHARP)
+
+
+@pytest.mark.parametrize("t2", [2.5, 3.0, True, np.float64(4.0), "5"])
+def test_align_from_positions_refuses_a_length_that_is_not_an_integer(t2):
+    with pytest.raises(AlignmentError, match=re.escape(f"t2 must be >= 1 and an integer, got {t2!r}")):
+        align_from_positions(AlignedPositions(np.array([0.0, 1.0])), t2, SHARP)
+    # a numpy integer is an integer
+    assert align_from_positions(AlignedPositions(np.array([0.0, 1.0])), np.int64(3), SHARP).shape == (2, 3)
 
 
 def test_align_from_positions_columns_normalized():

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from imvalign import autodiff as ad
 from imvalign.core import Imv
-from imvalign.monotonic import DEGENERATE_EPS, DegenerateImvError, align_from_imv, hma_transform
-from imvalign.positions import extract_positions
+from imvalign.monotonic import DEGENERATE_EPS, DegenerateImvError, KernelConfig, align_from_imv, hma_transform
+from imvalign.positions import AlignedPositions, align_from_positions, extract_positions, infer_t2, scale_positions
 
 EPS = 2.0**-52
 KINDS = ("walk", "uniform", "stalls", "one-jump")
@@ -161,3 +162,106 @@ def test_reflecting_the_imv_reflects_its_positions(kind, t1, t2, seed, scale):
     positions = extract_positions(Imv(pi, t1)).values
     reflected = extract_positions(Imv((t1 - 1) - pi[::-1], t1)).values
     assert np.abs(reflected - ((t2 - 1) - positions[::-1])).max() <= 4 * EPS * t1**2 * (t2 - 1)
+
+
+def _positions(kind, t1, t2, rng):
+    """Aligned positions of ``t1`` tokens over ``t2`` output steps: gamma
+    increments ending at t2 - 1, as a trained predictor gives them, sorted
+    draws rounded to quarter steps (ties), or unsorted draws."""
+    if kind == "steps":
+        e = np.cumsum(rng.gamma(2.0, 1.0, t1))
+        return e * ((t2 - 1) / e[-1])
+    if kind == "ties":
+        return np.sort(np.round(rng.uniform(0.0, t2 - 1.0, t1) * 4.0) / 4.0)
+    return rng.uniform(-5.0, t2 + 5.0, t1)
+
+
+def _bands(e, t2, sigma2):
+    """Whether ``align_from_positions(e, t2)`` evaluates only the kernel's band."""
+    return ad._banded_gaussian(e, np.arange(float(t2)), sigma2, -1.0 / sigma2) is not None
+
+
+def _shift_error(kind, t1, t2, k, sigma2, seed):
+    """The largest difference between ``align_from_positions(e, t2)`` and the
+    last t2 columns of ``align_from_positions(e + k, t2 + k)``, and its bound
+    in ``align_from_positions``'s docstring. A "crossing" draw maps the
+    sizes to t1 in [16, 100] and t1 * t2 just under the band's size
+    constant, and has sorted positions, so only the shifted call bands."""
+    if kind == "crossing":
+        t1 = 16 + t1 % 85
+        least = -(-ad._BAND_MIN_ENTRIES // t1)  # the fewest output steps that band
+        t2 = least - 1 - t2 % (least // 2)
+        k = least - t2 + k % 64
+    e = _positions("steps" if kind == "crossing" else kind, t1, t2, np.random.default_rng(seed))
+    if kind == "crossing":
+        assert not _bands(e, t2, sigma2) and _bands(e + k, t2 + k, sigma2)
+    kernel = KernelConfig(sigma2=sigma2)
+    alpha = align_from_positions(AlignedPositions(e), t2, kernel)
+    shifted = align_from_positions(AlignedPositions(e + k), t2 + k, kernel)
+    # the largest distance from an output step to its nearest position
+    gap = np.abs(np.arange(float(t2)).reshape(-1, 1) - e).min(axis=1).max()
+    bound = 2 * EPS * ((np.abs(e).max() + k) * (gap + np.sqrt(sigma2)) / sigma2 + t1)
+    return np.abs(shifted[:, k:] - alpha).max(), bound
+
+
+@settings(max_examples=100, deadline=None)
+@example(kind="crossing", t1=100, t2=99, k=1, sigma2=0.25, seed=0)
+@example(kind="steps", t1=1, t2=1, k=1, sigma2=0.25, seed=0)
+@given(
+    kind=st.sampled_from(["steps", "ties", "unsorted", "crossing"]),
+    t1=st.integers(1, 256),
+    t2=st.integers(1, 1024),
+    k=st.integers(1, 1024),
+    sigma2=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifting_the_positions_and_the_length_shifts_the_alignment(kind, t1, t2, k, sigma2, seed):
+    """The last t2 columns of ``align_from_positions(e + k, t2 + k)`` are
+    ``align_from_positions(e, t2)`` within the bound in its docstring.
+
+    Measured over 7,000 draws (t1 1-256, t2 1-1024, k 1-1024, sigma2
+    0.05-1, a quarter of them crossing): at most 0.164 of the bound, on a
+    crossing draw, and bit for bit in 1,630. Kills the mutant
+    ``align-from-positions-step-grid-stretched``.
+    """
+    error, bound = _shift_error(kind, t1, t2, k, sigma2, seed)
+    assert error <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@example(kind="steps", t1=2, t2=1024, seed=0, rates=[0.5, 2.0])
+@given(
+    kind=st.sampled_from(["steps", "ties", "unsorted"]),
+    t1=st.integers(2, 256),
+    t2=st.integers(1, 1024),
+    seed=st.integers(0, 2**32 - 1),
+    rates=st.lists(st.floats(0.05, 20.0), min_size=2, max_size=12, unique=True),
+)
+def test_a_higher_rate_never_infers_a_shorter_length(kind, t1, t2, seed, rates):
+    """``infer_t2(scale_positions(p, r))`` never decreases as r grows, within
+    the bound in ``infer_t2``'s docstring: for r1 < r2 it does not decrease
+    where the projections are farther apart than their rounding, and drops
+    by at most 1 where they are not. Each projection that crosses a half
+    step is also taken one and two ulps of the rate either side, where the
+    rounding alone decides.
+
+    Measured over 3,000 draws (2.95 million pairs of rates): 1,655 drops of
+    1 among the 201,688 pairs within the rounding, none larger and none
+    among the pairs farther apart. Kills the mutant
+    ``scale-positions-divides-by-the-rate``.
+    """
+    e = _positions(kind, t1, t2, np.random.default_rng(seed))
+    last, before = abs(e[-1]), abs(e[-2])
+    slope = 2 * e[-1] - e[-2]
+    rates = list(rates)
+    if slope > 0:
+        for half in {np.floor(r * slope - 0.5) + 0.5 for r in rates}:
+            r = half / slope
+            rates += [r, *(np.nextafter(r, d) for d in (0.0, np.inf)),
+                      *(np.nextafter(np.nextafter(r, d), d) for d in (0.0, np.inf))]
+    rates = sorted(r for r in set(rates) if r > 0)
+    lengths = [infer_t2(scale_positions(AlignedPositions(e), r)) for r in rates]
+    for i, (r1, n1) in enumerate(zip(rates, lengths)):
+        for r2, n2 in zip(rates[i + 1:], lengths[i + 1:]):
+            apart = (r2 - r1) * slope >= 3 * EPS * (r1 + r2) * (last + before)
+            assert n2 >= (n1 if apart else n1 - 1)

@@ -25,7 +25,7 @@ _EXPORTS = {
     "compute_imv context_map enumerate_monotonic_paths index_vector validate_imv",
     "monotonic": "DegenerateImvError KernelConfig SmaWeights StreamingHmaState align_from_imv hma_transform "
     "sma_loss streaming_hma_run streaming_hma_step",
-    "positions": "AlignedPositions align_from_positions ap_loss density_matrix extract_positions "
+    "positions": "AlignedPositions align_from_positions ap_loss extract_positions "
     "infer_t2 scale_positions",
     "toy": "MODES SequenceForward ToyBatch ToyModel ToyTask TrainConfig TrainReport alignment_accuracy "
     "diagonality_score infer make_batch positions_from_durations sequence_forward token_patterns train",

@@ -34,4 +34,4 @@ def scaled_dot_alignment(queries, keys):
         raise AlignmentError("encoded sequences must be finite")
     scale = float(q_data.shape[1]) ** -0.5
     logits = ad.matmul(keys, ad.transpose(queries)) * scale
-    return ad.softmax(logits, axis=0)
+    return ad.softmax(logits)

@@ -10,23 +10,19 @@ both paths compute the same values.  Gradients are validated against
 central finite differences by :func:`gradcheck`.
 
 :func:`softmax` and :func:`gaussian_softmax` (the Gaussian kernel logits
-and their softmax in one node) write every entry whose shifted logit is
-below -746 as 0.0 without calling ``exp``: ``exp`` returns exactly 0.0
-there, so the values are unchanged, and it is slow on such inputs.
-:func:`gaussian_softmax` goes further at TTS lengths: where it runs along
-axis 0 and the rows are finite, sorted and wider than the band, it
-evaluates only the band, the entries whose shifted logit is at least
-ln 2**-53 (about -36.7): 8 rows per column at unit spacing and sigma2 0.25.
-Its values and gradients are within 1e-12 of the dense kernel's (the
-bound in :func:`gaussian_softmax`), not bit for bit. Axis 1 is always
-dense. The density matrix is the axis-1 kernel over an IMV; where its
-transpose would band, :func:`gaussian_positions` takes each token's mean
-output step straight from that axis-0 band, without the (t1, t2) matrix:
-its gradients are those of the transposed band times the step indices bit
-for bit, and each position e_i is within 2 * t2 * eps * max(1, |e_i|) of
-the dense density matrix's. Toy sizes never band.
-:func:`~imvalign.monotonic.streaming_hma_step` evaluates its one column
-with the same cutoff, ``BAND_CUTOFF``, at every size.
+-(a - b)**2 / sigma2 and their softmax in one node) normalise down each
+column; :func:`gaussian_positions` gives each token's mean output step
+under the same kernel normalised along its row (the density), in one node.
+All three write every entry whose shifted logit is below -746 as 0.0
+without calling ``exp``: ``exp`` returns exactly 0.0 there, so the values
+are unchanged, and it is slow on such inputs. At TTS lengths, where the
+entries each softmax sums over are finite, sorted and wider than the band,
+the Gaussian ops evaluate only the band, the entries whose shifted logit
+is at least ln 2**-53 (about -36.7): 8 per slice at unit spacing and
+sigma2 0.25, within each op's stated bound. Otherwise each op is its
+primitive chain bit for bit; toy sizes never band. The one-column kernel
+of :func:`~imvalign.monotonic.streaming_hma_step` uses the same cutoff,
+``BAND_CUTOFF``, at every size.
 """
 
 from __future__ import annotations
@@ -392,17 +388,17 @@ def _softmax_grad(g, y, z, s, axis: int) -> np.ndarray:
     return np.multiply(out, z, out=t)
 
 
-def softmax(x, axis: int):
-    """Stable softmax along ``axis``, recorded as one tape node.
+def softmax(x):
+    """Stable softmax down each column (axis 0), recorded as one tape node.
 
-    The per-slice max is subtracted as a constant before exponentiation;
+    Each column's max is subtracted as a constant before exponentiation;
     softmax is shift-invariant, so the gradient is unaffected while the
     exponentials stay bounded. Values and gradients equal those of an
     exp/sum/div chain of primitives bit for bit.
     """
     xd = data(x)
-    y, z, s = _masked_softmax(xd - xd.max(axis=axis, keepdims=True), axis)
-    return _record("softmax", y, lambda g: _accumulate(x, _softmax_grad(g, y, z, s, axis)), x)
+    y, z, s = _masked_softmax(xd - xd.max(axis=0, keepdims=True), 0)
+    return _record("softmax", y, lambda g: _accumulate(x, _softmax_grad(g, y, z, s, 0)), x)
 
 
 def _diff_grad(g, y, z, s, axis: int, scale: float, diff: np.ndarray) -> np.ndarray:
@@ -555,27 +551,25 @@ def _banded_gaussian(rd, cd, sigma2: float, scale: float):
     return out, grads
 
 
-def gaussian_softmax(rows, cols, sigma2: float, axis: int):
-    """Softmax along ``axis`` of the Gaussian kernel logits
+def gaussian_softmax(rows, cols, sigma2: float):
+    """Softmax down each column of the Gaussian kernel logits
     -(rows_i - cols_j)^2 / sigma2, recorded as one tape node.
 
     ``rows`` and ``cols`` are 1-D; the result has shape (len(rows),
     len(cols)). Either operand may be traced. Values and gradients equal
     those of a reshape/sub/mul/mul chain followed by :func:`softmax`, bit
-    for bit, except where the band applies (:func:`_banded_gaussian`: axis
-    0, at least 10,000 entries, ``rows`` finite, sorted and wider than
-    every window, ``cols`` finite). Axis 1 always runs the dense kernel.
-    The band drops every entry below 2**-53 of its column's peak, so a
-    column's sum changes by less than n 2**-53 of itself for n rows (1.1e-13
-    at n = 1024), and it sums in another order. Bound: each value and
-    gradient entry of the band is within 1e-12 times the largest magnitude
-    of its array (or 1, if larger) of the chain's. A NaN or inf input or
-    upstream gradient gives the chain's result.
+    for bit, except where the band applies (:func:`_banded_gaussian`: at
+    least 10,000 entries, ``rows`` finite, sorted and wider than every
+    window, ``cols`` finite). The band drops every entry below 2**-53 of
+    its column's peak, so a column's sum changes by less than n 2**-53 of
+    itself for n rows (1.1e-13 at n = 1024), and it sums in another order.
+    Bound: each value and gradient entry of the band is within 1e-12 times
+    the largest magnitude of its array (or 1, if larger) of the chain's. A
+    NaN or inf input or upstream gradient gives the chain's result.
     """
     rd, cd = data(rows), data(cols)
     scale = -1.0 / sigma2
-    banded = _banded_gaussian(rd, cd, sigma2, scale) if axis == 0 else None
-    y, grads = banded or _dense_gaussian(rd, cd, scale, axis)
+    y, grads = _banded_gaussian(rd, cd, sigma2, scale) or _dense_gaussian(rd, cd, scale, 0)
 
     def backward(g):
         g_rows, g_cols = grads(g, isinstance(rows, Value), isinstance(cols, Value))
@@ -586,39 +580,45 @@ def gaussian_softmax(rows, cols, sigma2: float, axis: int):
 
 
 def gaussian_positions(tokens, pi, sigma2: float):
-    """Each token's Gaussian-weighted mean output step: sum_j y_ij * j for
-    the density matrix y = ``gaussian_softmax(tokens, pi, sigma2, axis=1)``.
+    """Each token's Gaussian-weighted mean output step, as one tape node:
+    e_i = sum_j y_ij * j for y, the softmax along each row of the kernel
+    logits -(tokens_i - pi_j)^2 / sigma2 (the density).
 
-    ``tokens`` and ``pi`` are 1-D; either may be traced. Where the band of
-    the transposed kernel ``gaussian_softmax(pi, tokens, sigma2, 0)``
-    applies, the means come straight from its (width, t1) block as one
-    tape node, without the (t1, t2) matrix. Their gradients are, bit for
-    bit, those of ``matmul(transpose(`` that band ``), arange(t2))``, and a
-    NaN or inf upstream gradient gives those of the dense chain
-    ``matmul(gaussian_softmax(tokens, pi, sigma2, 1), arange(t2))``, which
-    is recorded everywhere else. Bound: the band sums the products
-    y_ij * j in another order than the dense chain, and leaves out the
-    terms below 2**-53 of a token's peak, which fall away like a Gaussian
-    beyond its window; each banded e_i is within
+    ``tokens`` and ``pi`` are 1-D; either may be traced. Values and
+    gradients equal those of ``matmul(y, arange(t2))``, y from the dense
+    reshape/sub/mul/mul chain and a softmax along axis 1, bit for bit,
+    except where the band of the transposed kernel ``gaussian_softmax(pi,
+    tokens, sigma2)`` applies. There the means come straight from its
+    (width, t1) block, without the (t1, t2) matrix; their gradients are, bit
+    for bit, those of ``matmul(transpose(`` that band ``), arange(t2))``,
+    and a NaN or inf upstream gradient gives the dense chain's. Bound: the
+    band sums y_ij * j in another order and leaves out the terms below
+    2**-53 of a token's peak; each banded e_i is within
     2 * t2 * eps * max(1, |e_i|) of the dense chain's (eps = 2**-52;
     measured at most 0.027 of it over 1,500 banded HMA IMVs, t1 32-256).
+    Training through both bands at t1 64-128, a toy step's flat parameter
+    gradient g is within 1e-12 * max(1, max|g|) of the dense kernels'
+    (measured, not derived: at most 0.22 of it over 120 HMA steps).
     """
     td, pd = data(tokens), data(pi)
     steps = np.arange(pd.size, dtype=np.float64)
     scale = -1.0 / sigma2
     block = _band_block(pd, td, sigma2, scale) if td.size * pd.size >= _BAND_MIN_ENTRIES else None
     if block is None:
-        return matmul(gaussian_softmax(tokens, pi, sigma2, axis=1), steps)
-    idx, y = block[0], block[2]
-    e = (y * idx).sum(axis=0)
+        y, dense = _dense_gaussian(td, pd, scale, 1)
+        e = y @ steps
+    else:
+        idx, y, dense = block[0], block[2], None
+        e = (y * idx).sum(axis=0)
 
     def backward(g):
         want_t, want_p = isinstance(tokens, Value), isinstance(pi, Value)
-        if np.isfinite(g.sum()):
+        if dense is None and np.isfinite(g.sum()):
             # g_i * j on the block is the chain's outer product at the band's entries
             g_p, g_t = _band_grads(g * idx, block, pd.size, scale, want_p, want_t)
-        else:
-            g_t, g_p = _dense_gaussian(td, pd, scale, 1)[1](np.outer(g, steps), want_t, want_p)
+        else:  # np.outer(g, steps) is the chain's matmul gradient of the density
+            grads = dense or _dense_gaussian(td, pd, scale, 1)[1]
+            g_t, g_p = grads(np.outer(g, steps), want_t, want_p)
         _accumulate(tokens, g_t)
         _accumulate(pi, g_p)
 

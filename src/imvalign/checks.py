@@ -21,7 +21,7 @@ from .monotonic import (
     hma_transform,
     sma_loss,
 )
-from .positions import AlignedPositions, align_from_positions, ap_loss, density_matrix, extract_positions
+from .positions import AlignedPositions, align_from_positions, ap_loss, extract_positions
 
 __all__ = ["CHECKABLE_OPS", "run_check"]
 
@@ -112,7 +112,6 @@ CHECKABLE_OPS = {
     "hma_transform": _check_hma_transform,
     "align_from_imv": _imv_kernel_check(align_from_imv),
     "scaled_dot_alignment": _check_scaled_dot,
-    "density_matrix": _imv_kernel_check(density_matrix),
     "extract_positions": _imv_kernel_check(lambda imv, kernel: extract_positions(imv, kernel).e),
     "ap_loss": _check_ap_loss,
     "align_from_positions": _check_align_from_positions,

@@ -127,7 +127,7 @@ def align_from_imv(imv: Imv, kernel: KernelConfig = KernelConfig()):
     huge = np.flatnonzero(np.isfinite(p) & (np.abs(p) >= 2.0**52))
     if j is not None or huge.size:
         raise AlignmentError(f"position {float(p[huge[0] if j is None else j])!r} is too far from rows 0..{imv.t1 - 1}")
-    return ad.gaussian_softmax(rows, imv.pi, kernel.sigma2, axis=0)
+    return ad.gaussian_softmax(rows, imv.pi, kernel.sigma2)
 
 
 @dataclass(frozen=True)

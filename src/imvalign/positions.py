@@ -25,7 +25,6 @@ AP_EPSILON = 1e-6
 
 __all__ = [
     "AlignedPositions",
-    "density_matrix",
     "extract_positions",
     "ap_loss",
     "align_from_positions",
@@ -58,42 +57,27 @@ class AlignedPositions:
         return out
 
 
-def _tokens(imv: Imv, kernel: KernelConfig) -> np.ndarray:
-    """The token grid of the kernels along an IMV. Raises
-    :class:`AlignmentError`, before any kernel runs, where a token's row
-    would be NaN because its nearest finite IMV position is so far that their
-    kernel logit overflows (:func:`autodiff.first_far_entry`)."""
+def extract_positions(
+    imv: Imv, kernel: KernelConfig = KernelConfig()
+) -> AlignedPositions:
+    """Expected output step per token: e_i = sum_j y_ij * j for the
+    row-normalized Gaussian density y_ij = softmax_j(-(i - pi_j)^2 / sigma2),
+    how much of token i's alignment mass falls on output step j
+    (:func:`autodiff.gaussian_positions`). Differentiable end to end. Raises
+    :class:`AlignmentError`, before the kernel runs, where a token's density
+    row would be NaN because its nearest finite IMV position is so far that
+    their kernel logit overflows (:func:`autodiff.first_far_entry`). Where
+    the band of the transposed kernel applies (TTS lengths, a sorted IMV),
+    the means come from that band without the (t1, t2) density, each within
+    2 * t2 * eps * max(1, |e_i|) of the dense density's (eps = 2**-52): the
+    band sums in another order and leaves out the terms below 2**-53 of a
+    token's peak. Toy sizes never band."""
     check_alignment_size(imv.t1, imv.t2)
     tokens = index_vector(imv.t1)
     i = ad.first_far_entry(imv.values, tokens, kernel.sigma2)
     if i is not None:
         raise AlignmentError(f"token {i} is too far from every IMV position: its density row is nan")
-    return tokens
-
-
-def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
-    """Row-normalized Gaussian density (t1, t2): how much of token i's
-    alignment mass falls on each output step. It is the dense kernel at
-    every size (the axis-1 kernel never bands); at TTS sizes
-    :func:`extract_positions` takes the means without it. Raises
-    :class:`AlignmentError`, before the kernel runs, where a token is too far
-    from every IMV position (:func:`_tokens`)."""
-    return ad.gaussian_softmax(_tokens(imv, kernel), imv.pi, kernel.sigma2, axis=1)
-
-
-def extract_positions(
-    imv: Imv, kernel: KernelConfig = KernelConfig()
-) -> AlignedPositions:
-    """Expected output step per token: the density-weighted mean of the
-    output index vector (:func:`autodiff.gaussian_positions`).
-    Differentiable end to end. Refuses what :func:`density_matrix` refuses.
-    Where the band of the transposed kernel applies (TTS lengths, a sorted
-    IMV), the means come from that band without a density matrix, each
-    within 2 * t2 * eps * max(1, |e_i|) of the dense
-    ``density_matrix(imv) @ arange(t2)`` (eps = 2**-52): the band sums in
-    another order and leaves out the terms below 2**-53 of a token's peak.
-    Toy sizes never band."""
-    return AlignedPositions(ad.gaussian_positions(_tokens(imv, kernel), imv.pi, kernel.sigma2))
+    return AlignedPositions(ad.gaussian_positions(tokens, imv.pi, kernel.sigma2))
 
 
 def ap_loss(pred_delta, target_delta):
@@ -136,7 +120,7 @@ def align_from_positions(
     j = ad.first_far_entry(e, steps, kernel.sigma2)
     if j is not None:
         raise AlignmentError(f"output step {j} is too far from every aligned position: its column is nan")
-    return ad.gaussian_softmax(positions.e, steps, kernel.sigma2, axis=0)
+    return ad.gaussian_softmax(positions.e, steps, kernel.sigma2)
 
 
 def infer_t2(positions: AlignedPositions) -> int:

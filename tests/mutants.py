@@ -261,13 +261,6 @@ MUTANTS = (
         ("tests/test_autodiff.py::test_banded_gaussian_softmax_matches_the_dense_chain",),
     ),
     Mutant(
-        "kernel-bands-axis-1-along-its-rows",
-        "src/imvalign/autodiff.py",
-        "banded = _banded_gaussian(rd, cd, sigma2, scale) if axis == 0 else None",
-        "banded = _banded_gaussian(rd, cd, sigma2, scale)",
-        ("tests/test_positions.py::test_the_density_matrix_is_the_dense_kernel_at_every_size",),
-    ),
-    Mutant(
         "band-cutoff-loosened",
         "src/imvalign/autodiff.py",
         "BAND_CUTOFF = math.log(2.0 ** -53)",
@@ -299,9 +292,23 @@ MUTANTS = (
     Mutant(
         "positions-nonfinite-upstream-fallback-dropped",
         "src/imvalign/autodiff.py",
-        "        if np.isfinite(g.sum()):\n",
-        "        if True:\n",
+        "        if dense is None and np.isfinite(g.sum()):\n",
+        "        if dense is None:\n",
         ("tests/test_autodiff.py::test_a_nonfinite_upstream_gradient_gives_the_positions_chain_s_gradients",),
+    ),
+    Mutant(
+        "positions-dense-steps-reversed",
+        "src/imvalign/autodiff.py",
+        "e = y @ steps",
+        "e = y @ steps[::-1]",
+        ("tests/test_autodiff.py::test_dense_positions_are_one_node_and_the_dense_chain_bit_for_bit",),
+    ),
+    Mutant(
+        "positions-dense-gradient-operands-swapped",
+        "src/imvalign/autodiff.py",
+        "g_t, g_p = grads(np.outer(g, steps), want_t, want_p)",
+        "g_t, g_p = grads(np.outer(g, steps), want_p, want_t)",
+        ("tests/test_autodiff.py::test_dense_positions_are_one_node_and_the_dense_chain_bit_for_bit",),
     ),
     Mutant(
         "positions-band-below-its-size-constant",

@@ -9,10 +9,11 @@ the library's own primitives, through the public :meth:`Tape.record`, so a
 fused op can be compared with its chain bit for bit, kink signatures
 included. A chain spells ``a - b`` and ``a / b`` as ``sub(a, b)`` and
 ``div(a, b)``: a :class:`~imvalign.autodiff.Value` has only the ``+``, ``*``
-and ``x[key]`` operators the library applies. The streaming functions at
-the end are the plain forms of :mod:`imvalign.monotonic`'s streaming clamp,
-step and run, which the library's must match bit for bit. :class:`Adam` is
-the toy trainer's optimizer as it was before the parameters shared one flat
+and ``x[key]`` operators the library applies. :func:`density_matrix` is
+the aligned positions' reference. The streaming functions at the end are
+the plain forms of :mod:`imvalign.monotonic`'s streaming clamp, step and
+run, which the library's must match bit for bit. :class:`Adam` is the toy
+trainer's optimizer as it was before the parameters shared one flat
 vector: one update per parameter array.
 """
 
@@ -193,6 +194,15 @@ def gaussian_softmax_chain(rows, cols, sigma2, axis, cutoff=None):
     :func:`ad.gaussian_softmax` fuses; ``cutoff`` as in :func:`softmax_chain`."""
     diff = sub(reshape(rows, (-1, 1)), cols)
     return softmax_chain(diff * diff * (-1.0 / sigma2), axis, cutoff)
+
+
+def density_matrix(imv: Imv, kernel: KernelConfig = KernelConfig()):
+    """The row-normalised Gaussian density (t1, t2) of an IMV, how much of
+    token i's alignment mass falls on output step j: the dense
+    :func:`gaussian_softmax_chain` along axis 1 over the token grid, whose
+    means :func:`imvalign.positions.extract_positions` returns. Refuses
+    nothing: a token too far from every IMV position gets a NaN row."""
+    return gaussian_softmax_chain(index_vector(imv.t1), imv.pi, kernel.sigma2, 1)
 
 
 def _advance(pos: float, raw: float) -> float:

@@ -236,6 +236,7 @@ def test_criterion_7_mode_convergence_contrast(mode_runs):
     hma_reaches = []
     hma_beats_sma = []
     nm_margins = []
+    step0_margins, step0_accuracy = [], []
     for seed in TOY_SEEDS:
         hma = runs[("HMA", seed)][1]
         sma = runs[("SMA", seed)][1]
@@ -245,6 +246,9 @@ def test_criterion_7_mode_convergence_contrast(mode_runs):
         sma_steps = sma.steps_to_threshold if sma.steps_to_threshold is not None else math.inf
         hma_beats_sma.append(hma_steps < sma_steps)
         nm_margins.append(hma.final_diagonality - nm.final_diagonality)
+        # the same clauses before any training: how much of the contrast is the prior's
+        step0_margins.append(hma.diagonality[0] - nm.diagonality[0])
+        step0_accuracy.append(hma.accuracy[0])
     ok = (
         all(hma_reaches)
         and sum(hma_beats_sma) >= 4
@@ -253,7 +257,9 @@ def test_criterion_7_mode_convergence_contrast(mode_runs):
     detail = (
         f"HMA reaches 0.9 on {sum(hma_reaches)}/5 seeds; "
         f"HMA faster than SMA on {sum(hma_beats_sma)}/5; "
-        f"NM diagonality margins {['%.2f' % m for m in nm_margins]}"
+        f"NM diagonality margins {['%.2f' % m for m in nm_margins]} "
+        f"(step 0: {['%.2f' % m for m in step0_margins]}); "
+        f"HMA step-0 accuracy {['%.2f' % a for a in step0_accuracy]}"
     )
     _report(7, ok, detail, elapsed, 600.0)
     recorded = golden.load()

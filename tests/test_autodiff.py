@@ -38,17 +38,15 @@ def test_data_returns_a_float64_array_itself_and_converts_anything_else():
 def test_softmax_sum_has_zero_gradient():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(4, 3))
-    _, grads = ad.forward_backward(lambda v: ad.asum(ad.softmax(v, axis=0)), [x])
+    _, grads = ad.forward_backward(lambda v: ad.asum(ad.softmax(v)), [x])
     assert np.allclose(grads[0], 0.0, atol=1e-12)
 
 
 def test_softmax_columns_sum_to_one():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 7)) * 50.0
-    s = ad.softmax(x, axis=0)
+    s = ad.softmax(x)
     assert np.allclose(s.sum(axis=0), 1.0, atol=1e-12)
-    s_rows = ad.softmax(x, axis=1)
-    assert np.allclose(s_rows.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_cumsum_backward_is_reversed_cumsum():
@@ -107,7 +105,7 @@ def test_nonfinite_intermediate_carries_node_index():
 def test_nonfinite_softmax_names_the_fused_op():
     def f(x, a):
         b = a * 2.0  # node 0
-        return ad.softmax(x, axis=0) * b  # node 1: inf - inf in the max shift
+        return ad.softmax(x) * b  # node 1: inf - inf in the max shift
 
     x = np.array([[0.0, np.inf], [1.0, 2.0]])
     with np.errstate(invalid="ignore"):
@@ -293,7 +291,7 @@ def test_backward_from_a_released_root_raises():
     lambda v: ad.exp(v),
     lambda v: v[0],
     lambda v: ad.matmul(np.ones((2, 3)), v),
-    lambda v: ad.softmax(v, axis=0),
+    ad.softmax,
     lambda v: ad.Tape().variable(np.ones(3)) + v,
 ], ids=["mul", "rsub", "rmul", "exp", "getitem", "matmul", "softmax", "with-a-live-value"])
 def test_a_primitive_given_a_released_value_raises(op):
@@ -335,7 +333,7 @@ def test_plain_numpy_dispatch_matches_traced():
     x = rng.normal(size=(3, 5))
 
     def pipeline(v):
-        s = ad.softmax(v, axis=0)
+        s = ad.softmax(v)
         return ad.asum(ref.relu(ref.sub(s, 0.2)))
 
     plain = pipeline(x)
@@ -416,15 +414,12 @@ def _matmul_case(draw):
     return ad.matmul, [_array(draw, a_shape), _array(draw, b_shape)]
 
 
-def _softmax_case(draw):
-    axis = draw(st.integers(0, 1))
-    return lambda x: ad.softmax(x, axis), [_matrix(draw)]
+def _gaussian_case(op):
+    def case(draw):
+        sigma2 = draw(st.floats(0.05, 2.0))
+        return lambda r, c: op(r, c, sigma2), [_array(draw, (draw(_dims),)), _array(draw, (draw(_dims),))]
 
-
-def _gaussian_softmax_case(draw):
-    sigma2, axis = draw(st.floats(0.05, 2.0)), draw(st.integers(0, 1))
-    rows, cols = _array(draw, (draw(_dims),)), _array(draw, (draw(_dims),))
-    return lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis), [rows, cols]
+    return case
 
 
 def _sma_penalty_case(draw):
@@ -452,8 +447,9 @@ _PRIMITIVE_CASES = {
     "reshape": _reshape_case,
     "transpose": _unary(ad.transpose),
     "matmul": _matmul_case,
-    "softmax": _softmax_case,
-    "gaussian_softmax": _gaussian_softmax_case,
+    "softmax": _unary(ad.softmax),
+    "gaussian_softmax": _gaussian_case(ad.gaussian_softmax),
+    "gaussian_positions": _gaussian_case(ad.gaussian_positions),
     # a min_total of -inf never refuses: a zero total divides to NaN instead
     "monotone_rescale": lambda draw: (
         lambda x: ad.monotone_rescale(x, 3.0, -np.inf), [_array(draw, (draw(_dims),))]),
@@ -540,16 +536,32 @@ def _traced_grads(f, inputs, traced):
     return out.data, [a.grad for a in args if isinstance(a, ad.Value)], tape
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_fused_softmax_is_bit_identical_to_chain(axis):
+def test_fused_softmax_is_bit_identical_to_chain():
     rng = np.random.default_rng(7)
     for shape in [(5, 7), (1, 4), (6, 1)]:
         x = rng.normal(size=shape) * 3.0
-        out, grads, _ = _traced_grads(lambda v: ad.softmax(v, axis), [x], [True])
-        ref_out, ref_grads, _ = _traced_grads(lambda v: ref.softmax_chain(v, axis), [x], [True])
+        out, grads, _ = _traced_grads(ad.softmax, [x], [True])
+        ref_out, ref_grads, _ = _traced_grads(lambda v: ref.softmax_chain(v, 0), [x], [True])
         assert np.array_equal(out, ref_out)
         assert np.array_equal(grads[0], ref_grads[0])
-        assert np.array_equal(ad.softmax(x, axis), ref_out)
+        assert np.array_equal(ad.softmax(x), ref_out)
+
+
+def _dense_positions_chain(tokens, pi, sigma2):
+    """The dense density matrix times the output index vector."""
+    density = ref.gaussian_softmax_chain(tokens, pi, sigma2, 1)
+    return ad.matmul(density, np.arange(float(ad.data(pi).size)))
+
+
+def _kernel(axis, sigma2):
+    """(op, dense chain) of the public op over the Gaussian kernel of
+    (rows, cols) normalised along ``axis``: gaussian_softmax down the
+    columns (axis 0), or gaussian_positions, the means of the density along
+    the rows (axis 1: the rows are the tokens, the columns the IMV)."""
+    if axis == 0:
+        return (lambda r, c: ad.gaussian_softmax(r, c, sigma2),
+                lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, 0))
+    return lambda t, p: ad.gaussian_positions(t, p, sigma2), lambda t, p: _dense_positions_chain(t, p, sigma2)
 
 
 @pytest.mark.parametrize("traced", [(True, False), (False, True), (True, True)])
@@ -560,16 +572,53 @@ def test_fused_gaussian_softmax_is_bit_identical_to_chain(traced):
     cases.append((np.array([0.0, 14.6, 14.9]), np.arange(16.0)))
     for axis in (0, 1):
         for rows, cols in cases:
-            _assert_fused_matches_chain(
-                lambda r, c: ad.gaussian_softmax(r, c, 0.3, axis),
-                lambda r, c: ref.gaussian_softmax_chain(r, c, 0.3, axis), [rows, cols], traced)
+            _assert_fused_matches_chain(*_kernel(axis, 0.3), [rows, cols], traced)
 
 
 def test_fused_nodes_record_one_node_each():
     tape = ad.Tape()
     x = tape.variable(np.ones(3))
-    ad.softmax(ad.gaussian_softmax(x, np.arange(4.0), 0.25, axis=0), axis=1)
-    assert [n.name for n in tape.nodes] == ["gaussian_softmax", "softmax"]
+    ad.softmax(ad.gaussian_softmax(x, np.arange(4.0), 0.25))
+    ad.gaussian_positions(x, np.arange(4.0), 0.25)
+    assert [n.name for n in tape.nodes] == ["gaussian_softmax", "softmax", "gaussian_positions"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_dense_positions_are_one_node_and_the_dense_chain_bit_for_bit(data):
+    """Below the band's size gate, gaussian_positions records one node whose
+    values and gradients are those of the dense density chain times the step
+    indices, bit for bit, for a NaN upstream gradient too."""
+    t1, t2 = data.draw(st.integers(1, 11)), data.draw(st.integers(1, 39))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    sigma2 = data.draw(st.sampled_from([0.25, 1.0]) | st.floats(0.05, 2.0))
+    tokens, pi = np.arange(float(t1)), rng.uniform(-2.0, t1 + 1.0, t2)
+    kind = data.draw(st.sampled_from(["sorted", "unsorted", "equal centres"]))
+    if kind == "sorted":
+        pi.sort()
+    elif kind == "equal centres":
+        pi[:] = pi[0]
+    traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+    w = rng.normal(size=t1)
+    if data.draw(st.booleans()):
+        w[rng.integers(t1)] = np.nan
+    assert not _band_engages(tokens, pi, sigma2, 1)
+    results = []
+    for f in _kernel(1, sigma2):
+        tape = ad.Tape()
+        args = [tape.variable(x) if on else x for x, on in zip((tokens, pi), traced)]
+        out = f(*args)
+        nodes = len(tape.nodes)
+        with np.errstate(invalid="ignore"):
+            tape.backward(ad.asum(out * w))
+        results.append((nodes, out.data, [a.grad for a in args if isinstance(a, ad.Value)], f(tokens, pi)))
+    (nodes, out, grads, plain), (_, expected, expected_grads, expected_plain) = results
+    assert nodes == 1
+    assert _same_bits(out, expected) and _same_bits(plain, out) and _same_bits(expected_plain, expected)
+    assert len(grads) == len(expected_grads) == sum(traced)
+    for g, e in zip(grads, expected_grads):
+        # a NaN's sign and payload depend on the operation that made it
+        assert _same_bits(*(np.where(np.isnan(x), np.nan, x) for x in (g, e)))
 
 
 # Logits that straddle the exp mask: ordinary values, shifted logits in
@@ -587,16 +636,15 @@ _logits = st.one_of(
 @given(data=st.data())
 def test_masked_softmax_equals_unmasked_chain(data):
     """Skipping exp below the underflow threshold changes no bit of the
-    softmax or its gradient, on either axis and for strided inputs."""
-    axis = data.draw(st.integers(0, 1))
+    softmax or its gradient, for contiguous, strided and transposed inputs."""
     m, n = data.draw(_dims), data.draw(_dims)
     x = data.draw(hnp.arrays(np.float64, (m, 2 * n), elements=_logits))
     if data.draw(st.booleans()):
-        x[:, 0] = 0.0  # each row's max is 0: the drawn values are the shifted logits
+        # each column's max is 0 in every layout: the drawn values are the shifted logits
+        x[0, :] = x[:, 0] = 0.0
     layout = data.draw(st.sampled_from(["contiguous", "strided", "transposed"]))
     x = {"contiguous": x, "strided": x[:, ::2], "transposed": x.T}[layout]
-    _assert_fused_matches_chain(
-        lambda v: ad.softmax(v, axis), lambda v: ref.softmax_chain(v, axis), [x], [True])
+    _assert_fused_matches_chain(ad.softmax, lambda v: ref.softmax_chain(v, 0), [x], [True])
 
 
 @settings(max_examples=80, deadline=None)
@@ -609,10 +657,7 @@ def test_masked_gaussian_softmax_equals_unmasked_chain(data):
     cols = data.draw(hnp.arrays(np.float64, (data.draw(_dims),), elements=coords))
     rows = rows[::2]  # a strided operand
     traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
-    _assert_fused_matches_chain(
-        lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis),
-        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis),
-        [rows, cols], traced)
+    _assert_fused_matches_chain(*_kernel(axis, sigma2), [rows, cols], traced)
 
 
 def test_exp_is_exactly_zero_below_the_mask_threshold():
@@ -638,17 +683,14 @@ def test_nonfinite_inputs_match_the_unmasked_chain_without_new_warnings(special,
     x[1, 2] = special
     rows, cols = rng.normal(size=4) * 20.0, np.arange(5.0)
     rows[1] = special
-    # a size where the band engages on axis 0 but for the special centre
+    # a size where the kernel bands but for the special centre
     index, centres = np.arange(256.0), _jittered_grid(rng, 160)
-    assert _band_engages(index, centres, 0.25, axis) == (axis == 0)
+    assert _band_engages(index, centres, 0.25, axis)
     centres[7] = special
-    gaussian = (lambda r, c: ad.gaussian_softmax(r, c, 0.25, axis),
-                lambda r, c: ref.gaussian_softmax_chain(r, c, 0.25, axis))
-    cases = [
-        ("softmax", lambda v: ad.softmax(v, axis), lambda v: ref.softmax_chain(v, axis), [x]),
-        ("gaussian_softmax", *gaussian, [rows, cols]),
-        ("gaussian_softmax", *gaussian, [index, centres]),
-    ]
+    name = ("gaussian_softmax", "gaussian_positions")[axis]
+    cases = [(name, *_kernel(axis, 0.25), [rows, cols]), (name, *_kernel(axis, 0.25), [index, centres])]
+    if axis == 0:
+        cases.append(("softmax", ad.softmax, lambda v: ref.softmax_chain(v, 0), [x]))
     for name, fused, chain, inputs in cases:
         expected, expected_warnings = _recorded(lambda: chain(*inputs))
         out, out_warnings = _recorded(lambda: fused(*inputs))
@@ -666,11 +708,17 @@ def test_nonfinite_inputs_match_the_unmasked_chain_without_new_warnings(special,
 
 
 def _band_engages(rows, cols, sigma2, axis):
-    """Whether gaussian_softmax computes this call in a band: whether it
-    runs without the dense kernel."""
-    with mock.patch.object(ad, "_dense_gaussian", wraps=ad._dense_gaussian) as dense:
-        ad.gaussian_softmax(rows, cols, sigma2, axis)
-    return not dense.called
+    """Whether the op of :func:`_kernel` computes this call in a band:
+    whether ``_band_block`` returned a block."""
+    blocks, band = [], ad._band_block
+
+    def spy(*args):
+        blocks.append(band(*args))
+        return blocks[-1]
+
+    with mock.patch.object(ad, "_band_block", spy):
+        _kernel(axis, sigma2)[0](rows, cols)
+    return any(b is not None for b in blocks)
 
 
 def _jittered_grid(rng, n):
@@ -715,19 +763,39 @@ def _close(x, expected):
     return x.shape == expected.shape and bool(np.all(np.abs(x - expected) <= 1e-12 * scale))
 
 
+def _banded_positions_chain(tokens, pi, sigma2):
+    """The transposed axis-0 kernel over the IMV, banded where it can be,
+    times the output index vector."""
+    density = ad.transpose(ad.gaussian_softmax(pi, tokens, sigma2))
+    return ad.matmul(density, np.arange(float(ad.data(pi).size)))
+
+
+def _positions_close(e, expected, t2):
+    """Within the bound of gaussian_positions's docstring: 2 * t2 * eps of
+    max(1, |e_i|), entry by entry."""
+    bound = 2 * t2 * 2.0**-52 * np.maximum(1.0, np.abs(expected))
+    return e.shape == expected.shape and bool(np.all(np.abs(e - expected) <= bound))
+
+
 def _assert_kernel_matches_chain(rows, cols, sigma2, axis, banded, traced=(True, True)):
-    """That the call bands exactly where ``banded`` says, and its results
-    against the chain: a band's against the chain with the band's cutoff,
-    values and the cols gradient bit for bit and the rows gradient within
-    :func:`_close`; a dense call's against the dense chain, all bit for bit.
-    Traced and untraced."""
+    """That the op of :func:`_kernel` bands exactly where ``banded`` says,
+    and its results, traced and untraced: a dense call's against the dense
+    chain, all bit for bit; a band's against the chain with the band's
+    cutoff, values and the cols gradient bit for bit and the rows gradient
+    within :func:`_close` (axis 0), or against :func:`_banded_positions_chain`,
+    values within :func:`_positions_close` and gradients bit for bit (axis 1)."""
     assert _band_engages(rows, cols, sigma2, axis) == banded
-    fused = lambda r, c: ad.gaussian_softmax(r, c, sigma2, axis)
+    fused, chain = _kernel(axis, sigma2)
     if not banded:
-        chain = lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, axis)
         _assert_fused_matches_chain(fused, chain, [rows, cols], traced)
         return
     out, grads, _ = _traced_grads(fused, [rows, cols], traced)
+    if axis == 1:
+        expected, expected_grads, _ = _traced_grads(
+            lambda t, p: _banded_positions_chain(t, p, sigma2), [rows, cols], traced)
+        assert _same_bits(fused(rows, cols), out) and _positions_close(out, expected, cols.size)
+        assert all(_same_bits(g, e) for g, e in zip(grads, expected_grads))
+        return
     expected, expected_grads, _ = _traced_grads(
         lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, 0, ad.BAND_CUTOFF),
         [rows, cols], traced)
@@ -785,8 +853,9 @@ def test_banded_gaussian_softmax_matches_the_dense_chain(data):
     rows, cols, sigma2, kind = _draw_band_case(data, ["index", "centres", "hma", "nm"])
     traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
     _assert_kernel_matches_chain(rows, cols, sigma2, 0, kind != "nm", traced)
-    # the same kernel with the operands swapped, along axis 1, is dense
-    _assert_kernel_matches_chain(cols, rows, sigma2, 1, False, traced[::-1])
+    # the operands swapped are the tokens and the IMV of the positions,
+    # whose density bands on the same block
+    _assert_kernel_matches_chain(cols, rows, sigma2, 1, kind != "nm", traced[::-1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -797,10 +866,8 @@ def test_band_is_within_its_stated_bound_of_the_dense_kernel(data):
     -746: the change the band's cutoff makes, not only its summation order."""
     rows, cols, sigma2, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
     assert _band_engages(rows, cols, sigma2, 0)
-    out, grads, _ = _traced_grads(
-        lambda r, c: ad.gaussian_softmax(r, c, sigma2, 0), [rows, cols], (True, True))
-    expected, expected_grads, _ = _traced_grads(
-        lambda r, c: ref.gaussian_softmax_chain(r, c, sigma2, 0), [rows, cols], (True, True))
+    out, grads, _ = _traced_grads(_kernel(0, sigma2)[0], [rows, cols], (True, True))
+    expected, expected_grads, _ = _traced_grads(_kernel(0, sigma2)[1], [rows, cols], (True, True))
     for x, e in zip([out, *grads], [expected, *expected_grads]):
         assert _close(x, e)
 
@@ -812,12 +879,12 @@ def test_band_at_the_smallest_sigma2_with_a_finite_reciprocal(axis):
     assert np.isfinite(-1.0 / sigma2)
     rows, cols = np.arange(256.0), _jittered_grid(np.random.default_rng(17), 160) + 40.0
     rows, cols = (rows, cols) if axis == 0 else (cols, rows)
-    out, out_warnings = _recorded(lambda: ad.gaussian_softmax(rows, cols, sigma2, axis))
-    expected, expected_warnings = _recorded(
-        lambda: ref.gaussian_softmax_chain(rows, cols, sigma2, axis))
+    fused, chain = _kernel(axis, sigma2)
+    out, out_warnings = _recorded(lambda: fused(rows, cols))
+    expected, expected_warnings = _recorded(lambda: chain(rows, cols))
     assert out_warnings == expected_warnings == [(RuntimeWarning, "overflow encountered in multiply")]
     with np.errstate(over="ignore"):
-        _assert_kernel_matches_chain(rows, cols, sigma2, axis, axis == 0)
+        _assert_kernel_matches_chain(rows, cols, sigma2, axis, True)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -839,23 +906,22 @@ def test_band_edge_cases_run_dense_where_it_cannot_apply(axis, case):
         rows, cols = (cluster, np.linspace(0.0, 875.0, 160))[::1 - 2 * axis]
     else:
         cols = np.full(160, 37.25)
-    # equal centres down the rows would span nothing; across them they band
-    # (axis 1 is dense at every size)
-    engages = axis == 0 and case in ("a tight cluster", "sorted equal centres")
+    # equal centres along the softmax (the density's IMV, axis 1) would span
+    # nothing; across it (axis 0) they band
+    engages = case == "a tight cluster" or (axis == 0 and case == "sorted equal centres")
     _assert_kernel_matches_chain(rows, cols, sigma2, axis, engages)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_band_runs_from_its_size_constant_of_entries(axis):
-    # a constant's worth of entries bands on axis 0; one row fewer along the
-    # softmax axis is dense, as is axis 1 at any size
+    # a constant's worth of entries bands; one row fewer is dense, a row
+    # being an entry along the softmax (axis 0) or a token (axis 1)
     m = 100
     n = ad._BAND_MIN_ENTRIES // m
     assert n * m == ad._BAND_MIN_ENTRIES
     b = _jittered_grid(np.random.default_rng(21), m) + 40.0
     for rows, engages in [(n, True), (n - 1, False)]:
-        a = np.arange(float(rows))
-        assert _band_engages(*((a, b) if axis == 0 else (b, a)), 0.25, axis) == (engages and axis == 0)
+        assert _band_engages(np.arange(float(rows)), b, 0.25, axis) == engages
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -877,29 +943,28 @@ def test_band_falls_back_where_rounding_widens_the_window():
     rows = np.concatenate([np.arange(12.0) * 3e-8, np.arange(1.0, 300.0)])
     cols = -1.35e9 - np.arange(160.0) * 1e-3
     assert not _band_engages(rows, cols, 1.0, 0)
-    fused = lambda r, c: ad.gaussian_softmax(r, c, 1.0, 0)
-    chain = lambda r, c: ref.gaussian_softmax_chain(r, c, 1.0, 0)
-    _assert_fused_matches_chain(fused, chain, [rows, cols], (True, True))
+    _assert_fused_matches_chain(*_kernel(0, 1.0), [rows, cols], (True, True))
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_band_gradient_with_a_nan_outside_the_band_is_the_dense_one(axis):
     rows, cols = np.arange(256.0), _jittered_grid(np.random.default_rng(19), 160) + 40.0
     rows, cols = (rows, cols) if axis == 0 else (cols, rows)
-    assert _band_engages(rows, cols, 0.25, axis) == (axis == 0)
+    assert _band_engages(rows, cols, 0.25, axis)
 
     def grads(f):
         tape = ad.Tape()
         r, c = tape.variable(rows), tape.variable(cols)
         out = f(r, c)
         w = np.ones(out.shape)
-        w[0, -1] = np.nan  # the far corner: outside every window
+        # the first row's last entry (axis 0), the last token (axis 1):
+        # outside every window
+        w.flat[w.shape[-1] - 1] = np.nan
         tape.backward(ad.asum(out * w))
         return r.grad, c.grad
 
     with np.errstate(invalid="ignore"):
-        got = grads(lambda r, c: ad.gaussian_softmax(r, c, 0.25, axis))
-        expected = grads(lambda r, c: ref.gaussian_softmax_chain(r, c, 0.25, axis))
+        got, expected = (grads(f) for f in _kernel(axis, 0.25))
     for g, e in zip(got, expected):
         assert np.isnan(e).any()
         np.testing.assert_array_equal(g, e)  # NaN where the chain has NaN
@@ -907,46 +972,19 @@ def test_band_gradient_with_a_nan_outside_the_band_is_the_dense_one(axis):
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_banded_gaussian_softmax_gradcheck(axis):
-    # 120 centres about 2 apart along the softmax axis against 480 steps
-    # 0.5 apart over the same range: about 7 of the 120 in each window,
-    # and no one-hot softmax whose tiny gradients drown in rounding
+    # 120 centres about 2 apart against 480 steps 0.5 apart over the same
+    # range: about 7 of the 120 in each window of a step (axis 0), about 24
+    # steps in each window of a centre (axis 1), and no one-hot softmax whose
+    # tiny gradients drown in rounding
     rng = np.random.default_rng(20)
-    along, index = np.arange(120.0) * 2.0 + rng.uniform(-0.5, 0.5, 120), np.arange(480.0) * 0.5
-    rows, cols = (along, index) if axis == 0 else (index, along)
-    assert _band_engages(rows, cols, 1.0, axis) == (axis == 0)
-    w = rng.normal(size=(rows.size, cols.size))
-    f = lambda r, c: ad.asum(ad.gaussian_softmax(r, c, 1.0, axis) * w)
-    assert ad.gradcheck(f, [rows, cols], op_name="gaussian_softmax").passed
+    rows, cols = np.arange(120.0) * 2.0 + rng.uniform(-0.5, 0.5, 120), np.arange(480.0) * 0.5
+    assert _band_engages(rows, cols, 1.0, axis)
+    w = rng.normal(size=(120, 480) if axis == 0 else 120)
+    fused = _kernel(axis, 1.0)[0]
+    assert ad.gradcheck(lambda r, c: ad.asum(fused(r, c) * w), [rows, cols]).passed
 
 
 # -- aligned positions from the band ----------------------------------------
-
-
-def _positions_band_engages(tokens, pi, sigma2):
-    """Whether gaussian_positions takes its means from the band."""
-    tape = ad.Tape()
-    ad.gaussian_positions(tokens, tape.variable(pi), sigma2)
-    return [v.name for v in tape.nodes] == ["gaussian_positions"]
-
-
-def _banded_positions_chain(tokens, pi, sigma2):
-    """The transposed axis-0 kernel over the IMV, banded where it can be,
-    times the output index vector."""
-    density = ad.transpose(ad.gaussian_softmax(pi, tokens, sigma2, axis=0))
-    return ad.matmul(density, np.arange(float(ad.data(pi).size)))
-
-
-def _dense_positions_chain(tokens, pi, sigma2):
-    """The dense density matrix times the output index vector."""
-    density = ref.gaussian_softmax_chain(tokens, pi, sigma2, 1)
-    return ad.matmul(density, np.arange(float(ad.data(pi).size)))
-
-
-def _positions_close(e, expected, t2):
-    """Within the bound of gaussian_positions's docstring: 2 * t2 * eps of
-    max(1, |e_i|), entry by entry."""
-    bound = 2 * t2 * 2.0**-52 * np.maximum(1.0, np.abs(expected))
-    return e.shape == expected.shape and bool(np.all(np.abs(e - expected) <= bound))
 
 
 @settings(max_examples=40, deadline=None)
@@ -955,7 +993,7 @@ def test_banded_positions_gradients_equal_the_banded_chain_bit_for_bit(data):
     # the rows, along the softmax axis, are the IMV, the columns the tokens
     pi, tokens, sigma2, _ = _draw_band_case(data, ["index", "centres", "hma", "equal centres"])
     traced = data.draw(st.sampled_from([(True, False), (False, True), (True, True)]))
-    assert _positions_band_engages(tokens, pi, sigma2)
+    assert _band_engages(tokens, pi, sigma2, 1)
     fused = lambda t, p: ad.gaussian_positions(t, p, sigma2)
     out, grads, tape = _traced_grads(fused, [tokens, pi], traced)
     expected, expected_grads, chain_tape = _traced_grads(
@@ -969,7 +1007,7 @@ def test_banded_positions_gradients_equal_the_banded_chain_bit_for_bit(data):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_nonfinite_upstream_gradient_gives_the_positions_chain_s_gradients(bad):
     tokens, pi = np.arange(160.0), _jittered_grid(np.random.default_rng(22), 256) + 40.0
-    assert _positions_band_engages(tokens, pi, 0.25)
+    assert _band_engages(tokens, pi, 0.25, 1)
 
     def grads(f):
         tape = ad.Tape()
@@ -980,22 +1018,21 @@ def test_a_nonfinite_upstream_gradient_gives_the_positions_chain_s_gradients(bad
         return t.grad, p.grad
 
     with np.errstate(invalid="ignore"):
-        got = grads(lambda t, p: ad.gaussian_positions(t, p, 0.25))
-        expected = grads(lambda t, p: _dense_positions_chain(t, p, 0.25))
+        got, expected = (grads(f) for f in _kernel(1, 0.25))
     for g, e in zip(got, expected):
         assert np.isnan(e).any()
         np.testing.assert_array_equal(g, e)  # NaN where the chain has NaN
 
 
 def test_positions_band_runs_from_its_size_constant_of_entries():
-    # a constant's worth of entries bands; one IMV entry fewer records the chain
+    # a constant's worth of entries bands; one IMV entry fewer is dense
     m = 100
     n = ad._BAND_MIN_ENTRIES // m
     assert n * m == ad._BAND_MIN_ENTRIES
     tokens = _jittered_grid(np.random.default_rng(21), m) + 40.0
     for entries, engages in [(n, True), (n - 1, False)]:
         pi = np.arange(float(entries))
-        assert _positions_band_engages(tokens, pi, 0.25) == engages
+        assert _band_engages(tokens, pi, 0.25, 1) == engages
         assert _band_engages(pi, tokens, 0.25, 0) == engages
 
 
@@ -1005,18 +1042,17 @@ def test_banded_positions_gradcheck():
     # token's mean is pinned to one entry with a gradient drowned in rounding
     rng = np.random.default_rng(20)
     pi, tokens = np.arange(120.0) + rng.uniform(-0.3, 0.3, 120), np.arange(239.0) * 0.5
-    assert _positions_band_engages(tokens, pi, 0.5)
+    assert _band_engages(tokens, pi, 0.5, 1)
     w = rng.normal(size=tokens.size)
     f = lambda t, p: ad.asum(ad.gaussian_positions(t, p, 0.5) * w)
     assert ad.gradcheck(f, [tokens, pi], op_name="gaussian_positions").passed
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_softmax_gradcheck(axis):
+def test_softmax_gradcheck():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(4, 5))
     w = rng.normal(size=(4, 5))
-    report = ad.gradcheck(lambda v: ad.asum(ad.softmax(v, axis) * w), [x], op_name="softmax")
+    report = ad.gradcheck(lambda v: ad.asum(ad.softmax(v) * w), [x], op_name="softmax")
     assert report.passed
 
 
@@ -1025,9 +1061,9 @@ def test_gaussian_softmax_gradcheck(axis):
     rng = np.random.default_rng(10)
     rows = rng.normal(size=4) * 2.0
     cols = rng.normal(size=6) * 2.0
-    w = rng.normal(size=(4, 6))
-    f = lambda r, c: ad.asum(ad.gaussian_softmax(r, c, 4.0, axis) * w)
-    report = ad.gradcheck(f, [rows, cols], op_name="gaussian_softmax")
+    w = rng.normal(size=(4, 6) if axis == 0 else 4)
+    fused = _kernel(axis, 4.0)[0]
+    report = ad.gradcheck(lambda r, c: ad.asum(fused(r, c) * w), [rows, cols], op_name="gaussian_softmax")
     assert report.passed
 
 
@@ -1250,7 +1286,7 @@ _CHAIN_OPS = {
     "relu": (ref.relu, 1),
     "abs": (ref.absolute, 1),
     "cumsum": (ref.cumsum, 1),
-    "softmax": (lambda x: ad.softmax(x, 0), 1),
+    "softmax": (ad.softmax, 1),
     # raises ZeroDivisionError when the rectified path total is <= 0
     "monotone_rescale": (lambda x: ad.monotone_rescale(x, 3.0, 0.0), 1),
 }

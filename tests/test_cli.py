@@ -234,8 +234,12 @@ def test_gradcheck_command(capsys):
     assert "PASS" in capsys.readouterr().out
     assert main(["gradcheck", "--op", "hma_transform"]) == 0
     capsys.readouterr()
-    assert main(["gradcheck", "--op", "not_an_op"]) == 2
-    assert capsys.readouterr().err == f"error: unknown op 'not_an_op'; known: {', '.join(sorted(CHECKABLE_OPS))}\n"
+    known = ", ".join(sorted(CHECKABLE_OPS))
+    assert len(CHECKABLE_OPS) == 8
+    # density_matrix is the tests' positions reference, not a library op
+    for op in ("not_an_op", "density_matrix"):
+        assert main(["gradcheck", "--op", op]) == 2
+        assert capsys.readouterr().err == f"error: unknown op '{op}'; known: {known}\n"
 
 
 def test_gradcheck_fails_a_nan_gradient(monkeypatch, capsys):

@@ -17,7 +17,6 @@ from imvalign.positions import (
     AlignedPositions,
     align_from_positions,
     ap_loss,
-    density_matrix,
     extract_positions,
     infer_t2,
     scale_positions,
@@ -30,7 +29,7 @@ SHARP = KernelConfig(sigma2=0.01)
 def test_every_gaussian_kernel_is_built_at_the_size_cap_and_refused_over_it(monkeypatch):
     imv = Imv(np.array([0.0, 0.7, 1.2, 2.0]), 3)
     kernels = [
-        lambda: align_from_imv(imv), lambda: density_matrix(imv), lambda: extract_positions(imv),
+        lambda: align_from_imv(imv), lambda: extract_positions(imv),
         lambda: align_from_positions(AlignedPositions(np.array([0.5, 1.5, 2.5])), 4),
     ]
     monkeypatch.setattr(core, "MAX_ALIGNMENT_ENTRIES", 12)  # each kernel is 3x4
@@ -50,19 +49,29 @@ def test_every_gaussian_kernel_is_built_at_the_size_cap_and_refused_over_it(monk
 
 
 def test_density_matrix_concentrates_at_small_sigma():
-    gamma = density_matrix(Imv(np.array([0.0, 1.0]), 2), SHARP)
-    assert np.allclose(gamma, np.eye(2), atol=1e-10)
+    # each token's mass, and so its position, is on the step at its IMV entry
+    imv = Imv(np.array([0.0, 1.0]), 2)
+    assert np.allclose(ref.density_matrix(imv, SHARP), np.eye(2), atol=1e-10)
+    assert np.allclose(extract_positions(imv, SHARP).values, [0.0, 1.0], atol=1e-10)
 
 
 def test_density_matrix_constant_imv_gives_uniform_rows():
-    gamma = density_matrix(Imv(np.full(5, 1.7), 3), KernelConfig(sigma2=0.4))
-    assert np.allclose(gamma, 0.2, atol=1e-12)
+    # every token spreads evenly over the 5 steps: its position is their mean
+    imv, kernel = Imv(np.full(5, 1.7), 3), KernelConfig(sigma2=0.4)
+    assert np.allclose(ref.density_matrix(imv, kernel), 0.2, atol=1e-12)
+    assert np.allclose(extract_positions(imv, kernel).values, 2.0, atol=1e-12)
 
 
 def test_density_matrix_rows_normalized():
+    # at toy sizes each position is the normalised row's mean step bit for
+    # bit, so it lies within the steps
     rng = np.random.default_rng(0)
-    gamma = density_matrix(Imv(rng.uniform(0, 3, size=9), 4), KernelConfig(sigma2=0.7))
+    imv, kernel = Imv(rng.uniform(0, 3, size=9), 4), KernelConfig(sigma2=0.7)
+    gamma = ref.density_matrix(imv, kernel)
     assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
+    e = extract_positions(imv, kernel).values
+    assert e.tobytes() == (gamma @ index_vector(imv.t2)).tobytes()
+    assert np.all((e >= 0.0) & (e <= imv.t2 - 1))
 
 
 def test_extract_positions_diagonal_case():
@@ -118,8 +127,8 @@ def _tts_imv(kind, t1, t2, rng):
 @given(data=st.data())
 def test_banded_positions_are_the_density_matrix_s_mean_within_their_bound(data):
     """At band sizes ``extract_positions`` takes each mean from the band, not
-    from the density matrix: within 2 * t2 * eps * max(1, |e_i|) of
-    ``density_matrix(imv) @ index_vector(t2)``, the bound of
+    from the density matrix: within 2 * t2 * eps * max(1, |e_i|) of the
+    reference ``density_matrix(imv) @ index_vector(t2)``, the bound of
     ``autodiff.gaussian_positions``."""
     t1 = data.draw(st.integers(32, 256))
     t2 = data.draw(st.integers(max(t1 + 1, -(-ad._BAND_MIN_ENTRIES // t1)), 1024))
@@ -129,33 +138,8 @@ def test_banded_positions_are_the_density_matrix_s_mean_within_their_bound(data)
     tokens = index_vector(t1)
     assert ad._band_block(pi, tokens, kernel.sigma2, -1.0 / kernel.sigma2) is not None
     e = extract_positions(Imv(pi, t1), kernel).values
-    expected = density_matrix(Imv(pi, t1), kernel) @ index_vector(t2)
+    expected = ref.density_matrix(Imv(pi, t1), kernel) @ index_vector(t2)
     assert np.all(np.abs(e - expected) <= 2 * t2 * 2.0**-52 * np.maximum(1.0, np.abs(expected)))
-
-
-def test_the_density_matrix_is_the_dense_kernel_at_every_size():
-    """``density_matrix`` runs the dense kernel at every size: at 256 x 1024,
-    on an HMA IMV whose transposed kernel bands, its values and its IMV
-    gradient are the dense chain's bit for bit. TTS-size means come from
-    ``extract_positions``, which takes them from that band instead."""
-    t1, t2 = 256, 1024
-    rng = np.random.default_rng(24)
-    pi = _tts_imv("walk", t1, t2, rng)
-    kernel, tokens = KernelConfig(), index_vector(t1)
-    assert ad._band_block(pi, tokens, kernel.sigma2, -1.0 / kernel.sigma2) is not None
-    w = rng.normal(size=(t1, t2))
-
-    def traced(f):
-        tape = ad.Tape()
-        p = tape.variable(pi)
-        out = f(p)
-        tape.backward(ad.asum(out * w))
-        return out.data, p.grad
-
-    got = traced(lambda p: density_matrix(Imv(p, t1), kernel))
-    expected = traced(lambda p: ref.gaussian_softmax_chain(tokens, p, kernel.sigma2, 1))
-    for g, e in zip(got, expected):
-        assert g.shape == e.shape and g.tobytes() == e.tobytes()
 
 
 # the smallest sigma2 whose reciprocal is finite: a logit overflows beyond ~1 token
@@ -167,18 +151,12 @@ def _extract(pi, n, kernel):
     return extract_positions(Imv(pi, n), kernel).values
 
 
-def _density(pi, n, kernel):
-    """The density row of the IMV ``pi`` for each of ``n`` tokens."""
-    return density_matrix(Imv(pi, n), kernel)
-
-
 def _align(pi, n, kernel):
     """The kernel over the aligned positions ``pi`` for each of ``n`` output steps."""
     return align_from_positions(AlignedPositions(pi), n, kernel)
 
 
-@pytest.mark.parametrize("wrapper, entry", [(_extract, "token"), (_align, "output step"), (_density, "token")],
-                         ids=["extract", "align", "density"])
+@pytest.mark.parametrize("wrapper, entry", [(_extract, "token"), (_align, "output step")], ids=["extract", "align"])
 @settings(max_examples=300, deadline=None)
 @given(
     pi=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.floats(-3, 43), min_size=1, max_size=40)

@@ -157,20 +157,25 @@ def test_training_is_bit_deterministic():
     assert np.array_equal(r1.diagonality, r2.diagonality)
 
 
+def _record_results(monkeypatch, name):
+    """Replace ``ad.<name>`` with a spy that calls it; returns the list of
+    its results, one per call, in order."""
+    results, fn = [], getattr(ad, name)
+
+    def spy(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ad, name, spy)
+    return results
+
+
 def test_default_training_runs_the_dense_gaussian_kernel(monkeypatch):
     """At the default ToyTask sizes the banded kernel never engages, and the
     positions never try the band: the loss traces equal, bit for bit, those
-    of training through the dense chain."""
-    banded, blocks = [], []
-    band = ad._banded_gaussian
-
-    def spy(*args):
-        banded.append(band(*args))
-        return banded[-1]
-
-    monkeypatch.setattr(ad, "_banded_gaussian", spy)
-    # any call is a failure below; returning None keeps the dense path
-    monkeypatch.setattr(ad, "_band_block", lambda *args: blocks.append(args))
+    of training through the dense chains."""
+    banded = _record_results(monkeypatch, "_banded_gaussian")
+    blocks = _record_results(monkeypatch, "_band_block")
 
     def traces(mode):
         _, report = train(ToyTask(), TrainConfig(mode=mode, steps=30, seed=3, optimizer="adam"))
@@ -178,10 +183,48 @@ def test_default_training_runs_the_dense_gaussian_kernel(monkeypatch):
 
     fused = {mode: traces(mode) for mode in ("HMA", "SMA", "NM")}
     assert banded and not any(b is not None for b in banded) and not blocks
-    monkeypatch.setattr(ad, "gaussian_softmax", ref.gaussian_softmax_chain)
+    monkeypatch.setattr(ad, "gaussian_softmax", lambda r, c, s: ref.gaussian_softmax_chain(r, c, s, 0))
+    monkeypatch.setattr(ad, "gaussian_positions", lambda t, p, s: ad.matmul(
+        ref.gaussian_softmax_chain(t, p, s, 1), np.arange(float(ad.data(p).size))))
     for mode, expected in fused.items():
         for got, want in zip(traces(mode), expected):
             assert got.tobytes() == want.tobytes()
+
+
+def test_long_sequence_training_runs_the_band_within_its_bound(monkeypatch):
+    """Three HMA steps at t1 64-128, where the positions and the
+    reconstruction band: two runs are bit-identical, and each step's flat
+    gradient is within the bound of gaussian_positions' docstring of the
+    same step through the dense kernels."""
+    from imvalign import toy
+
+    task = ToyTask(t1_min=64, t1_max=128, dmin=2, dmax=6, vocab=12)
+    cfg = TrainConfig(mode="HMA", steps=3, pool_size=2, batch_size=2)
+    blocks = _record_results(monkeypatch, "_band_block")
+    steps, step = [], toy._train_step
+
+    def spy(model, batches, cfg, k):
+        flat = model.flat.copy()
+        grad, entry = step(model, batches, cfg, k)
+        steps.append((flat, batches, grad))
+        return grad, entry
+
+    monkeypatch.setattr(toy, "_train_step", spy)
+    runs = [train(task, cfg) for _ in range(2)]
+    assert any(b is not None for b in blocks)
+    (model, report), (again, report_again) = runs
+    assert model.flat.tobytes() == again.flat.tobytes()
+    for name in toy._TRACE_FIELDS:
+        assert getattr(report, name).tobytes() == getattr(report_again, name).tobytes()
+    assert all(a[2].tobytes() == b[2].tobytes() for a, b in zip(steps[:3], steps[3:]))
+    monkeypatch.setattr(ad, "_BAND_MIN_ENTRIES", task.t1_max ** 2 * task.dmax + 1)
+    blocks.clear()
+    for k, (flat, batches, grad) in enumerate(steps[:3]):
+        dense_model = ToyModel(task, cfg.seed)
+        dense_model.flat[:] = flat
+        dense, _ = step(dense_model, batches, cfg, k)
+        assert np.all(np.abs(grad - dense) <= 1e-12 * max(1.0, float(np.abs(dense).max())))
+    assert not blocks
 
 
 def test_nm_is_sma_with_zero_weights():
@@ -325,7 +368,7 @@ def test_training_leaves_no_tape_to_the_cycle_collector():
     assert left == 0
 
 
-@pytest.mark.parametrize("mode, nodes", [("HMA", 200), ("SMA", 208), ("NM", 192)])
+@pytest.mark.parametrize("mode, nodes", [("HMA", 192), ("SMA", 200), ("NM", 184)])
 def test_tape_nodes_per_benchmark_step(mode, nodes):
     # the benchmark's toy config: one 8-sequence step
     from imvalign.toy import _evaluate_step
